@@ -135,6 +135,16 @@ def image_method_rir(spec: RoomSpec) -> Rir:
     coherently in late bins and drag the measured decay far past the target.
     Each image contributes amplitude 1 / (4*pi*distance) at the
     nearest-sample arrival time.
+
+    Images are enumerated in eight parity blocks over per-axis orders, but
+    only those inside a sphere one sample wider than the response (compared
+    on squared distance, before any sqrt) reach the rounding and summation;
+    the exact ``sample < n_out`` test still decides every image the sphere
+    keeps. Gains come from the table ``beta ** arange(max_refl + 1)`` indexed
+    by reflection count. Each image's delay and amplitude are the same
+    floats the full enumeration computes, and the survivors reach
+    ``bincount`` in the same order, so the response is bit-identical to
+    summing every image in the box.
     """
     alpha = sabine_absorption(spec.dims, spec.target_t60)
     beta = -float(np.sqrt(1.0 - alpha))
@@ -160,6 +170,13 @@ def image_method_rir(spec: RoomSpec) -> Rir:
 
     h = np.zeros(n_out)
     axis_n = [np.arange(-orders[d], orders[d] + 1) for d in range(3)]
+    # rint(fs * dist / c) < n_out needs fs * dist / c <= n_out - 0.5. A sphere
+    # of n_out + 1 samples leaves 1.5 samples of margin, far above rounding
+    # error, so it drops no image the exact test below would keep.
+    radius = (n_out + 1) * SPEED_OF_SOUND / fs
+    # Axis d contributes at most |2*(-n_d) - 1| = 2*n_d + 1 reflections.
+    max_refl = sum(2 * n + 1 for n in orders)
+    gains = beta ** np.arange(max_refl + 1)
     for px, py, pz in product((0, 1), repeat=3):
         parity = (px, py, pz)
         # Image coordinates 2*n*L + (1-2p)*s; reflection count |2n - p| per axis.
@@ -168,19 +185,21 @@ def image_method_rir(spec: RoomSpec) -> Rir:
             for d in range(3)
         ]
         counts = [np.abs(2 * axis_n[d] - parity[d]) for d in range(3)]
-        dist = np.sqrt(
+        dist2 = (
             coords[0][:, None, None] ** 2
             + coords[1][None, :, None] ** 2
             + coords[2][None, None, :] ** 2
         ).ravel()
+        near = dist2 <= radius * radius
+        dist = np.sqrt(dist2[near])
         refl = (
             counts[0][:, None, None]
             + counts[1][None, :, None]
             + counts[2][None, None, :]
-        ).ravel()
+        ).ravel()[near]
         sample = np.rint(fs * dist / SPEED_OF_SOUND).astype(np.int64)
         keep = sample < n_out
-        amp = beta ** refl[keep].astype(np.float64) / (4.0 * np.pi * dist[keep])
+        amp = gains[refl[keep]] / (4.0 * np.pi * dist[keep])
         h += np.bincount(sample[keep], weights=amp, minlength=n_out)
     return Rir(AudioBuffer(h, fs), provenance=spec, order_warning=order_warning)
 

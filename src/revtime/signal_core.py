@@ -300,30 +300,33 @@ def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
 
 
-def rms_level_db(buf: AudioBuffer) -> float:
-    """Whole-signal RMS level in dB relative to full scale."""
-    rms = _rms(buf.samples)
-    if rms == 0.0:
-        raise RevtimeError("cannot measure the level of digital silence")
-    return 20.0 * np.log10(rms)
-
-
 def active_speech_level(buf: AudioBuffer) -> float:
     """RMS level in dB over speech-active frames only.
 
     A 10 ms frame counts as active when its RMS is within 35 dB of the
     loudest frame. Raises if no frame is active (pure silence).
+
+    The whole frames are measured at once as the rows of a
+    ``(n_full, frame)`` view, the trailing partial frame on its own. Each
+    row's mean of squares sums the same samples in the same order as a
+    per-frame slice would, and the active samples are gathered in their
+    original order, so the level is the same float a frame-by-frame loop
+    gives.
     """
     frame = max(1, int(round(buf.sample_rate * ACTIVITY_FRAME_S)))
-    n_frames = int(np.ceil(len(buf) / frame))
-    frame_rms = np.empty(n_frames)
-    for i in range(n_frames):
-        frame_rms[i] = _rms(buf.samples[i * frame:(i + 1) * frame])
+    n_full = len(buf) // frame
+    rows = buf.samples[:n_full * frame].reshape(n_full, frame)
+    tail = buf.samples[n_full * frame:]
+    frame_rms = np.sqrt(np.mean(np.square(rows), axis=1))
+    if tail.size:
+        frame_rms = np.append(frame_rms, _rms(tail))
     peak = frame_rms.max()
     if peak == 0.0:
         raise RevtimeError("no active frames: signal is silent")
     active = frame_rms >= peak * 10.0 ** (ACTIVITY_THRESHOLD_DB / 20.0)
-    chunks = [buf.samples[i * frame:(i + 1) * frame] for i in np.nonzero(active)[0]]
+    chunks = [rows[active[:n_full]].ravel()]
+    if tail.size and active[-1]:
+        chunks.append(tail)
     return 20.0 * float(np.log10(_rms(np.concatenate(chunks))))
 
 

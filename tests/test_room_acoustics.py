@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,96 @@ class TestImageMethod:
         spec = RoomSampler().sample(rng, t60, SR)
         measured = t60_from_edc(schroeder_edc(image_method_rir(spec)), SR)
         assert measured == pytest.approx(t60, rel=0.20)
+
+
+def reference_image_method_rir(spec):
+    """Brute-force image method: every image in the per-axis order box,
+    gains by floating-point power. Returns (samples, order_warning)."""
+    alpha = sabine_absorption(spec.dims, spec.target_t60)
+    beta = -float(np.sqrt(1.0 - alpha))
+    fs = spec.sample_rate
+    n_out = int(round(spec.rir_length * fs))
+    reach = SPEED_OF_SOUND * spec.rir_length
+    dims = np.asarray(spec.dims)
+    src = np.asarray(spec.source)
+    mic = np.asarray(spec.mic)
+    needed = [int(np.ceil(reach / (2.0 * dims[d]))) + 1 for d in range(3)]
+    orders = [min(n, spec.max_image_order) for n in needed]
+    order_warning = max(needed) > spec.max_image_order
+    h = np.zeros(n_out)
+    axis_n = [np.arange(-orders[d], orders[d] + 1) for d in range(3)]
+    for parity in product((0, 1), repeat=3):
+        coords = [
+            2.0 * axis_n[d] * dims[d] + (1 - 2 * parity[d]) * src[d] - mic[d]
+            for d in range(3)
+        ]
+        counts = [np.abs(2 * axis_n[d] - parity[d]) for d in range(3)]
+        dist = np.sqrt(
+            coords[0][:, None, None] ** 2
+            + coords[1][None, :, None] ** 2
+            + coords[2][None, None, :] ** 2
+        ).ravel()
+        refl = (
+            counts[0][:, None, None]
+            + counts[1][None, :, None]
+            + counts[2][None, None, :]
+        ).ravel()
+        sample = np.rint(fs * dist / SPEED_OF_SOUND).astype(np.int64)
+        keep = sample < n_out
+        amp = beta ** refl[keep].astype(np.float64) / (4.0 * np.pi * dist[keep])
+        h += np.bincount(sample[keep], weights=amp, minlength=n_out)
+    return h, order_warning
+
+
+def assert_matches_reference(spec):
+    rir = image_method_rir(spec)
+    expected, expected_warning = reference_image_method_rir(spec)
+    assert np.array_equal(rir.buf.samples, expected)
+    assert rir.order_warning == expected_warning
+    return rir
+
+
+class TestImageMethodMatchesReference:
+    """The pruned, table-driven simulator is bit-identical to the full
+    enumeration."""
+
+    @pytest.mark.parametrize("rate", [8000, 16000, 48000])
+    def test_sample_rates(self, rate):
+        spec = RoomSpec((4.0, 3.2, 2.6), (1.0, 1.1, 1.2), (2.8, 2.1, 1.5),
+                        0.5, rate, 0.65, required_image_order((4.0, 3.2, 2.6), 0.65))
+        assert_matches_reference(spec)
+
+    @pytest.mark.parametrize("t60", [0.1, 0.4, 0.8, 1.3, 1.9])
+    def test_sampler_rooms_across_t60(self, t60):
+        from revtime.trainer import RoomSampler
+        spec = RoomSampler().sample(np.random.default_rng(17), t60, SR)
+        assert_matches_reference(spec)
+
+    def test_fully_absorbing_room(self):
+        dims = (5.0, 5.0, 5.0)
+        spec = room(t60=0.161 * 125.0 / 150.0, dims=dims, source=(1.0, 2.0, 2.5),
+                    mic=(3.0, 2.0, 2.5), rir_length=0.3)
+        rir = assert_matches_reference(spec)
+        assert np.count_nonzero(rir.buf.samples) == 1
+
+    def test_source_near_wall(self):
+        spec = room(source=(0.02, 1.1, 2.57), mic=(2.8, 3.17, 1.5))
+        assert_matches_reference(spec)
+
+    def test_order_truncated_room(self):
+        spec = room(t60=0.8, order=3)
+        with pytest.warns(UserWarning, match="truncates"):
+            rir = assert_matches_reference(spec)
+        assert rir.order_warning
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           t60=st.floats(0.1, 1.0),
+           rate=st.sampled_from([8000, 16000, 22050]))
+    def test_sampler_sweep(self, seed, t60, rate):
+        from revtime.trainer import RoomSampler
+        spec = RoomSampler().sample(np.random.default_rng(seed), t60, rate)
+        assert_matches_reference(spec)
 
 
 class TestSchroederEdc:

@@ -211,7 +211,48 @@ class TestMel:
             apply_mel(spec, fb)
 
 
+def reference_active_speech_level(buf):
+    """Frame-by-frame activity gate and level, one 10 ms slice at a time."""
+    def rms(x):
+        return float(np.sqrt(np.mean(np.square(x))))
+
+    frame = max(1, int(round(buf.sample_rate * 0.010)))
+    n_frames = int(np.ceil(len(buf) / frame))
+    frame_rms = np.array([rms(buf.samples[i * frame:(i + 1) * frame])
+                          for i in range(n_frames)])
+    active = frame_rms >= frame_rms.max() * 10.0 ** (-35.0 / 20.0)
+    chunks = [buf.samples[i * frame:(i + 1) * frame] for i in np.nonzero(active)[0]]
+    return 20.0 * float(np.log10(rms(np.concatenate(chunks))))
+
+
+def bursts(n, rate, seed, tail_active):
+    """Noise bursts with silent gaps; the last 10 ms is loud or silent."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * (rng.random(n // 97 + 1).repeat(97)[:n] > 0.4)
+    k = rate // 100
+    x[n - k:] = rng.standard_normal(k) if tail_active else 0.0
+    return AudioBuffer(x, rate)
+
+
 class TestLevels:
+    @pytest.mark.parametrize("n,rate,tail_active", [
+        (50 * 160, 16000, True),       # whole frames only
+        (50 * 160 + 37, 16000, True),  # active partial trailing frame
+        (50 * 160 + 37, 16000, False), # inactive partial trailing frame
+        (22050 + 101, 22050, True),    # 220.5-sample frame rounds to 220
+        (22050 + 101, 22050, False),
+    ])
+    def test_matches_frame_loop(self, n, rate, tail_active):
+        buf = bursts(n, rate, seed=n, tail_active=tail_active)
+        assert active_speech_level(buf) == reference_active_speech_level(buf)
+
+    def test_shorter_than_one_frame(self):
+        buf = AudioBuffer(np.random.default_rng(8).standard_normal(97), SR)
+        assert active_speech_level(buf) == reference_active_speech_level(buf)
+
+    def test_speech_matches_frame_loop(self, speech):
+        assert active_speech_level(speech) == reference_active_speech_level(speech)
+
     def test_constant_signal_level(self):
         buf = AudioBuffer(np.full(SR, 0.1), SR)
         assert active_speech_level(buf) == pytest.approx(20 * np.log10(0.1), abs=1e-9)
