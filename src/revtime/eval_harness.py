@@ -163,27 +163,41 @@ def build_corpus(manifest, out_dir) -> list:
     """Realize every manifest row: convolve speech with its impulse
     response, mix noise at the target SNR, and write the mix plus a JSON
     sidecar carrying the Schroeder-measured true T60.
+
+    A (speech, RIR) pair is loaded, convolved and level-measured once and
+    reused while the following rows name the same pair; noise files are
+    loaded once per build. Memory stays bounded to one reverberant buffer
+    plus the noise files. Rows grouped by (speech, RIR) build fastest, but
+    any row order gives the same files: a pair that comes back after
+    another is simply convolved again.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = read_manifest(manifest)
     t60_cache = {}
+    noises = {}
+    pair = reverberant = level = None
     items = []
     for idx, row in enumerate(rows):
-        speech = load_wav(row["speech"])
-        rir = load_wav(row["rir"])
-        if rir.sample_rate != speech.sample_rate:
-            raise RevtimeError(
-                f"sample-rate mismatch between {row['speech']} and {row['rir']}"
-            )
-        if row["rir"] not in t60_cache:
-            t60_cache[row["rir"]] = t60_from_edc(
-                schroeder_edc(rir), rir.sample_rate
-            )
+        if (row["speech"], row["rir"]) != pair:
+            speech = load_wav(row["speech"])
+            rir = load_wav(row["rir"])
+            if rir.sample_rate != speech.sample_rate:
+                raise RevtimeError(
+                    f"sample-rate mismatch between {row['speech']} and {row['rir']}"
+                )
+            if row["rir"] not in t60_cache:
+                t60_cache[row["rir"]] = t60_from_edc(
+                    schroeder_edc(rir), rir.sample_rate
+                )
+            pair = (row["speech"], row["rir"])
+            reverberant = convolve(speech, rir)
+            level = None
         t60_true = t60_cache[row["rir"]]
-        reverberant = convolve(speech, rir)
         if math.isfinite(row["snr_db"]):
-            noise = load_wav(row["noise"])
+            if row["noise"] not in noises:
+                noises[row["noise"]] = load_wav(row["noise"])
+            noise = noises[row["noise"]]
             gain = noise_gain_for_snr(reverberant, noise, row["snr_db"])
             mix = reverberant.samples + gain * noise.samples[:len(reverberant)]
         else:
@@ -192,8 +206,11 @@ def build_corpus(manifest, out_dir) -> list:
         peak = float(np.max(np.abs(mix)))
         if peak == 0.0:
             raise RevtimeError(f"row {idx}: mix is silent")
+        # Measured after the peak check: a silent pair has no active level.
+        if level is None:
+            level = active_speech_level(reverberant)
         output_gain = PEAK_TARGET / peak
-        mix_buf = AudioBuffer(output_gain * mix, speech.sample_rate)
+        mix_buf = AudioBuffer(output_gain * mix, reverberant.sample_rate)
 
         item_id = f"item{idx:04d}"
         mix_path = out / f"{item_id}.wav"
@@ -210,7 +227,7 @@ def build_corpus(manifest, out_dir) -> list:
         )
         sidecar = item.to_dict()
         sidecar.update({
-            "speech_level_db": active_speech_level(reverberant),
+            "speech_level_db": level,
             "noise_gain": gain,
             "output_gain": output_gain,
         })
@@ -232,20 +249,24 @@ def load_items(corpus_dir) -> list:
         return [CorpusItem.from_dict(d) for d in json.load(fh)]
 
 
-def _eval_one(item: CorpusItem, model: MappingModel, cfg: EstimatorConfig):
-    buf = load_wav(item.mix_path)
+def _eval_one(item: CorpusItem, buf: AudioBuffer, model: MappingModel,
+              cfg: EstimatorConfig):
+    """Estimate one loaded item: ("ok", record) or ("err", (item_id, message))."""
     # perf_counter, not process_time: per-item estimates run in about a
     # millisecond while CPU clocks on many hosts tick at 10 ms. In the
     # sequential reference mode the wall time of this compute-only region
     # is the CPU time. The call is timed twice and the minimum kept, which
     # rejects preemption spikes on busy machines; estimates are
     # deterministic so the repeat returns the identical result.
-    start = time.perf_counter()
-    result = estimate_t60(buf, model, cfg)
-    mid = time.perf_counter()
-    estimate_t60(buf, model, cfg)
-    cpu = min(mid - start, time.perf_counter() - mid)
-    return EvalRecord(
+    try:
+        start = time.perf_counter()
+        result = estimate_t60(buf, model, cfg)
+        mid = time.perf_counter()
+        estimate_t60(buf, model, cfg)
+        cpu = min(mid - start, time.perf_counter() - mid)
+    except EstimationError as exc:
+        return ("err", (item.item_id, str(exc)))
+    return ("ok", EvalRecord(
         item_id=item.item_id,
         variant=model.variant_tag,
         noise_type=item.noise_type,
@@ -256,26 +277,22 @@ def _eval_one(item: CorpusItem, model: MappingModel, cfg: EstimatorConfig):
         cpu_time=cpu,
         audio_duration=buf.duration,
         flags="|".join(result.flags),
-    )
+    ))
 
 
 def _eval_worker(args):
     item, model, cfg = args
-    try:
-        return ("ok", _eval_one(item, model, cfg))
-    except EstimationError as exc:
-        return ("err", (item.item_id, str(exc)))
+    return _eval_one(item, load_wav(item.mix_path), model, cfg)
 
 
 def _paired_worker(args):
     idx, item, models = args
+    buf = load_wav(item.mix_path)
     # Rotate model order per item so no variant always runs cold after the
     # file load; otherwise the comparison bakes in a cache-warmth bias.
     k = idx % len(models)
-    out = []
-    for model in models[k:] + models[:k]:
-        out.append((model.variant_tag, _eval_worker((item, model, model.config))))
-    return out
+    return [(model.variant_tag, _eval_one(item, buf, model, model.config))
+            for model in models[k:] + models[:k]]
 
 
 def run_eval(items, model: MappingModel, cfg: EstimatorConfig | None = None,

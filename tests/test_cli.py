@@ -203,3 +203,18 @@ class TestEvaluateAndRtf:
         assert len(lines) == 3  # header + 2 variants
         assert lines[1].startswith("full_band")
         assert lines[2].startswith("mel_band")
+
+
+class TestBuildCorpusCli:
+    def test_missing_noise_file_exits_one(self, tmp_path, capsys):
+        from conftest import exponential_rir
+
+        save_wav(synthetic_speech(1.6, SR, seed=62), tmp_path / "s.wav")
+        save_wav(exponential_rir(0.4, seed=63).buf, tmp_path / "rir.wav", fmt="float32")
+        (tmp_path / "m.csv").write_text(
+            "speech,rir,noise,snr_db,noise_type\n"
+            "s.wav,rir.wav,,inf,none\ns.wav,rir.wav,gone.wav,12,fan\n")
+        code = main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
+                     "--out", str(tmp_path / "corpus"), "--quiet"])
+        assert code == 1
+        assert "gone.wav" in capsys.readouterr().err

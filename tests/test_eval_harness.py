@@ -1,13 +1,19 @@
+import dataclasses
 import json
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from revtime import eval_harness
 from revtime.errors import RevtimeError
 from revtime.estimator import EstimatorConfig, MappingModel
 from revtime.eval_harness import (
+    PEAK_TARGET,
     BoxStats,
+    CorpusItem,
     EvalRecord,
     box_stats,
     build_corpus,
@@ -16,10 +22,19 @@ from revtime.eval_harness import (
     read_records,
     rtf,
     run_eval,
+    run_eval_paired,
     write_records,
     write_report,
 )
-from revtime.signal_core import AudioBuffer, active_speech_level, convolve, load_wav, save_wav
+from revtime.room_acoustics import schroeder_edc, t60_from_edc
+from revtime.signal_core import (
+    AudioBuffer,
+    active_speech_level,
+    convolve,
+    load_wav,
+    noise_gain_for_snr,
+    save_wav,
+)
 from revtime.synth import shaped_noise, synthetic_speech
 
 SR = 16000
@@ -32,6 +47,88 @@ def constant_model(value=0.5, variant="mel_band"):
         variant_tag=variant,
         config=EstimatorConfig.default(variant),
     )
+
+
+def reference_build_corpus(manifest, out_dir) -> list:
+    """The per-row corpus builder: every row loads, convolves and
+    level-measures its own (speech, RIR) pair and loads its own noise."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = read_manifest(manifest)
+    t60_cache = {}
+    items = []
+    for idx, row in enumerate(rows):
+        speech = load_wav(row["speech"])
+        rir = load_wav(row["rir"])
+        if rir.sample_rate != speech.sample_rate:
+            raise RevtimeError(
+                f"sample-rate mismatch between {row['speech']} and {row['rir']}"
+            )
+        if row["rir"] not in t60_cache:
+            t60_cache[row["rir"]] = t60_from_edc(
+                schroeder_edc(rir), rir.sample_rate
+            )
+        t60_true = t60_cache[row["rir"]]
+        reverberant = convolve(speech, rir)
+        if math.isfinite(row["snr_db"]):
+            noise = load_wav(row["noise"])
+            gain = noise_gain_for_snr(reverberant, noise, row["snr_db"])
+            mix = reverberant.samples + gain * noise.samples[:len(reverberant)]
+        else:
+            gain = 0.0
+            mix = reverberant.samples
+        peak = float(np.max(np.abs(mix)))
+        if peak == 0.0:
+            raise RevtimeError(f"row {idx}: mix is silent")
+        output_gain = PEAK_TARGET / peak
+        mix_buf = AudioBuffer(output_gain * mix, speech.sample_rate)
+
+        item_id = f"item{idx:04d}"
+        mix_path = out / f"{item_id}.wav"
+        save_wav(mix_buf, mix_path)
+        item = CorpusItem(
+            item_id=item_id,
+            speech_path=row["speech"],
+            rir_path=row["rir"],
+            noise_path=row["noise"],
+            snr_db=row["snr_db"],
+            noise_type=row["noise_type"],
+            t60_true=t60_true,
+            mix_path=str(mix_path),
+        )
+        sidecar = item.to_dict()
+        sidecar.update({
+            "speech_level_db": active_speech_level(reverberant),
+            "noise_gain": gain,
+            "output_gain": output_gain,
+        })
+        with open(out / f"{item_id}.json", "w") as fh:
+            json.dump(sidecar, fh, indent=2)
+            fh.write("\n")
+        items.append(item)
+    with open(out / "items.json", "w") as fh:
+        json.dump([it.to_dict() for it in items], fh, indent=2)
+        fh.write("\n")
+    return items
+
+
+def count_calls(monkeypatch, name):
+    """Wrap eval_harness.<name> and return the list its calls append to."""
+    calls = []
+    real = getattr(eval_harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eval_harness, name, counted)
+    return calls
+
+
+def write_manifest(path, rows):
+    path.write_text("speech,rir,noise,snr_db,noise_type\n"
+                    + "".join(",".join(row) + "\n" for row in rows))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +229,90 @@ class TestBuildCorpus:
         assert load_items(out) == items
 
 
+class TestBuildCorpusReuse:
+    """build_corpus realizes each run of (speech, RIR) rows once and must
+    write exactly the files of the per-row reference builder."""
+
+    # (speech, rir) runs A, B, A, C: one speech with two RIRs, a pair that
+    # comes back after another, clean rows and two noises at two SNRs.
+    ROWS = [
+        ("s0.wav", "r0.wav", "", "inf", "none"),
+        ("s0.wav", "r0.wav", "white.wav", "12", "synthetic_white"),
+        ("s0.wav", "r0.wav", "fan.wav", "0", "fan"),
+        ("s0.wav", "r1.wav", "fan.wav", "12", "fan"),
+        ("s0.wav", "r1.wav", "", "inf", "none"),
+        ("s0.wav", "r1.wav", "white.wav", "0", "synthetic_white"),
+        ("s0.wav", "r0.wav", "white.wav", "0", "synthetic_white"),
+        ("s0.wav", "r0.wav", "fan.wav", "12", "fan"),
+        ("s1.wav", "r1.wav", "", "inf", "none"),
+        ("s1.wav", "r1.wav", "white.wav", "12", "synthetic_white"),
+    ]
+    N_PAIR_RUNS = 4
+
+    @pytest.fixture(scope="class")
+    def assets(self, tmp_path_factory):
+        from conftest import exponential_rir
+
+        root = tmp_path_factory.mktemp("reuse_assets")
+        save_wav(synthetic_speech(1.6, SR, seed=80), root / "s0.wav")
+        save_wav(synthetic_speech(1.9, SR, seed=81), root / "s1.wav")
+        save_wav(exponential_rir(0.4, seed=82).buf, root / "r0.wav", fmt="float32")
+        save_wav(exponential_rir(0.7, seed=83).buf, root / "r1.wav", fmt="float32")
+        save_wav(shaped_noise(4.0, SR, seed=84), root / "white.wav")
+        save_wav(shaped_noise(4.0, SR, seed=85), root / "fan.wav")
+        return root
+
+    @staticmethod
+    def _snapshot(out):
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        return files
+
+    def test_files_identical_to_reference(self, assets, monkeypatch):
+        manifest = write_manifest(assets / "m.csv", self.ROWS)
+        # Both builders write to the same directory: paths are in the files.
+        out = assets / "built"
+        ref_items = reference_build_corpus(manifest, out)
+        ref = self._snapshot(out)
+        convolved = count_calls(monkeypatch, "convolve")
+        items = build_corpus(manifest, out)
+        new = self._snapshot(out)
+        assert items == ref_items
+        assert len(ref) == 2 * len(self.ROWS) + 1
+        assert list(new) == list(ref)
+        for name in ref:
+            assert new[name] == ref[name], name
+        assert len(convolved) == self.N_PAIR_RUNS
+
+    def test_loads_each_input_once_per_run(self, assets, monkeypatch):
+        manifest = write_manifest(assets / "m_loads.csv", self.ROWS)
+        loaded = count_calls(monkeypatch, "load_wav")
+        levels = count_calls(monkeypatch, "active_speech_level")
+        build_corpus(manifest, assets / "built_loads")
+        # speech + RIR per pair run, each noise file once.
+        assert len(loaded) == 2 * self.N_PAIR_RUNS + 2
+        assert len(levels) == self.N_PAIR_RUNS
+
+    def test_silent_clean_row_still_reported(self, assets):
+        save_wav(AudioBuffer(np.zeros(SR), SR), assets / "silent.wav")
+        manifest = write_manifest(assets / "m_silent.csv", [
+            ("s0.wav", "r0.wav", "", "inf", "none"),
+            ("silent.wav", "r0.wav", "", "inf", "none"),
+        ])
+        with pytest.raises(RevtimeError, match="row 1: mix is silent"):
+            build_corpus(manifest, assets / "built_silent")
+
+    def test_sample_rate_mismatch_before_convolution(self, assets, monkeypatch):
+        save_wav(synthetic_speech(1.0, 8000, seed=86), assets / "s8k.wav")
+        manifest = write_manifest(assets / "m_rate.csv", [
+            ("s8k.wav", "r0.wav", "", "inf", "none"),
+        ])
+        convolved = count_calls(monkeypatch, "convolve")
+        with pytest.raises(RevtimeError, match="sample-rate mismatch between"):
+            build_corpus(manifest, assets / "built_rate")
+        assert convolved == []
+
+
 class TestRunEval:
     def test_constant_estimator_errors(self, corpus):
         _, _, items = corpus
@@ -160,6 +341,29 @@ class TestRunEval:
         par, _ = run_eval(items, model, jobs=2)
         assert [r.item_id for r in seq] == [r.item_id for r in par]
         assert [r.t60_est for r in seq] == [r.t60_est for r in par]
+
+
+class TestPairedEval:
+    def test_loads_each_item_once(self, corpus, monkeypatch):
+        _, _, items = corpus
+        models = [
+            MappingModel(coefficients=np.array([0.2, 0.05]), t60_train_max=0.95,
+                         variant_tag=v, config=EstimatorConfig.default(v))
+            for v in ("full_band", "mel_band")
+        ]
+        single = {m.variant_tag: run_eval(items, m) for m in models}
+        loaded = count_calls(monkeypatch, "load_wav")
+        paired = run_eval_paired(items, models)
+        assert len(loaded) == len(items)
+
+        def timeless(records):
+            return [dataclasses.replace(r, cpu_time=0.0) for r in records]
+
+        for tag, (records, failures) in paired.items():
+            ref_records, ref_failures = single[tag]
+            assert records
+            assert timeless(records) == timeless(ref_records)
+            assert failures == ref_failures
 
 
 class TestBoxStats:
