@@ -11,6 +11,8 @@ polynomial in log10(NSV).
 from __future__ import annotations
 
 import json
+import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -206,6 +208,25 @@ def _slope_row(window_frames: int, dt: float) -> np.ndarray:
     return row
 
 
+_work = threading.local()
+
+
+def _work_array(name: str, shape: tuple, dtype) -> np.ndarray:
+    """This thread's reusable work array of the given shape.
+
+    Each name holds one flat buffer per thread, grown when a call needs more
+    and kept for later calls, so repeated estimates do not allocate (and
+    page-fault) megabytes of temporaries each time. The view starts at the
+    buffer's first element, with the alignment of a fresh array.
+    """
+    size = math.prod(shape)
+    flat = getattr(_work, name, None)
+    if flat is None or flat.size < size:
+        flat = np.empty(size, dtype)
+        setattr(_work, name, flat)
+    return flat[:size].reshape(shape)
+
+
 def decay_gradients(spec: BandSpectrogram, window_frames: int) -> GradientMatrix:
     """Least-squares decay slope of every length-window_frames sliding window.
 
@@ -258,7 +279,11 @@ def select_bins(grads: GradientMatrix, snr: np.ndarray, margin_db: float) -> Gra
 
 def nsv(grads: GradientMatrix) -> NsvStatistic:
     """Population variance of the selected negative slopes."""
-    negatives = grads.slopes[grads.selected & (grads.slopes < 0.0)]
+    mask = grads.selected & (grads.slopes < 0.0)
+    # The slopes are gathered into a work array: a fresh one per call would
+    # be the largest temporary of a full_band estimate.
+    negatives = _work_array("negatives", (int(np.count_nonzero(mask)),), np.float64)
+    np.compress(mask.ravel(), grads.slopes.ravel(), out=negatives)
     if negatives.size < 2:
         raise EstimationError(
             "insufficient decay evidence: fewer than 2 selected negative gradients"
@@ -298,13 +323,19 @@ def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:
     domain before the single log, which matches
     apply_mel(stft_log_magnitude(...)) to within rounding while avoiding the
     full-resolution log.
+
+    The scaled signal, windowed frames, spectrum and magnitudes live in
+    per-thread work arrays (about 48 bytes per input sample at 16 kHz, kept
+    at the size of the longest input seen); the returned values are a fresh
+    array.
     """
     if buf.duration < cfg.min_duration_s:
         raise EstimationError(
             f"audio of {buf.duration:.3f} s is shorter than the "
             f"{cfg.min_duration_s:.3f} s minimum"
         )
-    peak = float(np.max(np.abs(buf.samples)))
+    scaled = _work_array("scaled", buf.samples.shape, np.float64)
+    peak = float(np.max(np.abs(buf.samples, out=scaled)))
     if peak == 0.0:
         raise EstimationError("cannot estimate from digital silence")
     stft = cfg.stft
@@ -312,19 +343,32 @@ def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:
         raise EstimationError(
             f"audio of {len(buf)} samples is shorter than one analysis frame"
         )
-    frames = sliding_window_view(buf.samples / peak, stft.frame_len)[::stft.hop]
+    np.divide(buf.samples, peak, out=scaled)
+    frames = sliding_window_view(scaled, stft.frame_len)[::stft.hop]
+    n_frames = frames.shape[0]
+    n_bins = stft.fft_len // 2 + 1
     # Frame-major keeps abs and the Mel banding on contiguous arrays.
-    mag = np.abs(np.fft.rfft(frames * stft.window_array(), n=stft.fft_len, axis=1))
-    n_frames, n_bins = mag.shape
+    windowed = _work_array("windowed", frames.shape, np.float64)
+    np.multiply(frames, stft.window_array(), out=windowed)
+    spectrum = _work_array("spectrum", (n_frames, n_bins), np.complex128)
+    np.fft.rfft(windowed, n=stft.fft_len, axis=1, out=spectrum)
+    mag = _work_array("mag", (n_frames, n_bins), np.float64)
+    np.abs(spectrum, out=mag)
+    mag += LOG_FLOOR
     times = np.arange(n_frames) * (stft.hop / buf.sample_rate)
     if cfg.variant == "full_band":
-        values = np.ascontiguousarray((20.0 * np.log10(mag + LOG_FLOOR)).T)
+        np.log10(mag, out=mag)
+        mag *= 20.0
+        values = mag.T.copy()
         centers = np.arange(n_bins) * (buf.sample_rate / stft.fft_len)
         mode = "linear_bins"
     else:
         fb = _mel_filterbank(n_bins, cfg.n_mel_bands, buf.sample_rate)
-        banded = np.square(mag + LOG_FLOOR) @ fb.weights.T
-        values = np.ascontiguousarray((10.0 * np.log10(banded)).T)
+        np.square(mag, out=mag)
+        banded = mag @ fb.weights.T
+        np.log10(banded, out=banded)
+        banded *= 10.0
+        values = np.ascontiguousarray(banded.T)
         centers = fb.band_centers
         mode = "mel_bands"
     np.maximum(values, values.max() - cfg.dynamic_range_db, out=values)

@@ -120,10 +120,33 @@ def sabine_absorption(dims, t60: float) -> float:
     return min(alpha, 1.0)
 
 
-def required_image_order(dims, rir_length: float) -> int:
-    """Per-axis image order needed for reflections to cover rir_length."""
+def _axis_orders(dims, rir_length: float) -> list:
+    """Image order on each axis needed for reflections to cover rir_length."""
     reach = SPEED_OF_SOUND * rir_length
-    return int(np.ceil(reach / (2.0 * min(float(d) for d in dims)))) + 1
+    return [int(np.ceil(reach / (2.0 * float(d)))) + 1 for d in dims]
+
+
+def required_image_order(dims, rir_length: float) -> int:
+    """Image order that covers rir_length on every axis (the order of the
+    smallest dimension)."""
+    return max(_axis_orders(dims, rir_length))
+
+
+# Images enumerated per x-slab by image_method_rir: enough to amortize the
+# per-slab overhead, few enough that a slab's temporaries stay in cache.
+_SLAB_IMAGES = 1 << 16
+
+# Relative slack added to every per-axis clip limit. An image that passes
+# the float test dist2 <= radius**2 can exceed its exact cross-section
+# limit on one axis by rounding of at most ~sqrt(4 * eps) * radius (about
+# 3e-8 radius); 1e-6 radius covers that many times over.
+_CLIP_SLACK = 1e-6
+
+
+def _clip(coords: np.ndarray, limit: float) -> tuple:
+    """Index range of the ascending coords with |c| <= limit."""
+    return (int(np.searchsorted(coords, -limit, side="left")),
+            int(np.searchsorted(coords, limit, side="right")))
 
 
 def image_method_rir(spec: RoomSpec) -> Rir:
@@ -136,71 +159,93 @@ def image_method_rir(spec: RoomSpec) -> Rir:
     Each image contributes amplitude 1 / (4*pi*distance) at the
     nearest-sample arrival time.
 
-    Images are enumerated in eight parity blocks over per-axis orders, but
-    only those inside a sphere one sample wider than the response (compared
-    on squared distance, before any sqrt) reach the rounding and summation;
-    the exact ``sample < n_out`` test still decides every image the sphere
-    keeps. Gains come from the table ``beta ** arange(max_refl + 1)`` indexed
-    by reflection count. Each image's delay and amplitude are the same
-    floats the full enumeration computes, and the survivors reach
-    ``bincount`` in the same order, so the response is bit-identical to
-    summing every image in the box.
+    Images are enumerated in eight parity blocks over per-axis orders. Each
+    block is walked in x-slabs of about _SLAB_IMAGES images, and each slab
+    is clipped to the y/z bounding box of the sphere's cross-section over
+    that slab, so the (2N+1)**3 cube is never built. The exact test
+    ``dist2 <= radius**2`` (a sphere one sample wider than the response,
+    compared before any sqrt) still judges every enumerated image, and
+    ``sample < n_out`` every image inside the sphere: those at n_out and
+    n_out + 1 go to two tail bins that are dropped. Gains come from the
+    table ``beta ** arange(max_refl + 1)`` indexed by reflection count
+    (stored as int16 when it fits). Each image's delay and amplitude are
+    the same floats the full enumeration computes, and ``np.add.at`` adds a
+    block's images in the full enumeration's order, as ``bincount`` does,
+    so the response is bit-identical to summing every image in the box.
     """
     alpha = sabine_absorption(spec.dims, spec.target_t60)
     beta = -float(np.sqrt(1.0 - alpha))
     fs = spec.sample_rate
     n_out = int(round(spec.rir_length * fs))
-    reach = SPEED_OF_SOUND * spec.rir_length
     dims = np.asarray(spec.dims)
     src = np.asarray(spec.source)
     mic = np.asarray(spec.mic)
 
-    order_warning = False
-    orders = []
-    for d in range(3):
-        needed = int(np.ceil(reach / (2.0 * dims[d]))) + 1
-        if needed > spec.max_image_order:
-            needed = spec.max_image_order
-            order_warning = True
-        orders.append(needed)
+    orders = _axis_orders(spec.dims, spec.rir_length)
+    order_warning = max(orders) > spec.max_image_order
     if order_warning:
+        orders = [min(n, spec.max_image_order) for n in orders]
         warnings.warn(
             "max_image_order truncates the image set before rir_length is covered"
         )
 
-    h = np.zeros(n_out)
     axis_n = [np.arange(-orders[d], orders[d] + 1) for d in range(3)]
     # rint(fs * dist / c) < n_out needs fs * dist / c <= n_out - 0.5. A sphere
     # of n_out + 1 samples leaves 1.5 samples of margin, far above rounding
-    # error, so it drops no image the exact test below would keep.
+    # error, so it drops no image that lands before n_out. The images it
+    # keeps land at sample <= n_out + 1; bins n_out and n_out + 1 of each
+    # block collect the late ones and are dropped.
     radius = (n_out + 1) * SPEED_OF_SOUND / fs
+    radius2 = radius * radius
+    slack = _CLIP_SLACK * radius
     # Axis d contributes at most |2*(-n_d) - 1| = 2*n_d + 1 reflections.
     max_refl = sum(2 * n + 1 for n in orders)
+    refl_type = np.int16 if max_refl <= np.iinfo(np.int16).max else np.int64
     gains = beta ** np.arange(max_refl + 1)
+    h = np.zeros(n_out)
+    block = np.empty(n_out + 2)
     for px, py, pz in product((0, 1), repeat=3):
         parity = (px, py, pz)
-        # Image coordinates 2*n*L + (1-2p)*s; reflection count |2n - p| per axis.
+        # Image coordinates 2*n*L + (1-2p)*s, ascending in n; reflection
+        # count |2n - p| per axis.
         coords = [
             2.0 * axis_n[d] * dims[d] + (1 - 2 * parity[d]) * src[d] - mic[d]
             for d in range(3)
         ]
-        counts = [np.abs(2 * axis_n[d] - parity[d]) for d in range(3)]
-        dist2 = (
-            coords[0][:, None, None] ** 2
-            + coords[1][None, :, None] ** 2
-            + coords[2][None, None, :] ** 2
-        ).ravel()
-        near = dist2 <= radius * radius
-        dist = np.sqrt(dist2[near])
-        refl = (
-            counts[0][:, None, None]
-            + counts[1][None, :, None]
-            + counts[2][None, None, :]
-        ).ravel()[near]
-        sample = np.rint(fs * dist / SPEED_OF_SOUND).astype(np.int64)
-        keep = sample < n_out
-        amp = gains[refl[keep]] / (4.0 * np.pi * dist[keep])
-        h += np.bincount(sample[keep], weights=amp, minlength=n_out)
+        squares = [c ** 2 for c in coords]
+        counts = [np.abs(2 * axis_n[d] - parity[d]).astype(refl_type)
+                  for d in range(3)]
+        y0, y1 = _clip(coords[1], radius + slack)
+        z0, z1 = _clip(coords[2], radius + slack)
+        rows = max(1, _SLAB_IMAGES // max(1, (y1 - y0) * (z1 - z0)))
+        block.fill(0.0)
+        for i0 in range(0, axis_n[0].size, rows):
+            sx = slice(i0, i0 + rows)
+            # Every image of the slab has dist2 >= the slab's smallest x**2;
+            # a slab wholly outside the sphere gets an (almost always) empty
+            # box.
+            rest = radius2 - squares[0][sx].min()
+            limit = np.sqrt(max(rest, 0.0)) + slack
+            sy = slice(*_clip(coords[1], limit))
+            sz = slice(*_clip(coords[2], limit))
+            if sy.start == sy.stop or sz.start == sz.stop:
+                continue
+            dist2 = (
+                squares[0][sx, None, None]
+                + squares[1][None, sy, None]
+                + squares[2][None, None, sz]
+            ).ravel()
+            near = dist2 <= radius2
+            dist = np.sqrt(dist2[near])
+            refl = (
+                counts[0][sx, None, None]
+                + counts[1][None, sy, None]
+                + counts[2][None, None, sz]
+            ).ravel()[near]
+            sample = np.rint(fs * dist / SPEED_OF_SOUND).astype(np.intp)
+            amp = gains.take(refl) / (4.0 * np.pi * dist)
+            np.add.at(block, sample, amp)
+        h += block[:n_out]
     return Rir(AudioBuffer(h, fs), provenance=spec, order_warning=order_warning)
 
 

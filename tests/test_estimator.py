@@ -1,4 +1,6 @@
 import statistics
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from revtime.signal_core import (
     build_mel_filterbank,
     stft_log_magnitude,
 )
+
+from revtime.synth import synthetic_speech
 
 SR = 16000
 
@@ -258,6 +262,86 @@ class TestFrontEnd:
         cfg = EstimatorConfig.default("mel_band")
         with pytest.raises(EstimationError, match="silence"):
             band_spectrogram(AudioBuffer(np.zeros(2 * SR), SR), cfg)
+
+
+def in_new_thread(fn, *args):
+    """fn(*args) run in a fresh thread, which starts with no work arrays."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn(*args)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and out, "worker thread did not finish"
+    return out[0]
+
+
+class TestWorkArrays:
+    """The front-end's reused per-thread work arrays leave no trace: results
+    do not depend on earlier calls, returned arrays are never overwritten,
+    and threads do not share them."""
+
+    @pytest.mark.parametrize("variant", ["full_band", "mel_band"])
+    def test_result_independent_of_earlier_calls(self, variant, speech):
+        cfg = EstimatorConfig.default(variant)
+        first = in_new_thread(band_spectrogram, speech, cfg).values
+
+        def after(*earlier):
+            for buf, earlier_cfg in earlier:
+                band_spectrogram(buf, earlier_cfg)
+            return band_spectrogram(speech, cfg).values
+
+        longer = synthetic_speech(6.0, SR, seed=3)
+        # 48 kHz frames (1536) are shorter than their FFT (2048).
+        wideband = synthetic_speech(2.0, 48000, seed=4)
+        for earlier in [
+            [(longer, cfg)],
+            [(wideband, EstimatorConfig.default(variant, 48000))],
+            [(longer, cfg), (wideband, EstimatorConfig.default("full_band", 48000))],
+        ]:
+            assert np.array_equal(in_new_thread(after, *earlier), first)
+
+    @pytest.mark.parametrize("variant", ["full_band", "mel_band"])
+    def test_returned_arrays_not_overwritten(self, variant, speech, short_speech):
+        cfg = EstimatorConfig.default(variant)
+        spec = band_spectrogram(speech, cfg)
+        grads = decay_gradients(spec, cfg.window_frames)
+        kept = spec.values.copy(), grads.slopes.copy()
+        for buf in (short_speech, synthetic_speech(4.0, SR, seed=5)):
+            estimate_t60(buf, model_with([1.0], variant=variant))
+        assert np.array_equal(spec.values, kept[0])
+        assert np.array_equal(grads.slopes, kept[1])
+
+    def test_concurrent_threads_match_sequential(self):
+        utterances = [synthetic_speech(d, SR, seed=20 + i)
+                      for i, d in enumerate((1.5, 3.0, 4.5, 6.0))]
+        models = [model_with([1.2, -0.2], variant=v) for v in ("full_band", "mel_band")]
+        jobs = [(buf, m) for buf in utterances for m in models]
+        expected = [estimate_t60(buf, m) for buf, m in jobs]
+        n_threads, rounds = 4, 3
+        start = threading.Barrier(n_threads)
+        results = {}
+
+        def worker(k):
+            start.wait(timeout=60)
+            # Each thread walks the jobs from its own offset, so threads
+            # estimate different utterances at the same time.
+            order = [(k + j) % len(jobs) for j in range(len(jobs))]
+            results[k] = [(i, estimate_t60(*jobs[i])) for _ in range(rounds) for i in order]
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(n_threads):
+            assert len(results[k]) == rounds * len(jobs)
+            for i, got in results[k]:
+                assert got == expected[i]
 
 
 class TestEstimateT60:

@@ -1,3 +1,4 @@
+import warnings
 from itertools import product
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exponential_rir
+from revtime import room_acoustics as ra
 from revtime.errors import RevtimeError
 from revtime.room_acoustics import (
     SPEED_OF_SOUND,
@@ -208,6 +210,73 @@ class TestImageMethodMatchesReference:
         from revtime.trainer import RoomSampler
         spec = RoomSampler().sample(np.random.default_rng(seed), t60, rate)
         assert_matches_reference(spec)
+
+
+def oracle_rooms():
+    """The reference cases above, one pytest.param per room."""
+    from revtime.trainer import RoomSampler
+    rooms = [
+        pytest.param(RoomSpec((4.0, 3.2, 2.6), (1.0, 1.1, 1.2), (2.8, 2.1, 1.5),
+                              0.5, rate, 0.65,
+                              required_image_order((4.0, 3.2, 2.6), 0.65)),
+                     id=f"rate{rate}")
+        for rate in (8000, 16000, 48000)
+    ]
+    rooms += [pytest.param(RoomSampler().sample(np.random.default_rng(17), t60, SR),
+                           id=f"sampler{t60}")
+              for t60 in (0.1, 0.8, 1.9)]
+    rooms.append(pytest.param(
+        room(t60=0.161 * 125.0 / 150.0, dims=(5.0, 5.0, 5.0), source=(1.0, 2.0, 2.5),
+             mic=(3.0, 2.0, 2.5), rir_length=0.3), id="absorbing"))
+    rooms.append(pytest.param(room(source=(0.02, 1.1, 2.57), mic=(2.8, 3.17, 1.5)),
+                              id="near_wall"))
+    rooms.append(pytest.param(room(t60=0.8, order=3), id="truncated"))
+    return rooms
+
+
+class TestImageMethodSlabs:
+    """Slab boundaries do not change the response: with slabs of one x-row
+    (and smaller requests, which still take one row) and of a few rows, the
+    simulator stays bit-identical to the full enumeration."""
+
+    @pytest.mark.parametrize("slab", ["one_row", "below_one_row", "few_rows"])
+    @pytest.mark.parametrize("spec", oracle_rooms())
+    def test_matches_reference(self, monkeypatch, spec, slab):
+        orders = [min(n, spec.max_image_order)
+                  for n in ra._axis_orders(spec.dims, spec.rir_length)]
+        # At most one y/z plane of images: one x-row per slab.
+        plane = (2 * orders[1] + 1) * (2 * orders[2] + 1)
+        size = {"one_row": plane, "below_one_row": 1, "few_rows": 3 * plane + 7}[slab]
+        monkeypatch.setattr(ra, "_SLAB_IMAGES", size)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rir = assert_matches_reference(spec)
+        assert len(caught) == int(rir.order_warning)
+        assert all("truncates" in str(w.message) for w in caught)
+
+    def test_outside_slabs_get_empty_boxes(self, monkeypatch):
+        # Rows of the order box beyond the sphere form slabs whose y/z box
+        # is empty; record that such boxes occur (and are skipped).
+        ranges = []
+        clip = ra._clip
+
+        def recording_clip(coords, limit):
+            lo, hi = clip(coords, limit)
+            ranges.append(hi - lo)
+            return lo, hi
+
+        monkeypatch.setattr(ra, "_clip", recording_clip)
+        monkeypatch.setattr(ra, "_SLAB_IMAGES", 1)
+        assert_matches_reference(room(t60=0.3))
+        assert 0 in ranges
+
+    def test_order_is_max_of_axis_orders(self):
+        for dims in [(4.0, 3.2, 2.6), (2.6, 9.0, 3.1), (5.0, 5.0, 5.0)]:
+            for length in (0.1, 0.65, 2.3):
+                reach = SPEED_OF_SOUND * length
+                expected = int(np.ceil(reach / (2.0 * min(dims)))) + 1
+                assert required_image_order(dims, length) == expected
+                assert max(ra._axis_orders(dims, length)) == expected
 
 
 class TestSchroederEdc:
