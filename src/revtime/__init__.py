@@ -25,7 +25,6 @@ from .eval_harness import (
     build_corpus,
     load_items,
     rtf,
-    run_eval,
     run_eval_paired,
     write_report,
 )
@@ -44,13 +43,11 @@ from .signal_core import (
     MelFilterbank,
     StftConfig,
     active_speech_level,
-    apply_mel,
     build_mel_filterbank,
     convolve,
     load_wav,
     mix_at_snr,
     save_wav,
-    stft_log_magnitude,
 )
 from .trainer import (
     FitReport,
@@ -68,13 +65,13 @@ __all__ = [
     "EstimateResult", "EstimationError", "EstimatorConfig", "EvalRecord",
     "FitReport", "GradientMatrix", "MappingModel", "MelFilterbank",
     "NsvStatistic", "RevtimeError", "Rir", "RoomSampler", "RoomSpec",
-    "StftConfig", "TrainingPair", "active_speech_level", "apply_mel",
+    "StftConfig", "TrainingPair", "active_speech_level",
     "band_spectrogram", "box_stats", "build_corpus", "build_mel_filterbank",
     "build_training_set", "convolve", "decay_gradients", "default_t60_grid",
     "estimate_band_snr", "estimate_t60", "fit_mapping", "image_method_rir",
     "load_items", "load_wav", "map_nsv_to_t60", "mix_at_snr", "nsv",
-    "nsv_from_audio", "rtf", "run_eval", "run_eval_paired",
+    "nsv_from_audio", "rtf", "run_eval_paired",
     "sabine_absorption", "save_wav",
-    "schroeder_edc", "select_bins", "stft_log_magnitude", "t60_from_edc",
+    "schroeder_edc", "select_bins", "t60_from_edc",
     "write_report",
 ]

@@ -10,29 +10,24 @@ from pathlib import Path
 
 import numpy as np
 
+from .demo import run_demo
 from .errors import EstimationError, RevtimeError
 from .estimator import EstimatorConfig, MappingModel, estimate_t60
 from .eval_harness import (
-    box_stats,
     build_corpus,
+    evaluate_to_dir,
     load_items,
     read_records,
-    rtf,
-    run_eval,
-    run_eval_paired,
-    write_records,
-    write_report,
+    rtf_table,
 )
-from .room_acoustics import image_method_rir, schroeder_edc, t60_from_edc
-from .signal_core import StftConfig, load_wav, save_wav
-from .synth import babble_noise, shaped_noise, synthetic_speech
+from .room_acoustics import image_method_rir, save_rir
+from .signal_core import StftConfig, load_wav, save_json
 from .trainer import (
     RoomSampler,
-    build_training_set,
     default_t60_grid,
-    fit_mapping,
     list_speech_files,
     pairs_to_csv,
+    train_model,
 )
 
 
@@ -64,7 +59,6 @@ def _build_parser():
     parser = _Parser(prog="revtime",
                      description="Blind reverberation time (T60) estimation toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
-    submap = {}
 
     p = subs.add_parser("estimate", parents=[common],
                         help="estimate T60 for one audio file")
@@ -73,7 +67,6 @@ def _build_parser():
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="machine-readable output")
     p.set_defaults(func=cmd_estimate)
-    submap["estimate"] = p
 
     p = subs.add_parser("simulate-rir", parents=[common],
                         help="generate image-method impulse responses")
@@ -83,14 +76,12 @@ def _build_parser():
     p.add_argument("--rooms-per-t60", type=int, default=1)
     p.add_argument("--sample-rate", type=int, default=16000)
     p.set_defaults(func=cmd_simulate_rir)
-    submap["simulate-rir"] = p
 
     p = subs.add_parser("build-corpus", parents=[common],
                         help="realize a manifest into noisy reverberant files")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_corpus)
-    submap["build-corpus"] = p
 
     p = subs.add_parser("train", parents=[common],
                         help="fit an NSV-to-T60 mapping on simulated rooms")
@@ -114,7 +105,6 @@ def _build_parser():
     p.add_argument("--pairs-csv", default=None,
                    help="also dump training pairs as CSV")
     p.set_defaults(func=cmd_train)
-    submap["train"] = p
 
     p = subs.add_parser("evaluate", parents=[common],
                         help="run one or more models over a built corpus")
@@ -125,13 +115,11 @@ def _build_parser():
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers; keep 1 for reference RTF timing")
     p.set_defaults(func=cmd_evaluate)
-    submap["evaluate"] = p
 
     p = subs.add_parser("rtf", parents=[common],
                         help="real-time-factor table from an evaluation records file")
     p.add_argument("--records", required=True)
     p.set_defaults(func=cmd_rtf)
-    submap["rtf"] = p
 
     p = subs.add_parser("demo", parents=[common],
                         help="synthesize assets, train, evaluate and report")
@@ -146,9 +134,8 @@ def _build_parser():
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_demo)
-    submap["demo"] = p
 
-    return parser, submap
+    return parser, subs.choices
 
 
 def _load_config_file(path) -> dict:
@@ -185,16 +172,9 @@ def _apply_config(args, subparser) -> None:
 
 
 def cmd_estimate(args) -> int:
-    model_path = Path(args.model)
-    if not model_path.exists():
-        print(f"error: model file not found: {model_path}", file=sys.stderr)
-        return 1
-    audio_path = Path(args.audio)
-    if not audio_path.exists():
-        print(f"error: audio file not found: {audio_path}", file=sys.stderr)
-        return 1
-    model = MappingModel.load(model_path)
-    result = estimate_t60(load_wav(audio_path), model)
+    # A missing model or audio file raises FileNotFoundError: exit 1 in main.
+    model = MappingModel.load(args.model)
+    result = estimate_t60(load_wav(args.audio), model)
     flags = ",".join(result.flags) or "none"
     if args.as_json:
         print(json.dumps({
@@ -218,14 +198,8 @@ def cmd_simulate_rir(args) -> int:
     for t60 in args.t60:
         for r in range(args.rooms_per_t60):
             room = sampler.sample(rng, t60, args.sample_rate)
-            rir = image_method_rir(room)
-            measured = t60_from_edc(schroeder_edc(rir), room.sample_rate)
             stem = f"rir_t60_{t60:.3f}_room{r}"
-            save_wav(rir.buf, out / f"{stem}.wav", fmt="float32")
-            with open(out / f"{stem}.json", "w") as fh:
-                json.dump({"room": room.to_dict(), "measured_t60": measured},
-                          fh, indent=2)
-                fh.write("\n")
+            measured = save_rir(image_method_rir(room), out / f"{stem}.wav")
             _say(args, f"{stem}.wav: target {t60:.3f} s, measured {measured:.3f} s")
     return 0
 
@@ -250,239 +224,61 @@ def cmd_train(args) -> int:
     seed = 0 if args.seed is None else args.seed
     grid = args.grid if args.grid else default_t60_grid(args.t60_max)
     sample_rate = load_wav(list_speech_files(args.speech_dir)[0]).sample_rate
-    cfg = _train_config(args, sample_rate)
-    pairs, skipped = build_training_set(
-        args.speech_dir, grid, args.rooms_per_t60, cfg, seed)
-    model, report = fit_mapping(
-        pairs, cfg, order=args.order, target=args.target,
+    model, pairs, summary = train_model(
+        args.speech_dir, _train_config(args, sample_rate), grid,
+        args.rooms_per_t60, seed, order=args.order, target=args.target,
         t60_train_max=args.t60_max)
     model.save(args.out)
-    report_path = Path(args.out).with_suffix(".report.json")
-    with open(report_path, "w") as fh:
-        json.dump({
-            "variant": args.variant,
-            "n_pairs": report.n_pairs,
-            "n_skipped": skipped,
-            "rms_residual_s": report.rms_residual,
-            "t60_train_max": model.t60_train_max,
-            "grid": grid,
-            "target": args.target,
-            "order": args.order,
-            "seed": seed,
-        }, fh, indent=2)
-        fh.write("\n")
+    save_json({"variant": args.variant, **summary, "grid": grid,
+               "target": args.target, "order": args.order, "seed": seed},
+              Path(args.out).with_suffix(".report.json"))
     if args.pairs_csv:
         pairs_to_csv(pairs, args.pairs_csv)
-    _say(args, f"trained {args.variant} on {report.n_pairs} pairs "
-               f"({skipped} skipped), rms residual {report.rms_residual:.3f} s, "
+    _say(args, f"trained {args.variant} on {summary['n_pairs']} pairs "
+               f"({summary['n_skipped']} skipped), rms residual "
+               f"{summary['rms_residual_s']:.3f} s, "
                f"t60_train_max {model.t60_train_max:g} s -> {args.out}")
     return 0
 
 
-def _rtf_table(records) -> str:
-    by_variant = {}
-    for r in records:
-        by_variant.setdefault(r.variant, []).append(r)
-    lines = [f"{'variant':<12} {'rtf':>10} {'cpu_s':>10} {'audio_s':>10}"]
-    for variant in sorted(by_variant):
-        recs = by_variant[variant]
-        lines.append(f"{variant:<12} {rtf(recs):>10.5f} "
-                     f"{sum(r.cpu_time for r in recs):>10.3f} "
-                     f"{sum(r.audio_duration for r in recs):>10.1f}")
-    return "\n".join(lines)
-
-
 def cmd_evaluate(args) -> int:
     items = load_items(args.corpus)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     models = [MappingModel.load(p) for p in args.model]
-    if len(models) == 1:
-        records, failures = run_eval(items, models[0], jobs=args.jobs)
-        results = {models[0].variant_tag: (records, failures)}
-    else:
-        results = run_eval_paired(items, models, jobs=args.jobs)
-    all_records = []
-    stats_by_variant = {}
-    for tag, (records, failures) in results.items():
+    results = evaluate_to_dir(items, models, args.out, jobs=args.jobs)
+    for tag, (_, failures) in results.items():
         if failures:
             _say(args, f"{tag}: {len(failures)} items failed")
-        all_records.extend(records)
-        stats_by_variant[tag] = box_stats(records)
-    write_records(all_records, out / "records.csv")
-    write_report(stats_by_variant, ("noise_type", "snr_db"),
-                 out / "report.csv", out / "boxplot.dat")
     _say(args, f"evaluated {len(items)} items x {len(models)} model(s)")
-    _say(args, _rtf_table(all_records))
+    _say(args, rtf_table([r for records, _ in results.values() for r in records]))
     return 0
 
 
 def cmd_rtf(args) -> int:
-    print(_rtf_table(read_records(args.records)))
+    print(rtf_table(read_records(args.records)))
     return 0
 
 
-def _make_demo_assets(args, root: Path, seed: int) -> dict:
-    """Write synthetic speech, noises, impulse responses and manifests."""
-    sr = 16000
-    rng = np.random.default_rng(seed)
-
-    def subseed() -> int:
-        return int(rng.integers(2 ** 31))
-
-    train_dir = root / "train_speech"
-    speech_dir = root / "speech"
-    rir_dir = root / "rirs"
-    noise_dir = root / "noise"
-    for d in (train_dir, speech_dir, rir_dir, noise_dir):
-        d.mkdir(parents=True, exist_ok=True)
-
-    for u in range(args.train_utterances):
-        save_wav(synthetic_speech(2.0 + 0.5 * u, sr, subseed()),
-                 train_dir / f"train_u{u}.wav")
-
-    eval_speech = []
-    for t in range(args.talkers):
-        for u in range(args.utterances):
-            dur = 2.0 + 0.5 * ((t * args.utterances + u) % 4)
-            name = f"eval_t{t}_u{u}.wav"
-            save_wav(synthetic_speech(dur, sr, subseed()), speech_dir / name)
-            eval_speech.append(f"speech/{name}")
-
-    heldout_speech = []
-    for u in range(2):
-        name = f"heldout_u{u}.wav"
-        save_wav(synthetic_speech(2.4 + 0.7 * u, sr, subseed()), speech_dir / name)
-        heldout_speech.append(f"speech/{name}")
-
-    babble_source = synthetic_speech(9.0, sr, subseed())
-    save_wav(shaped_noise(9.0, sr, subseed()), noise_dir / "white.wav")
-    save_wav(babble_noise(babble_source, subseed()), noise_dir / "babble.wav")
-    noises = {"synthetic_white": "noise/white.wav",
-              "synthetic_babble": "noise/babble.wav"}
-
-    sampler = RoomSampler()
-
-    def write_rirs(t60s, prefix):
-        rel = []
-        for i, t60 in enumerate(t60s):
-            room = sampler.sample(rng, t60, sr)
-            rir = image_method_rir(room)
-            name = f"{prefix}_t60_{t60:.2f}_r{i}.wav"
-            save_wav(rir.buf, rir_dir / name, fmt="float32")
-            with open(rir_dir / name.replace(".wav", ".json"), "w") as fh:
-                json.dump({"room": room.to_dict(),
-                           "measured_t60": t60_from_edc(schroeder_edc(rir), sr)},
-                          fh, indent=2)
-                fh.write("\n")
-            rel.append(f"rirs/{name}")
-        return rel
-
-    eval_rirs = write_rirs(args.t60_list, "eval")
-    heldout_rirs = write_rirs([0.3, 0.45, 0.6, 0.75, 0.9], "heldout")
-
-    manifest = root / "corpus_manifest.csv"
-    with open(manifest, "w") as fh:
-        fh.write("speech,rir,noise,snr_db,noise_type\n")
-        for speech in eval_speech:
-            for rir in eval_rirs:
-                for noise_type, noise in noises.items():
-                    for snr in args.snr_list:
-                        fh.write(f"{speech},{rir},{noise},{snr:g},{noise_type}\n")
-
-    heldout_manifest = root / "heldout_manifest.csv"
-    with open(heldout_manifest, "w") as fh:
-        fh.write("speech,rir,noise,snr_db,noise_type\n")
-        for speech in heldout_speech:
-            for rir in heldout_rirs:
-                fh.write(f"{speech},{rir},,inf,none\n")
-
-    return {"train_speech": train_dir, "manifest": manifest,
-            "heldout_manifest": heldout_manifest}
-
-
 def cmd_demo(args) -> int:
-    seed = 7 if args.seed is None else args.seed
-    out = Path(args.out)
-    results = out / "results"
-    results.mkdir(parents=True, exist_ok=True)
-
-    _say(args, "[1/5] synthesizing speech, noise and impulse responses")
-    assets = _make_demo_assets(args, out / "assets", seed)
-
-    _say(args, "[2/5] training both variants")
-    grid = default_t60_grid(args.train_t60_max)
-    models = {}
-    training_report = {}
-    model_dir = out / "models"
-    model_dir.mkdir(exist_ok=True)
-    sr = load_wav(list_speech_files(assets["train_speech"])[0]).sample_rate
-    for variant in ("full_band", "mel_band"):
-        cfg = EstimatorConfig.default(variant, sr)
-        pairs, skipped = build_training_set(
-            assets["train_speech"], grid, args.train_rooms, cfg, seed)
-        model, report = fit_mapping(pairs, cfg, order=args.order,
-                                    t60_train_max=args.train_t60_max)
-        model.save(model_dir / f"{variant}.json")
-        models[variant] = model
-        training_report[variant] = {
-            "n_pairs": report.n_pairs,
-            "n_skipped": skipped,
-            "rms_residual_s": report.rms_residual,
-            "t60_train_max": model.t60_train_max,
-        }
-        _say(args, f"  {variant}: {report.n_pairs} pairs ({skipped} skipped), "
-                   f"rms residual {report.rms_residual:.3f} s")
-    with open(model_dir / "training_report.json", "w") as fh:
-        json.dump(training_report, fh, indent=2)
-        fh.write("\n")
-
-    _say(args, "[3/5] building the corpora")
-    items = build_corpus(assets["manifest"], out / "corpus")
-    heldout = build_corpus(assets["heldout_manifest"], out / "heldout_corpus")
-    _say(args, f"  {len(items)} noisy items, {len(heldout)} clean held-out items")
-
-    _say(args, "[4/5] evaluating")
-    all_records, all_heldout = [], []
-    stats_by_variant = {}
-    eval_results = run_eval_paired(items, list(models.values()), jobs=args.jobs)
-    heldout_results = run_eval_paired(heldout, list(models.values()), jobs=args.jobs)
-    for variant in models:
-        records, failures = eval_results[variant]
-        hrecords, hfailures = heldout_results[variant]
-        if failures or hfailures:
-            _say(args, f"  {variant}: {len(failures) + len(hfailures)} items failed")
-        all_records.extend(records)
-        all_heldout.extend(hrecords)
-        stats_by_variant[variant] = box_stats(records)
-        med = float(np.median([abs(r.error) for r in hrecords]))
-        _say(args, f"  {variant}: held-out median |error| = {med:.3f} s")
-
-    _say(args, "[5/5] writing reports")
-    write_records(all_records, results / "records.csv")
-    write_records(all_heldout, results / "heldout_records.csv")
-    write_report(stats_by_variant, ("noise_type", "snr_db"),
-                 results / "report.csv", results / "boxplot.dat")
-    _say(args, _rtf_table(all_records))
-    _say(args, f"deterministic report files: {results / 'report.csv'} "
-               f"{results / 'boxplot.dat'}")
+    run_demo(args.out, seed=7 if args.seed is None else args.seed,
+             talkers=args.talkers, utterances=args.utterances,
+             t60_list=args.t60_list, snr_list=args.snr_list,
+             train_t60_max=args.train_t60_max, train_rooms=args.train_rooms,
+             train_utterances=args.train_utterances, order=args.order,
+             jobs=args.jobs, say=lambda message: _say(args, message))
     return 0
 
 
 def main(argv=None) -> int:
-    parser, submap = _build_parser()
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config(args, submap[args.command])
+            _apply_config(args, subparsers[args.command])
         return args.func(args)
     except EstimationError as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return 2
-    except RevtimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RevtimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +27,7 @@ from .signal_core import (
     BandSpectrogram,
     StftConfig,
     build_mel_filterbank,
+    save_json,
 )
 
 VARIANTS = ("full_band", "mel_band")
@@ -131,27 +132,26 @@ class MappingModel:
             raise RevtimeError("t60_train_max must be positive")
         if self.variant_tag not in VARIANTS:
             raise RevtimeError(f"variant_tag must be one of {VARIANTS}")
+        if self.config.variant != self.variant_tag:
+            raise RevtimeError(
+                f"config variant {self.config.variant!r} does not match "
+                f"model {self.variant_tag!r}"
+            )
         if self.target not in ("t60", "log_t60"):
             raise RevtimeError("target must be 't60' or 'log_t60'")
         object.__setattr__(self, "coefficients", coeffs)
 
     def to_dict(self) -> dict:
+        # Every EstimatorConfig field but variant (the model's own tag), in
+        # field order.
+        config = asdict(self.config)
+        del config["variant"]
         return {
             "variant": self.variant_tag,
             "coefficients": [float(c) for c in self.coefficients],
             "t60_train_max": float(self.t60_train_max),
             "target": self.target,
-            "stft": {
-                "frame_len": self.config.stft.frame_len,
-                "hop": self.config.stft.hop,
-                "window": self.config.stft.window,
-                "fft_len": self.config.stft.fft_len,
-            },
-            "n_mel_bands": self.config.n_mel_bands,
-            "window_frames": self.config.window_frames,
-            "snr_margin": self.config.snr_margin,
-            "min_duration_s": self.config.min_duration_s,
-            "dynamic_range_db": self.config.dynamic_range_db,
+            **config,
         }
 
     @classmethod
@@ -174,9 +174,7 @@ class MappingModel:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        save_json(self.to_dict(), path)
 
     @classmethod
     def load(cls, path) -> "MappingModel":
@@ -320,9 +318,9 @@ def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:
 
     Peak normalization and the relative clamp make the pipeline independent
     of input level. For the mel_band variant, bins are averaged in the power
-    domain before the single log, which matches
-    apply_mel(stft_log_magnitude(...)) to within rounding while avoiding the
-    full-resolution log.
+    domain before the single log, which matches the reference STFT and Mel
+    averaging in ``tests/stft_reference.py`` to within rounding while
+    avoiding the full-resolution log.
 
     The scaled signal, windowed frames, spectrum and magnitudes live in
     per-thread work arrays (about 48 bytes per input sample at 16 kHz, kept
@@ -384,19 +382,9 @@ def nsv_from_audio(buf: AudioBuffer, cfg: EstimatorConfig) -> NsvStatistic:
     return nsv(grads)
 
 
-def estimate_t60(buf: AudioBuffer, model: MappingModel,
-                 cfg: EstimatorConfig | None = None) -> EstimateResult:
-    """Blind single-estimate T60 for one utterance.
-
-    cfg defaults to the front-end settings recorded in the model; passing a
-    config with a different variant is an error.
-    """
-    if cfg is None:
-        cfg = model.config
-    if cfg.variant != model.variant_tag:
-        raise RevtimeError(
-            f"config variant {cfg.variant!r} does not match model {model.variant_tag!r}"
-        )
-    stat = nsv_from_audio(buf, cfg)
+def estimate_t60(buf: AudioBuffer, model: MappingModel) -> EstimateResult:
+    """Blind single-estimate T60 for one utterance, with the front-end
+    settings recorded in the model."""
+    stat = nsv_from_audio(buf, model.config)
     t60, flags = map_nsv_to_t60(stat, model)
     return EstimateResult(t60=t60, nsv=stat, flags=flags)

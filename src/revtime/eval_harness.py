@@ -8,19 +8,20 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EstimationError, RevtimeError
-from .estimator import EstimatorConfig, MappingModel, estimate_t60
+from .estimator import MappingModel, estimate_t60
 from .signal_core import (
     AudioBuffer,
     active_speech_level,
     convolve,
     load_wav,
     noise_gain_for_snr,
+    save_json,
     save_wav,
 )
 from .room_acoustics import schroeder_edc, t60_from_edc
@@ -51,22 +52,14 @@ class CorpusItem:
     def __post_init__(self):
         if self.t60_true <= 0:
             raise RevtimeError("t60_true must be positive")
-        if math.isnan(self.snr_db):
-            raise RevtimeError("snr_db must not be NaN")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise RevtimeError("snr_db must be a number or +inf, not NaN or -inf")
         if self.noise_type not in NOISE_TYPES:
             raise RevtimeError(f"unknown noise_type {self.noise_type!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "item_id": self.item_id,
-            "speech_path": self.speech_path,
-            "rir_path": self.rir_path,
-            "noise_path": self.noise_path,
-            "snr_db": self.snr_db if math.isfinite(self.snr_db) else "inf",
-            "noise_type": self.noise_type,
-            "t60_true": self.t60_true,
-            "mix_path": self.mix_path,
-        }
+        return {**asdict(self),
+                "snr_db": self.snr_db if math.isfinite(self.snr_db) else "inf"}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorpusItem":
@@ -122,11 +115,20 @@ class BoxStats:
             raise RevtimeError("quartiles must bracket the median")
 
 
-def _parse_snr(text: str) -> float:
+def _parse_snr(text: str, row: int) -> float:
+    """A finite SNR in dB, or inf for a clean row ("inf", "+inf", "clean")."""
     text = text.strip().lower()
     if text in ("inf", "+inf", "clean"):
         return math.inf
-    return float(text)
+    try:
+        snr = float(text)
+    except ValueError:
+        snr = math.nan
+    if not math.isfinite(snr):
+        raise RevtimeError(
+            f"row {row}: snr_db must be a finite number, inf or clean, got {text!r}"
+        )
+    return snr
 
 
 def read_manifest(path):
@@ -138,13 +140,15 @@ def read_manifest(path):
         missing = set(MANIFEST_FIELDS) - set(reader.fieldnames or ())
         if missing:
             raise RevtimeError(f"manifest missing columns: {sorted(missing)}")
-        for raw in reader:
-            snr = _parse_snr(raw["snr_db"])
+        for idx, raw in enumerate(reader):
+            if None in raw or None in raw.values():
+                raise RevtimeError(f"row {idx}: expected {len(reader.fieldnames)} columns")
+            snr = _parse_snr(raw["snr_db"], idx)
             noise = raw["noise"].strip()
             if not math.isfinite(snr) and not noise:
                 noise_path = ""
             elif not noise:
-                raise RevtimeError("manifest row with finite SNR needs a noise path")
+                raise RevtimeError(f"row {idx}: a finite SNR needs a noise path")
             else:
                 noise_path = str(base / noise)
             rows.append({
@@ -231,13 +235,9 @@ def build_corpus(manifest, out_dir) -> list:
             "noise_gain": gain,
             "output_gain": output_gain,
         })
-        with open(out / f"{item_id}.json", "w") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
+        save_json(sidecar, out / f"{item_id}.json")
         items.append(item)
-    with open(out / "items.json", "w") as fh:
-        json.dump([it.to_dict() for it in items], fh, indent=2)
-        fh.write("\n")
+    save_json([it.to_dict() for it in items], out / "items.json")
     return items
 
 
@@ -249,8 +249,7 @@ def load_items(corpus_dir) -> list:
         return [CorpusItem.from_dict(d) for d in json.load(fh)]
 
 
-def _eval_one(item: CorpusItem, buf: AudioBuffer, model: MappingModel,
-              cfg: EstimatorConfig):
+def _eval_one(item: CorpusItem, buf: AudioBuffer, model: MappingModel):
     """Estimate one loaded item: ("ok", record) or ("err", (item_id, message))."""
     # perf_counter, not process_time: per-item estimates run in about a
     # millisecond while CPU clocks on many hosts tick at 10 ms. In the
@@ -260,9 +259,9 @@ def _eval_one(item: CorpusItem, buf: AudioBuffer, model: MappingModel,
     # deterministic so the repeat returns the identical result.
     try:
         start = time.perf_counter()
-        result = estimate_t60(buf, model, cfg)
+        result = estimate_t60(buf, model)
         mid = time.perf_counter()
-        estimate_t60(buf, model, cfg)
+        estimate_t60(buf, model)
         cpu = min(mid - start, time.perf_counter() - mid)
     except EstimationError as exc:
         return ("err", (item.item_id, str(exc)))
@@ -280,51 +279,26 @@ def _eval_one(item: CorpusItem, buf: AudioBuffer, model: MappingModel,
     ))
 
 
-def _eval_worker(args):
-    item, model, cfg = args
-    return _eval_one(item, load_wav(item.mix_path), model, cfg)
-
-
 def _paired_worker(args):
     idx, item, models = args
     buf = load_wav(item.mix_path)
     # Rotate model order per item so no variant always runs cold after the
     # file load; otherwise the comparison bakes in a cache-warmth bias.
     k = idx % len(models)
-    return [(model.variant_tag, _eval_one(item, buf, model, model.config))
+    return [(model.variant_tag, _eval_one(item, buf, model))
             for model in models[k:] + models[:k]]
 
 
-def run_eval(items, model: MappingModel, cfg: EstimatorConfig | None = None,
-             jobs: int = 1):
-    """Estimate every corpus item. Only the estimate call itself is timed.
-
-    Returns (records, failures); failed items are (item_id, message) pairs.
-    jobs=1 is the sequential reference mode whose per-item CPU times feed
-    the real-time-factor measurement.
-    """
-    if cfg is None:
-        cfg = model.config
-    records, failures = [], []
-    if jobs <= 1:
-        for item in items:
-            status, payload = _eval_worker((item, model, cfg))
-            (records if status == "ok" else failures).append(payload)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            args = [(item, model, cfg) for item in items]
-            for status, payload in pool.map(_eval_worker, args):
-                (records if status == "ok" else failures).append(payload)
-    return records, failures
-
-
 def run_eval_paired(items, models, jobs: int = 1):
-    """Evaluate several models over the same items, back to back per item.
+    """Evaluate one or more models over the same items, back to back per
+    item. Only the estimate calls themselves are timed.
 
     Timing each variant on the same item under the same conditions makes
     the aggregate CPU times directly comparable; the variants' real-time
     factors come out of one pass instead of widely separated runs. Returns
-    {variant_tag: (records, failures)}.
+    {variant_tag: (records, failures)}, where failed items are
+    (item_id, message) pairs. jobs=1 is the sequential reference mode whose
+    per-item CPU times feed the real-time-factor measurement.
     """
     models = list(models)
     tags = [m.variant_tag for m in models]
@@ -341,6 +315,21 @@ def run_eval_paired(items, models, jobs: int = 1):
         for tag, (status, payload) in batch:
             records, failures = results[tag]
             (records if status == "ok" else failures).append(payload)
+    return results
+
+
+def evaluate_to_dir(items, models, out_dir, jobs: int = 1) -> dict:
+    """run_eval_paired, then write records.csv and the box-plot report
+    (report.csv, boxplot.dat; errors grouped by noise type and SNR) into
+    out_dir. Returns run_eval_paired's {variant_tag: (records, failures)}.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    results = run_eval_paired(items, models, jobs=jobs)
+    stats = {tag: box_stats(records) for tag, (records, _) in results.items()}
+    write_records([r for records, _ in results.values() for r in records],
+                  out / "records.csv")
+    write_report(stats, ("noise_type", "snr_db"), out / "report.csv", out / "boxplot.dat")
     return results
 
 
@@ -384,6 +373,20 @@ def rtf(records) -> float:
     return sum(r.cpu_time for r in records) / total_audio
 
 
+def rtf_table(records) -> str:
+    """Plain-text table of real-time factor, CPU and audio seconds per variant."""
+    by_variant = {}
+    for r in records:
+        by_variant.setdefault(r.variant, []).append(r)
+    lines = [f"{'variant':<12} {'rtf':>10} {'cpu_s':>10} {'audio_s':>10}"]
+    for variant in sorted(by_variant):
+        recs = by_variant[variant]
+        lines.append(f"{variant:<12} {rtf(recs):>10.5f} "
+                     f"{sum(r.cpu_time for r in recs):>10.3f} "
+                     f"{sum(r.audio_duration for r in recs):>10.1f}")
+    return "\n".join(lines)
+
+
 RECORD_COLUMNS = ("item_id", "variant", "noise_type", "snr_db", "t60_true",
                   "t60_est", "error", "cpu_time", "audio_duration", "flags")
 
@@ -393,11 +396,8 @@ def write_records(records, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
         for r in records:
-            writer.writerow([
-                r.item_id, r.variant, r.noise_type, repr(r.snr_db),
-                repr(r.t60_true), repr(r.t60_est), repr(r.error),
-                repr(r.cpu_time), repr(r.audio_duration), r.flags,
-            ])
+            # Fields in RECORD_COLUMNS order; floats at full precision.
+            writer.writerow([v if isinstance(v, str) else repr(v) for v in astuple(r)])
 
 
 def read_records(path) -> list:

@@ -4,13 +4,14 @@ Schroeder backward-integration T60 measurement."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
 from .errors import RevtimeError
-from .signal_core import AudioBuffer
+from .signal_core import AudioBuffer, save_json, save_wav
 
 SPEED_OF_SOUND = 343.0
 SABINE_CONSTANT = 0.161
@@ -61,17 +62,6 @@ class RoomSpec:
         object.__setattr__(self, "mic", mic)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
         object.__setattr__(self, "max_image_order", int(self.max_image_order))
-
-    def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "source": list(self.source),
-            "mic": list(self.mic),
-            "target_t60": self.target_t60,
-            "sample_rate": self.sample_rate,
-            "rir_length": self.rir_length,
-            "max_image_order": self.max_image_order,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,3 +274,14 @@ def t60_from_edc(edc: Edc, sample_rate: int) -> float:
     if slope >= 0:
         raise RevtimeError("EDC fit produced a non-decaying slope")
     return float(-60.0 / slope)
+
+
+def save_rir(rir: Rir, path) -> float:
+    """Write a simulated response as a float32 WAV (full range kept) plus a
+    JSON sidecar with the same stem holding its room and its
+    Schroeder-measured T60, which is returned."""
+    measured = t60_from_edc(schroeder_edc(rir), rir.buf.sample_rate)
+    save_wav(rir.buf, path, fmt="float32")
+    save_json({"room": asdict(rir.provenance), "measured_t60": measured},
+              Path(path).with_suffix(".json"))
+    return measured

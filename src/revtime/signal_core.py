@@ -1,13 +1,13 @@
-"""Shared DSP substrate: WAV I/O, windowed STFT, Mel banding, speech levels
-and SNR-controlled noise mixing."""
+"""Shared DSP substrate: WAV and JSON I/O, STFT settings, Mel filterbanks,
+speech levels and SNR-controlled noise mixing."""
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
@@ -101,6 +101,14 @@ def save_wav(buf: AudioBuffer, path, fmt: str = "pcm16") -> None:
         raise RevtimeError(f"unknown WAV output format: {fmt}")
 
 
+def save_json(data, path) -> None:
+    """Write data as JSON indented by two spaces, ending in a newline (the
+    format of model files, sidecars and reports)."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
 def _next_pow2(n: int) -> int:
     p = 1
     while p < n:
@@ -187,35 +195,6 @@ class BandSpectrogram:
         return self.values.shape[1]
 
 
-def frame_signal(buf: AudioBuffer, frame_len: int, hop: int) -> np.ndarray:
-    """Slice a signal into overlapping frames (n_frames x frame_len).
-
-    The final partial frame is dropped.
-    """
-    if len(buf) < frame_len:
-        raise RevtimeError(
-            f"signal of {len(buf)} samples is shorter than one frame ({frame_len})"
-        )
-    return sliding_window_view(buf.samples, frame_len)[::hop]
-
-
-def stft_complex(buf: AudioBuffer, cfg: StftConfig) -> np.ndarray:
-    """Complex STFT, shape (fft_len//2 + 1, n_frames)."""
-    frames = frame_signal(buf, cfg.frame_len, cfg.hop)
-    windowed = frames * cfg.window_array()
-    return np.fft.rfft(windowed, n=cfg.fft_len, axis=1).T
-
-
-def stft_log_magnitude(buf: AudioBuffer, cfg: StftConfig) -> BandSpectrogram:
-    """Log-magnitude STFT in dB: 20*log10(|X| + LOG_FLOOR) per bin and frame."""
-    spec = stft_complex(buf, cfg)
-    values = 20.0 * np.log10(np.abs(spec) + LOG_FLOOR)
-    n_bins, n_frames = values.shape
-    centers = np.arange(n_bins) * (buf.sample_rate / cfg.fft_len)
-    times = np.arange(n_frames) * (cfg.hop / buf.sample_rate)
-    return BandSpectrogram(values, centers, times, "linear_bins")
-
-
 def hz_to_mel(f):
     """Mel scale: 2595*log10(1 + f/700)."""
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -276,24 +255,6 @@ def build_mel_filterbank(n_fft_bins: int, n_bands: int, sample_rate: int) -> Mel
         raise RevtimeError("too many Mel bands for this FFT resolution")
     weights /= sums[:, None]
     return MelFilterbank(weights, hz_points[1:-1])
-
-
-def apply_mel(spec: BandSpectrogram, fb: MelFilterbank) -> BandSpectrogram:
-    """Average a linear-bin dB spectrogram into Mel bands.
-
-    Averaging happens in the linear power domain (10^(dB/10)), then the
-    result is converted back to dB, so a spectrally flat frame is unchanged.
-    """
-    if spec.mode != "linear_bins":
-        raise RevtimeError("apply_mel expects a linear-bin spectrogram")
-    if spec.n_bands != fb.weights.shape[1]:
-        raise RevtimeError(
-            f"spectrogram has {spec.n_bands} bins, filterbank expects {fb.weights.shape[1]}"
-        )
-    power = 10.0 ** (spec.values / 10.0)
-    banded = fb.weights @ power
-    values = 10.0 * np.log10(banded)
-    return BandSpectrogram(values, fb.band_centers, spec.frame_times, "mel_bands")
 
 
 def _rms(x: np.ndarray) -> float:

@@ -188,6 +188,26 @@ def fit_mapping(pairs, cfg: EstimatorConfig, order: int = 2,
     return model, FitReport(rms_residual=rms, n_pairs=n)
 
 
+def train_model(speech_dir, cfg: EstimatorConfig, t60_grid, rooms_per_t60: int,
+                seed: int, order: int = 2, target: str = "t60",
+                t60_train_max: float | None = None):
+    """build_training_set, then fit_mapping on its pairs.
+
+    Returns (model, pairs, summary); summary is the training report entry
+    (n_pairs, n_skipped, rms_residual_s, t60_train_max) that the CLI writes
+    as JSON.
+    """
+    pairs, skipped = build_training_set(speech_dir, t60_grid, rooms_per_t60, cfg, seed)
+    model, report = fit_mapping(pairs, cfg, order=order, target=target,
+                                t60_train_max=t60_train_max)
+    return model, pairs, {
+        "n_pairs": report.n_pairs,
+        "n_skipped": skipped,
+        "rms_residual_s": report.rms_residual,
+        "t60_train_max": model.t60_train_max,
+    }
+
+
 def pairs_to_csv(pairs, path) -> None:
     with open(path, "w") as fh:
         fh.write("nsv,t60_true,room_id,utt_id\n")

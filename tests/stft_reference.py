@@ -1,0 +1,30 @@
+"""Reference STFT and Mel banding, written the direct way: the oracle that
+``estimator.band_spectrogram`` is compared against."""
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from revtime.signal_core import LOG_FLOOR, BandSpectrogram
+
+
+def reference_stft(buf, cfg):
+    """Complex STFT, shape (fft_len//2 + 1, n_frames); the final partial
+    frame is dropped."""
+    frames = sliding_window_view(buf.samples, cfg.frame_len)[::cfg.hop]
+    return np.fft.rfft(frames * cfg.window_array(), n=cfg.fft_len, axis=1).T
+
+
+def reference_log_spectrogram(buf, cfg):
+    """20*log10(|X| + LOG_FLOOR) per FFT bin and frame."""
+    values = 20.0 * np.log10(np.abs(reference_stft(buf, cfg)) + LOG_FLOOR)
+    n_bins, n_frames = values.shape
+    centers = np.arange(n_bins) * (buf.sample_rate / cfg.fft_len)
+    times = np.arange(n_frames) * (cfg.hop / buf.sample_rate)
+    return BandSpectrogram(values, centers, times, "linear_bins")
+
+
+def reference_mel(spec, fb):
+    """Average a linear-bin dB spectrogram into Mel bands in the power
+    domain (10^(dB/10)), then convert back to dB."""
+    values = 10.0 * np.log10(fb.weights @ 10.0 ** (spec.values / 10.0))
+    return BandSpectrogram(values, fb.band_centers, spec.frame_times, "mel_bands")

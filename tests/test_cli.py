@@ -218,3 +218,18 @@ class TestBuildCorpusCli:
                      "--out", str(tmp_path / "corpus"), "--quiet"])
         assert code == 1
         assert "gone.wav" in capsys.readouterr().err
+
+    def test_minus_inf_snr_row_exits_one(self, tmp_path, capsys):
+        from conftest import exponential_rir
+
+        save_wav(synthetic_speech(1.6, SR, seed=62), tmp_path / "s.wav")
+        save_wav(exponential_rir(0.4, seed=63).buf, tmp_path / "rir.wav", fmt="float32")
+        save_wav(synthetic_speech(2.0, SR, seed=64), tmp_path / "n.wav")
+        (tmp_path / "m.csv").write_text(
+            "speech,rir,noise,snr_db,noise_type\n"
+            "s.wav,rir.wav,n.wav,12,fan\ns.wav,rir.wav,n.wav,-inf,fan\n")
+        code = main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
+                     "--out", str(tmp_path / "corpus"), "--quiet"])
+        assert code == 1
+        assert "row 1: snr_db" in capsys.readouterr().err
+        assert not list((tmp_path / "corpus").glob("*.wav"))

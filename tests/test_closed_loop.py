@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 
 from revtime.estimator import MappingModel, estimate_t60
-from revtime.eval_harness import load_items, run_eval, run_eval_paired
+from revtime.eval_harness import load_items, run_eval_paired
 from revtime.room_acoustics import image_method_rir, schroeder_edc, t60_from_edc
 from revtime.signal_core import convolve
 from revtime.synth import synthetic_speech
 from revtime.trainer import RoomSampler
 
 SR = 16000
+
+
+def run_one(items, model):
+    """run_eval_paired with a single model: (records, failures)."""
+    return run_eval_paired(items, [model])[model.variant_tag]
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +56,8 @@ def test_estimates_bit_identical_across_runs(demo_models, demo_run):
     out, _ = demo_run
     items = load_items(out / "heldout_corpus")
     model = demo_models["mel_band"]
-    r1, _ = run_eval(items, model)
-    r2, _ = run_eval(items, model)
+    r1, _ = run_one(items, model)
+    r2, _ = run_one(items, model)
     assert [r.t60_est for r in r1] == [r.t60_est for r in r2]
 
 
@@ -62,7 +67,7 @@ def test_paired_eval_matches_single_model_estimates(demo_models, demo_run):
     models = list(demo_models.values())
     paired = run_eval_paired(items, models)
     for model in models:
-        single, failures = run_eval(items, model)
+        single, failures = run_one(items, model)
         records, pfailures = paired[model.variant_tag]
         assert not failures and not pfailures
         assert [r.t60_est for r in records] == [r.t60_est for r in single]
@@ -78,7 +83,7 @@ def test_failed_items_are_counted_not_dropped(demo_models, tmp_path, demo_run):
     save_wav(synthetic_speech(0.4, SR, seed=5), bad_path)
     from dataclasses import replace
     broken = [replace(items[0], item_id="broken", mix_path=str(bad_path))]
-    records, failures = run_eval(items + broken, demo_models["mel_band"])
+    records, failures = run_one(items + broken, demo_models["mel_band"])
     assert len(records) + len(failures) == len(items) + 1
     assert failures[0][0] == "broken"
     assert "shorter" in failures[0][1]

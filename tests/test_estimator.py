@@ -22,15 +22,9 @@ from revtime.estimator import (
     nsv_from_audio,
     select_bins,
 )
-from revtime.signal_core import (
-    AudioBuffer,
-    BandSpectrogram,
-    apply_mel,
-    build_mel_filterbank,
-    stft_log_magnitude,
-)
-
+from revtime.signal_core import AudioBuffer, BandSpectrogram, build_mel_filterbank
 from revtime.synth import synthetic_speech
+from stft_reference import reference_log_spectrogram, reference_mel
 
 SR = 16000
 
@@ -235,8 +229,8 @@ class TestFrontEnd:
         fast = band_spectrogram(speech, cfg)
         peak = np.max(np.abs(speech.samples))
         normalized = AudioBuffer(speech.samples / peak, SR)
-        composed = apply_mel(
-            stft_log_magnitude(normalized, cfg.stft),
+        composed = reference_mel(
+            reference_log_spectrogram(normalized, cfg.stft),
             build_mel_filterbank(cfg.stft.fft_len // 2 + 1, cfg.n_mel_bands, SR),
         ).values
         composed = np.maximum(composed, composed.max() - cfg.dynamic_range_db)
@@ -247,7 +241,7 @@ class TestFrontEnd:
         cfg = EstimatorConfig.default("full_band")
         fast = band_spectrogram(speech, cfg)
         peak = np.max(np.abs(speech.samples))
-        composed = stft_log_magnitude(
+        composed = reference_log_spectrogram(
             AudioBuffer(speech.samples / peak, SR), cfg.stft).values
         composed = np.maximum(composed, composed.max() - cfg.dynamic_range_db)
         assert fast.mode == "linear_bins"
@@ -363,10 +357,13 @@ class TestEstimateT60:
             assert scaled.n_negative == base.n_negative
             assert scaled.n_selected == base.n_selected
 
-    def test_variant_mismatch(self, speech):
-        model = model_with([0.5], variant="full_band")
+    def test_variant_mismatch(self):
+        # estimate_t60 runs the model's own config, so a model whose config
+        # belongs to the other variant cannot be built.
         with pytest.raises(RevtimeError, match="variant"):
-            estimate_t60(speech, model, EstimatorConfig.default("mel_band"))
+            MappingModel(coefficients=np.array([0.5]), t60_train_max=0.95,
+                         variant_tag="full_band",
+                         config=EstimatorConfig.default("mel_band"))
 
     def test_estimates_never_negative(self, speech):
         model = model_with([-10.0, 0.001])  # wildly negative mapping

@@ -21,7 +21,6 @@ from revtime.eval_harness import (
     read_manifest,
     read_records,
     rtf,
-    run_eval,
     run_eval_paired,
     write_records,
     write_report,
@@ -177,6 +176,31 @@ class TestManifest:
         with pytest.raises(RevtimeError, match="noise path"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("snr", ["-inf", "nan", "-Infinity", "infinity", "twelve"])
+    def test_rejects_snr_that_is_not_finite_or_clean(self, tmp_path, snr):
+        # A -inf row used to be built as a clean mix (noise gain 0) and
+        # reported as snr_db = inf under its noise type.
+        path = write_manifest(tmp_path / "m.csv", [
+            ("a.wav", "b.wav", "n.wav", "12", "fan"),
+            ("a.wav", "b.wav", "n.wav", snr, "fan"),
+        ])
+        with pytest.raises(RevtimeError, match="row 1: snr_db"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("row", ["a.wav,b.wav", "a.wav,b.wav,n.wav,12,fan,extra"])
+    def test_rejects_row_with_wrong_column_count(self, tmp_path, row):
+        path = tmp_path / "m.csv"
+        path.write_text(f"speech,rir,noise,snr_db,noise_type\na.wav,b.wav,,inf,none\n{row}\n")
+        with pytest.raises(RevtimeError, match="row 1: expected 5 columns"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_corpus_item_rejects_nan_and_minus_inf(self, snr):
+        with pytest.raises(RevtimeError, match="snr_db"):
+            CorpusItem(item_id="i", speech_path="s.wav", rir_path="r.wav",
+                       noise_path="n.wav", snr_db=snr, noise_type="fan",
+                       t60_true=0.5, mix_path="m.wav")
+
 
 class TestBuildCorpus:
     def test_identity_convolution_clean_item(self, tmp_path):
@@ -313,11 +337,28 @@ class TestBuildCorpusReuse:
         assert convolved == []
 
 
+def run_one(items, model, jobs=1):
+    """run_eval_paired with a single model: (records, failures)."""
+    return run_eval_paired(items, [model], jobs=jobs)[model.variant_tag]
+
+
+def timeless(records):
+    return [dataclasses.replace(r, cpu_time=0.0) for r in records]
+
+
+def paired_models():
+    return [
+        MappingModel(coefficients=np.array([0.2, 0.05]), t60_train_max=0.95,
+                     variant_tag=v, config=EstimatorConfig.default(v))
+        for v in ("full_band", "mel_band")
+    ]
+
+
 class TestRunEval:
     def test_constant_estimator_errors(self, corpus):
         _, _, items = corpus
         model = constant_model(0.5)
-        records, failures = run_eval(items, model)
+        records, failures = run_one(items, model)
         assert len(records) + len(failures) == len(items)
         for rec in records:
             true = next(it.t60_true for it in items if it.item_id == rec.item_id)
@@ -329,16 +370,15 @@ class TestRunEval:
     def test_estimates_deterministic_across_runs(self, corpus):
         _, _, items = corpus
         model = constant_model()
-        r1, _ = run_eval(items, model)
-        r2, _ = run_eval(items, model)
+        r1, _ = run_one(items, model)
+        r2, _ = run_one(items, model)
         assert [r.t60_est for r in r1] == [r.t60_est for r in r2]
-        assert [r.nsv for r in []] == []  # records carry no nsv; estimates suffice
 
     def test_parallel_matches_sequential(self, corpus):
         _, _, items = corpus
         model = constant_model()
-        seq, _ = run_eval(items, model, jobs=1)
-        par, _ = run_eval(items, model, jobs=2)
+        seq, _ = run_one(items, model, jobs=1)
+        par, _ = run_one(items, model, jobs=2)
         assert [r.item_id for r in seq] == [r.item_id for r in par]
         assert [r.t60_est for r in seq] == [r.t60_est for r in par]
 
@@ -346,24 +386,36 @@ class TestRunEval:
 class TestPairedEval:
     def test_loads_each_item_once(self, corpus, monkeypatch):
         _, _, items = corpus
-        models = [
-            MappingModel(coefficients=np.array([0.2, 0.05]), t60_train_max=0.95,
-                         variant_tag=v, config=EstimatorConfig.default(v))
-            for v in ("full_band", "mel_band")
-        ]
-        single = {m.variant_tag: run_eval(items, m) for m in models}
+        models = paired_models()
+        single = {m.variant_tag: run_one(items, m) for m in models}
         loaded = count_calls(monkeypatch, "load_wav")
         paired = run_eval_paired(items, models)
         assert len(loaded) == len(items)
-
-        def timeless(records):
-            return [dataclasses.replace(r, cpu_time=0.0) for r in records]
-
         for tag, (records, failures) in paired.items():
             ref_records, ref_failures = single[tag]
             assert records
             assert timeless(records) == timeless(ref_records)
             assert failures == ref_failures
+
+    def test_process_pool_matches_sequential(self, corpus, tmp_path):
+        _, _, items = corpus
+        tiny = tmp_path / "tiny.wav"
+        save_wav(synthetic_speech(0.4, SR, seed=5), tiny)
+        broken = dataclasses.replace(items[0], item_id="broken", mix_path=str(tiny))
+        items = [*items[:2], broken, *items[2:]]
+        seq = run_eval_paired(items, paired_models(), jobs=1)
+        par = run_eval_paired(items, paired_models(), jobs=2)
+        assert list(par) == list(seq) == ["full_band", "mel_band"]
+        for tag, (records, failures) in seq.items():
+            assert len(records) == len(items) - 1
+            assert [f[0] for f in failures] == ["broken"]
+            assert timeless(par[tag][0]) == timeless(records)
+            assert par[tag][1] == failures
+
+    def test_duplicate_variants_rejected(self, corpus):
+        _, _, items = corpus
+        with pytest.raises(RevtimeError, match="distinct variant tags"):
+            run_eval_paired(items, [constant_model(), constant_model()])
 
 
 class TestBoxStats:

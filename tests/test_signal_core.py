@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revtime.errors import RevtimeError
+from revtime.errors import EstimationError, RevtimeError
+from revtime.estimator import EstimatorConfig, band_spectrogram
 from revtime.signal_core import (
     LOG_FLOOR,
     AudioBuffer,
+    BandSpectrogram,
     StftConfig,
     active_speech_level,
-    apply_mel,
     build_mel_filterbank,
     convolve,
     hz_to_mel,
@@ -17,9 +18,8 @@ from revtime.signal_core import (
     mix_at_snr,
     noise_gain_for_snr,
     save_wav,
-    stft_complex,
-    stft_log_magnitude,
 )
+from stft_reference import reference_mel, reference_stft
 
 SR = 16000
 
@@ -104,32 +104,45 @@ class TestWavIo:
         assert np.max(np.abs(reloaded.samples - np.asarray(samples))) <= 1.0 / 32768
 
 
+def front_end(variant="full_band", dynamic_range_db=1000.0, **stft):
+    """The estimator front-end with no minimum duration and a dynamic-range
+    clamp too wide to touch the values."""
+    return EstimatorConfig(variant=variant, stft=StftConfig(**stft),
+                           min_duration_s=0.0, dynamic_range_db=dynamic_range_db)
+
+
 class TestStft:
     def test_pure_sine_concentrates(self):
         # Bin-center sine with a rectangular window leaks nowhere.
-        cfg = StftConfig(frame_len=512, hop=256, window="rect", fft_len=512)
+        cfg = front_end(frame_len=512, hop=256, window="rect", fft_len=512)
         k = 32
         t = np.arange(SR)
         x = np.sin(2 * np.pi * k * t / 512)
-        spec = stft_log_magnitude(AudioBuffer(x, SR), cfg)
+        spec = band_spectrogram(AudioBuffer(x, SR), cfg)
         frame = spec.values[:, 3]
         top = frame[k]
         others = np.delete(frame, k)
         assert top - others.max() >= 60.0
 
     def test_all_zero_input_hits_floor(self):
-        cfg = StftConfig(frame_len=64, hop=32)
-        spec = stft_log_magnitude(AudioBuffer(np.zeros(1000), SR), cfg)
-        assert np.allclose(spec.values, 20 * np.log10(LOG_FLOOR))
+        # All-zero frames; only frames 14 and 15 (starts 448, 480) hold the click.
+        cfg = front_end(frame_len=64, hop=32)
+        x = np.zeros(1000)
+        x[500] = 1.0
+        spec = band_spectrogram(AudioBuffer(x, SR), cfg)
+        silent = np.delete(spec.values, [14, 15], axis=1)
+        assert np.allclose(silent, 20 * np.log10(LOG_FLOOR))
+        assert np.all(spec.values[:, 14:16] > 20 * np.log10(LOG_FLOOR) + 100)
 
     def test_too_short_signal(self):
-        cfg = StftConfig(frame_len=512, hop=256)
-        with pytest.raises(RevtimeError, match="shorter than one frame"):
-            stft_log_magnitude(AudioBuffer(np.zeros(100), SR), cfg)
+        cfg = front_end(frame_len=512, hop=256)
+        with pytest.raises(EstimationError, match="shorter than one analysis frame"):
+            band_spectrogram(AudioBuffer(np.ones(100), SR), cfg)
 
     def test_frame_count_and_times(self):
-        cfg = StftConfig(frame_len=512, hop=256)
-        spec = stft_log_magnitude(AudioBuffer(np.zeros(512 + 256 * 3 + 10), SR), cfg)
+        cfg = front_end(frame_len=512, hop=256)
+        noise = np.random.default_rng(4).standard_normal(512 + 256 * 3 + 10)
+        spec = band_spectrogram(AudioBuffer(noise, SR), cfg)
         assert spec.n_frames == 4  # final partial frame dropped
         assert spec.frame_times[1] - spec.frame_times[0] == pytest.approx(256 / SR)
         assert spec.n_bands == 512 // 2 + 1
@@ -139,7 +152,7 @@ class TestStft:
         cfg = StftConfig(frame_len=480, hop=240, window="hamming", fft_len=512)
         rng = np.random.default_rng(5)
         buf = AudioBuffer(rng.standard_normal(4800), SR)
-        spec = stft_complex(buf, cfg)
+        spec = reference_stft(buf, cfg)
         frames = np.lib.stride_tricks.sliding_window_view(
             buf.samples, cfg.frame_len)[::cfg.hop]
         windowed = frames * cfg.window_array()
@@ -176,15 +189,15 @@ class TestMel:
             build_mel_filterbank(4, 5, SR)
 
     def test_flat_frame_is_identity(self):
-        cfg = StftConfig(frame_len=512, hop=256)
-        values = np.full((257, 4), -37.0)
-        centers = np.arange(257) * (SR / 512)
-        times = np.arange(4) * (256 / SR)
-        from revtime.signal_core import BandSpectrogram
-        spec = BandSpectrogram(values, centers, times, "linear_bins")
-        fb = build_mel_filterbank(257, 23, SR)
-        banded = apply_mel(spec, fb)
-        assert np.allclose(banded.values, -37.0, atol=1e-9)
+        # A click under a rectangular window has a flat magnitude spectrum,
+        # |X| = 1 in every bin of frames 2 and 3 (starts 512, 768).
+        cfg = front_end("mel_band", frame_len=512, hop=256, window="rect")
+        x = np.zeros(4096)
+        x[1000] = 1.0
+        banded = band_spectrogram(AudioBuffer(x, SR), cfg)
+        assert banded.n_bands == 23
+        assert np.allclose(banded.values[:, 2:4], 20 * np.log10(1.0 + LOG_FLOOR),
+                           atol=1e-9)
         assert banded.mode == "mel_bands"
 
     def test_matches_bruteforce_power_mean(self):
@@ -192,23 +205,14 @@ class TestMel:
         values = rng.uniform(-80, 0, size=(257, 6))
         centers = np.arange(257) * (SR / 512)
         times = np.arange(6) * (256 / SR)
-        from revtime.signal_core import BandSpectrogram
         spec = BandSpectrogram(values, centers, times, "linear_bins")
         fb = build_mel_filterbank(257, 23, SR)
-        banded = apply_mel(spec, fb)
+        banded = reference_mel(spec, fb)
         for b in range(23):
             for f in range(6):
                 acc = np.sum(fb.weights[b] * 10 ** (values[:, f] / 10))
                 assert banded.values[b, f] == pytest.approx(
                     10 * np.log10(acc), abs=1e-9)
-
-    def test_dimension_mismatch(self):
-        from revtime.signal_core import BandSpectrogram
-        spec = BandSpectrogram(np.zeros((129, 4)), np.arange(129.0) + 1,
-                               np.arange(4) * 0.016, "linear_bins")
-        fb = build_mel_filterbank(257, 23, SR)
-        with pytest.raises(RevtimeError):
-            apply_mel(spec, fb)
 
 
 def reference_active_speech_level(buf):
