@@ -8,7 +8,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -242,11 +242,31 @@ def build_corpus(manifest, out_dir) -> list:
 
 
 def load_items(corpus_dir) -> list:
+    """Read a corpus's items.json; a malformed file or entry raises
+    RevtimeError naming the entry index and the offending key."""
     index = Path(corpus_dir) / "items.json"
     if not index.exists():
         raise RevtimeError(f"no items.json in {corpus_dir}")
-    with open(index) as fh:
-        return [CorpusItem.from_dict(d) for d in json.load(fh)]
+    try:
+        with open(index) as fh:
+            entries = json.load(fh)
+    except ValueError as exc:
+        raise RevtimeError(f"{index} is not valid JSON: {exc}") from exc
+    if not isinstance(entries, list):
+        raise RevtimeError(f"{index} must hold a JSON list of items")
+    keys = [f.name for f in fields(CorpusItem)]
+    items = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise RevtimeError(f"{index}: entry {i} is not a JSON object")
+        missing = [key for key in keys if key not in entry]
+        if missing:
+            raise RevtimeError(f"{index}: entry {i} is missing key(s) {', '.join(missing)}")
+        try:
+            items.append(CorpusItem.from_dict(entry))
+        except (TypeError, ValueError, RevtimeError) as exc:
+            raise RevtimeError(f"{index}: entry {i}: {exc}") from exc
+    return items
 
 
 def _eval_one(item: CorpusItem, buf: AudioBuffer, model: MappingModel):

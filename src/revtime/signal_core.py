@@ -1,5 +1,12 @@
 """Shared DSP substrate: WAV and JSON I/O, STFT settings, Mel filterbanks,
-speech levels and SNR-controlled noise mixing."""
+speech levels, SNR-controlled noise mixing and FFT convolution.
+
+``convolve`` is a real FFT convolution on ``numpy.fft`` (``rfft``/``irfft``
+at the smallest 2^a*3^b*5^c length that holds the full output), the same
+computation ``scipy.signal.fftconvolve`` makes, bit for bit. scipy is used
+only for WAV I/O, so importing this package does not load ``scipy.signal``
+and the subpackages behind it.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.signal import fftconvolve
 
 from .errors import RevtimeError
 
@@ -322,11 +328,38 @@ def mix_at_snr(speech: AudioBuffer, noise: AudioBuffer, snr_db: float) -> AudioB
     return AudioBuffer(mixed, speech.sample_rate)
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n (n >= 1): the FFT length
+    ``scipy.fft.next_fast_len(n, real=True)`` returns."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            quotient = -(-n // p35)
+            best = min(best, p35 << (quotient - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def convolve(signal: AudioBuffer, kernel: AudioBuffer) -> AudioBuffer:
-    """Full linear convolution (output length len(a) + len(b) - 1)."""
+    """Full linear convolution (output length len(a) + len(b) - 1).
+
+    Bit-identical to ``scipy.signal.fftconvolve(a, b, mode="full")``: a
+    1-sample input is a plain product, as there, and otherwise both inputs
+    are transformed with ``rfft`` at ``_next_fast_len`` of the full length,
+    multiplied, and transformed back with ``irfft``.
+    """
     if signal.sample_rate != kernel.sample_rate:
         raise RevtimeError(
             f"sample-rate mismatch: {signal.sample_rate} Hz vs {kernel.sample_rate} Hz"
         )
-    out = fftconvolve(signal.samples, kernel.samples, mode="full")
+    x, h = signal.samples, kernel.samples
+    if x.size == 1 or h.size == 1:
+        out = x * h
+    else:
+        full = x.size + h.size - 1
+        n_fft = _next_fast_len(full)
+        out = np.fft.irfft(np.fft.rfft(x, n_fft) * np.fft.rfft(h, n_fft), n_fft)[:full]
     return AudioBuffer(out, signal.sample_rate)

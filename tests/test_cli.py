@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import revtime
 from revtime.cli import main
 from revtime.estimator import EstimatorConfig, MappingModel
 from revtime.signal_core import save_wav
@@ -203,6 +208,45 @@ class TestEvaluateAndRtf:
         assert len(lines) == 3  # header + 2 variants
         assert lines[1].startswith("full_band")
         assert lines[2].startswith("mel_band")
+
+
+_GOOD_ITEM = {"item_id": "x", "speech_path": "s.wav", "rir_path": "r.wav",
+              "noise_path": "", "snr_db": "inf", "noise_type": "none",
+              "t60_true": 0.4, "mix_path": "x.wav"}
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('[{"item_id": "x"}]', ["entry 0", "snr_db"]),
+    ("item_id,snr_db\nx,12\n", ["not valid JSON"]),
+    ('{"item_id": "x"}', ["JSON list"]),
+    ("[1]", ["entry 0 is not a JSON object"]),
+    (json.dumps([_GOOD_ITEM, {**_GOOD_ITEM, "t60_true": -1.0}]),
+     ["entry 1", "t60_true must be positive"]),
+], ids=["missing_key", "not_json", "not_a_list", "not_an_object", "bad_value"])
+def test_evaluate_malformed_items_json_exits_one(tmp_path, model_file, capsys,
+                                                 text, expected):
+    """A malformed items.json is an `error:` line and exit 1, not a traceback."""
+    (tmp_path / "items.json").write_text(text)
+    code = main(["evaluate", "--corpus", str(tmp_path), "--model",
+                 str(model_file), "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert all(part in err for part in expected), err
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    """Importing the CLI loads scipy only for WAV I/O: scipy.signal and
+    the stats stack behind it stay out of a fresh process."""
+    src = str(Path(revtime.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, revtime.cli; "
+             "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestBuildCorpusCli:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
+from scipy.signal import fftconvolve
 
 from revtime.errors import EstimationError, RevtimeError
 from revtime.estimator import EstimatorConfig, band_spectrogram
@@ -10,6 +12,7 @@ from revtime.signal_core import (
     AudioBuffer,
     BandSpectrogram,
     StftConfig,
+    _next_fast_len,
     active_speech_level,
     build_mel_filterbank,
     convolve,
@@ -340,3 +343,27 @@ class TestConvolve:
         expected = [1.0, 2.5, 4.25, 6.0, 2.75, 1.0]
         assert len(out) == 4 + 3 - 1
         assert np.allclose(out.samples, expected, atol=1e-12)
+
+    # (len(signal), len(kernel)); the full length is their sum minus one.
+    @pytest.mark.parametrize("n_x, n_h", [
+        (4000, 1),        # 1-sample kernel: a plain product in fftconvolve
+        (1, 300),         # 1-sample signal
+        (1, 1),
+        (2, 2),
+        (3, 7),
+        (200, 1500),      # kernel longer than the signal
+        (600, 425),       # full length 1024 = 2^10
+        (500, 230),       # full length 729 = 3^6
+        (700, 302),       # full length 1001, one past 1000 = 2^3 * 5^3
+        (48000, 6000),    # 3 s of speech through a 0.375 s RIR
+    ])
+    def test_bit_identical_to_scipy_fftconvolve(self, n_x, n_h):
+        rng = np.random.default_rng(n_x * 7919 + n_h)
+        x, h = rng.standard_normal(n_x), rng.standard_normal(n_h)
+        out = convolve(AudioBuffer(x, SR), AudioBuffer(h, SR))
+        assert np.array_equal(out.samples, fftconvolve(x, h, mode="full"))
+
+    def test_fft_length_matches_scipy(self):
+        sizes = list(range(1, 5001)) + list(range(5001, 200_001, 37)) + [200_000]
+        assert [_next_fast_len(n) for n in sizes] == [
+            next_fast_len(n, real=True) for n in sizes]
