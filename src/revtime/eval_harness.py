@@ -202,7 +202,10 @@ def build_corpus(manifest, out_dir) -> list:
             if row["noise"] not in noises:
                 noises[row["noise"]] = load_wav(row["noise"])
             noise = noises[row["noise"]]
-            gain = noise_gain_for_snr(reverberant, noise, row["snr_db"])
+            if level is None:
+                level = active_speech_level(reverberant)
+            gain = noise_gain_for_snr(reverberant, noise, row["snr_db"],
+                                      speech_level_db=level)
             mix = reverberant.samples + gain * noise.samples[:len(reverberant)]
         else:
             gain = 0.0
@@ -210,7 +213,8 @@ def build_corpus(manifest, out_dir) -> list:
         peak = float(np.max(np.abs(mix)))
         if peak == 0.0:
             raise RevtimeError(f"row {idx}: mix is silent")
-        # Measured after the peak check: a silent pair has no active level.
+        # A clean row measures after the peak check: a silent pair has no
+        # active level, and its error should name the row.
         if level is None:
             level = active_speech_level(reverberant)
         output_gain = PEAK_TARGET / peak

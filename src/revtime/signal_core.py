@@ -1,21 +1,24 @@
 """Shared DSP substrate: WAV and JSON I/O, STFT settings, Mel filterbanks,
 speech levels, SNR-controlled noise mixing and FFT convolution.
 
-``convolve`` is a real FFT convolution on ``numpy.fft`` (``rfft``/``irfft``
-at the smallest 2^a*3^b*5^c length that holds the full output), the same
-computation ``scipy.signal.fftconvolve`` makes, bit for bit. scipy is used
-only for WAV I/O, so importing this package does not load ``scipy.signal``
-and the subpackages behind it.
+The runtime needs numpy only. WAV files are read and written by a small RIFF
+codec on ``struct`` and ``numpy``: it reads PCM (8-bit unsigned, 16-, 24- and
+32-bit signed), IEEE float (32 and 64 bit) and ``WAVE_FORMAT_EXTENSIBLE``
+files, and writes the same bytes ``scipy.io.wavfile.write`` would. ``convolve``
+is a real FFT convolution on ``numpy.fft`` (``rfft``/``irfft`` at the smallest
+2^a*3^b*5^c length that holds the full output), the same computation
+``scipy.signal.fftconvolve`` makes, bit for bit. Oracle tests hold both to
+scipy.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import RevtimeError
 
@@ -62,30 +65,132 @@ class AudioBuffer:
         return self.samples.size / self.sample_rate
 
 
-def load_wav(path) -> AudioBuffer:
-    """Read a RIFF WAV file (PCM16 or IEEE float) as a mono AudioBuffer.
+# RIFF format tags, and the tail of the KSDATAFORMAT_SUBTYPE GUID through
+# which a WAVE_FORMAT_EXTENSIBLE header names its sub-format tag.
+_WAVE_PCM = 0x0001
+_WAVE_FLOAT = 0x0003
+_WAVE_EXTENSIBLE = 0xFFFE
+_SUBTYPE_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# Bytes per sample each format tag is read at (24-bit PCM is 3).
+_SAMPLE_WIDTHS = {_WAVE_PCM: (1, 2, 3, 4), _WAVE_FLOAT: (4, 8)}
 
-    int16 samples are scaled by 1/32768. Multichannel files are reduced to
-    channel 0 with a warning.
+
+def _parse_fmt(body: bytes):
+    """(format tag, channels, rate, bytes per sample) from a fmt chunk."""
+    if len(body) < 16:
+        raise ValueError(f"fmt chunk of {len(body)} bytes, need 16")
+    tag, channels, rate, _, block_align, bits = struct.unpack("<HHIIHH", body[:16])
+    if tag == _WAVE_EXTENSIBLE:
+        if len(body) < 40 or body[28:40] != _SUBTYPE_GUID_TAIL:
+            raise ValueError("malformed WAVE_FORMAT_EXTENSIBLE header")
+        tag = struct.unpack("<I", body[24:28])[0]
+    if tag not in _SAMPLE_WIDTHS:
+        raise ValueError(f"unsupported format tag 0x{tag:04x}")
+    if channels == 0 or rate == 0:
+        raise ValueError(f"{channels} channels at {rate} Hz")
+    width = block_align // channels
+    if (block_align != width * channels or width not in _SAMPLE_WIDTHS[tag]
+            or not 0 < bits <= 8 * width):
+        raise ValueError(f"unsupported layout: {bits}-bit samples in "
+                         f"{block_align}-byte frames of {channels} channels")
+    return tag, channels, rate, width
+
+
+def _channel0(frames: np.ndarray, tag: int, width: int) -> np.ndarray:
+    """Channel 0 of (n_frames, block_align) raw bytes as float64. Integer
+    PCM is scaled by 2^-(bits - 1) of its container; 8-bit PCM is unsigned
+    and maps to (x - 128) / 128."""
+    raw = frames[:, :width]
+    if tag == _WAVE_FLOAT:
+        return np.ascontiguousarray(raw).view(f"<f{width}").ravel().astype(np.float64)
+    if width == 1:
+        return (raw.ravel() - 128.0) / 128.0
+    if width == 3:
+        # Left-justify into 4 bytes so the sign bit lands in int32's.
+        wide = np.zeros((raw.shape[0], 4), dtype=np.uint8)
+        wide[:, 1:] = raw
+        raw, width = wide, 4
+    return np.ascontiguousarray(raw).view(f"<i{width}").ravel() / 2.0 ** (8 * width - 1)
+
+
+def _read_wav(fh):
+    """(rate, channels, channel-0 samples) from a RIFF WAVE stream; walks the
+    chunks to ``data`` and skips unknown ones, pad byte included. Raises
+    ValueError for anything malformed or unsupported."""
+    header = fh.read(12)
+    if len(header) < 12:
+        raise ValueError("truncated RIFF header")
+    if header[:4] == b"RIFX":
+        raise ValueError("big-endian RIFX files are not supported")
+    if header[:4] != b"RIFF" or header[8:] != b"WAVE":
+        raise ValueError("not a RIFF WAVE file")
+    fmt = None
+    while len(chunk := fh.read(8)) == 8:
+        kind, size = chunk[:4], struct.unpack("<I", chunk[4:])[0]
+        if kind == b"fmt ":
+            body = fh.read(size)
+            if len(body) < size:
+                raise ValueError("truncated fmt chunk")
+            fmt = _parse_fmt(body)
+        elif kind == b"data":
+            if fmt is None:
+                raise ValueError("data chunk before fmt chunk")
+            tag, channels, rate, width = fmt
+            frame = width * channels
+            whole_frames = size - size % frame
+            raw = np.fromfile(fh, dtype=np.uint8, count=whole_frames)
+            if raw.size < whole_frames:
+                raise ValueError(f"data chunk holds {raw.size} of {size} bytes")
+            return rate, channels, _channel0(raw.reshape(-1, frame), tag, width)
+        else:
+            fh.seek(size, 1)
+        if size % 2:
+            fh.seek(1, 1)
+    raise ValueError("no data chunk")
+
+
+def load_wav(path) -> AudioBuffer:
+    """Read a RIFF WAV file as a mono AudioBuffer.
+
+    Reads PCM (8-bit unsigned, 16-, 24- and 32-bit signed), IEEE float (32
+    and 64 bit) and those formats inside WAVE_FORMAT_EXTENSIBLE. Integer
+    samples are scaled to [-1, 1): int16 by 1/32768, 24-bit by 2^-23,
+    32-bit by 2^-31, unsigned 8-bit as (x - 128) / 128. Multichannel files
+    are reduced to channel 0 with a warning. Anything else raises
+    RevtimeError; a missing file raises FileNotFoundError.
     """
     try:
-        rate, data = wavfile.read(path)
+        with open(path, "rb") as fh:
+            rate, channels, samples = _read_wav(fh)
     except FileNotFoundError:
         raise
-    except Exception as exc:
+    except (OSError, ValueError) as exc:
         raise RevtimeError(f"unreadable WAV file {path}: {exc}") from exc
-    if data.size == 0:
+    if samples.size == 0:
         raise RevtimeError(f"zero-length audio: {path}")
-    if data.ndim == 2:
+    if channels > 1:
         warnings.warn(f"{path}: multichannel input, taking channel 0")
-        data = data[:, 0]
-    if data.dtype == np.int16:
-        samples = data / PCM16_SCALE
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
-        raise RevtimeError(f"unsupported WAV sample format {data.dtype}: {path}")
-    return AudioBuffer(samples, int(rate))
+    return AudioBuffer(samples, rate)
+
+
+def _write_wav(path, data: np.ndarray, rate: int) -> None:
+    """Write mono little-endian samples in the layout scipy.io.wavfile.write
+    uses: integer PCM gets a 16-byte fmt chunk; IEEE float an 18-byte one
+    (cbSize 0) followed by a fact chunk."""
+    width = data.dtype.itemsize
+    tag = _WAVE_FLOAT if data.dtype.kind == "f" else _WAVE_PCM
+    fmt = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, 8 * width)
+    fact = b""
+    if tag == _WAVE_FLOAT:
+        fmt += b"\x00\x00"  # cbSize
+        fact = b"fact" + struct.pack("<II", 4, data.size)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact
+            + b"data" + struct.pack("<I", data.nbytes))
+    if len(body) + data.nbytes > 0xFFFFFFFF:
+        raise RevtimeError(f"{path}: {data.size} samples do not fit a RIFF WAV file")
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", len(body) + data.nbytes) + body)
+        data.tofile(fh)
 
 
 def save_wav(buf: AudioBuffer, path, fmt: str = "pcm16") -> None:
@@ -99,10 +204,10 @@ def save_wav(buf: AudioBuffer, path, fmt: str = "pcm16") -> None:
         if np.max(np.abs(x)) > 1.0:
             warnings.warn(f"{path}: samples exceed full scale, clipping")
             x = np.clip(x, -1.0, 1.0)
-        pcm = np.clip(np.rint(x * PCM16_SCALE), -32768, 32767).astype(np.int16)
-        wavfile.write(path, buf.sample_rate, pcm)
+        pcm = np.clip(np.rint(x * PCM16_SCALE), -32768, 32767).astype("<i2")
+        _write_wav(path, pcm, buf.sample_rate)
     elif fmt == "float32":
-        wavfile.write(path, buf.sample_rate, buf.samples.astype(np.float32))
+        _write_wav(path, buf.samples.astype("<f4"), buf.sample_rate)
     else:
         raise RevtimeError(f"unknown WAV output format: {fmt}")
 
@@ -297,9 +402,14 @@ def active_speech_level(buf: AudioBuffer) -> float:
     return 20.0 * float(np.log10(_rms(np.concatenate(chunks))))
 
 
-def noise_gain_for_snr(speech: AudioBuffer, noise: AudioBuffer, snr_db: float) -> float:
+def noise_gain_for_snr(speech: AudioBuffer, noise: AudioBuffer, snr_db: float, *,
+                       speech_level_db: float | None = None) -> float:
     """Gain to apply to noise so that active-speech level minus noise RMS
-    level (over the speech span) equals snr_db."""
+    level (over the speech span) equals snr_db.
+
+    speech_level_db, when given, must be ``active_speech_level(speech)``;
+    a caller that mixes one signal at several SNRs measures it once.
+    """
     if speech.sample_rate != noise.sample_rate:
         raise RevtimeError(
             f"sample-rate mismatch: speech {speech.sample_rate} Hz vs noise {noise.sample_rate} Hz"
@@ -312,9 +422,10 @@ def noise_gain_for_snr(speech: AudioBuffer, noise: AudioBuffer, snr_db: float) -
     noise_rms = _rms(span)
     if noise_rms == 0.0:
         raise RevtimeError("noise is silent over the speech span")
-    speech_level = active_speech_level(speech)
+    if speech_level_db is None:
+        speech_level_db = active_speech_level(speech)
     noise_level = 20.0 * np.log10(noise_rms)
-    return float(10.0 ** ((speech_level - noise_level - snr_db) / 20.0))
+    return float(10.0 ** ((speech_level_db - noise_level - snr_db) / 20.0))
 
 
 def mix_at_snr(speech: AudioBuffer, noise: AudioBuffer, snr_db: float) -> AudioBuffer:

@@ -249,6 +249,20 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy only: a fresh `import revtime.cli` leaves no
+    scipy module in sys.modules."""
+    src = str(Path(revtime.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, revtime.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 class TestBuildCorpusCli:
     def test_missing_noise_file_exits_one(self, tmp_path, capsys):
         from conftest import exponential_rir

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from revtime import eval_harness
+from revtime import eval_harness, signal_core
 from revtime.errors import RevtimeError
 from revtime.estimator import EstimatorConfig, MappingModel
 from revtime.eval_harness import (
@@ -312,10 +312,17 @@ class TestBuildCorpusReuse:
         manifest = write_manifest(assets / "m_loads.csv", self.ROWS)
         loaded = count_calls(monkeypatch, "load_wav")
         levels = count_calls(monkeypatch, "active_speech_level")
+        remeasured = []
+        real_level = signal_core.active_speech_level
+        monkeypatch.setattr(signal_core, "active_speech_level",
+                            lambda buf: remeasured.append(buf) or real_level(buf))
         build_corpus(manifest, assets / "built_loads")
         # speech + RIR per pair run, each noise file once.
         assert len(loaded) == 2 * self.N_PAIR_RUNS + 2
+        # One level per pair run, handed to noise_gain_for_snr on every
+        # noisy row rather than measured again there.
         assert len(levels) == self.N_PAIR_RUNS
+        assert remeasured == []
 
     def test_silent_clean_row_still_reported(self, assets):
         save_wav(AudioBuffer(np.zeros(SR), SR), assets / "silent.wav")

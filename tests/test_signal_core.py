@@ -1,12 +1,17 @@
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
+from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
+from revtime.cli import main
 from revtime.errors import EstimationError, RevtimeError
-from revtime.estimator import EstimatorConfig, band_spectrogram
+from revtime.estimator import EstimatorConfig, MappingModel, band_spectrogram
 from revtime.signal_core import (
     LOG_FLOOR,
     AudioBuffer,
@@ -56,7 +61,6 @@ class TestWavIo:
         assert np.all(buf.samples == 0.0)
 
     def test_fullscale_negative_is_minus_one(self, tmp_path):
-        import scipy.io.wavfile as wavfile
         path = tmp_path / "fs.wav"
         wavfile.write(path, SR, np.array([-32768, 0, 16384], dtype=np.int16))
         buf = load_wav(path)
@@ -85,7 +89,6 @@ class TestWavIo:
         assert np.allclose(reloaded.samples, x, atol=1e-7)
 
     def test_multichannel_takes_first(self, tmp_path):
-        import scipy.io.wavfile as wavfile
         path = tmp_path / "stereo.wav"
         data = np.stack([np.full(100, 1000), np.full(100, -1000)], axis=1)
         wavfile.write(path, SR, data.astype(np.int16))
@@ -105,6 +108,161 @@ class TestWavIo:
         save_wav(AudioBuffer(samples, SR), path)
         reloaded = load_wav(path)
         assert np.max(np.abs(reloaded.samples - np.asarray(samples))) <= 1.0 / 32768
+
+
+def chunk(kind: bytes, payload: bytes) -> bytes:
+    """One RIFF chunk, with the pad byte an odd-sized payload needs."""
+    return kind + struct.pack("<I", len(payload)) + payload + b"\0" * (len(payload) % 2)
+
+
+def riff(tag, channels, rate, width, data: bytes, extensible=False, before_data=b""):
+    """A hand-built WAVE file; extensible wraps tag in WAVE_FORMAT_EXTENSIBLE."""
+    block = channels * width
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, rate,
+                      rate * block, block, 8 * width)
+    if extensible:
+        fmt += (struct.pack("<HHII", 22, 8 * width, 0, tag)
+                + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71")
+    body = b"WAVE" + chunk(b"fmt ", fmt) + before_data + chunk(b"data", data)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def pcm24_bytes(values) -> bytes:
+    """Signed 24-bit little-endian samples."""
+    return np.asarray(values, dtype="<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+
+
+def scipy_reference(path) -> np.ndarray:
+    """scipy's read of channel 0 with load_wav's scaling (scipy returns
+    24-bit PCM left-justified in int32)."""
+    _, data = wavfile.read(path)
+    if data.ndim == 2:
+        data = data[:, 0]
+    if data.dtype == np.uint8:
+        return (data.astype(np.float64) - 128.0) / 128.0
+    if data.dtype == np.int16:
+        return data / 32768.0
+    if data.dtype == np.int32:
+        return data / 2.0 ** 31
+    return data.astype(np.float64)
+
+
+def _wav_case(kind, path):
+    """Write one load-oracle file; return its channel count."""
+    rng = np.random.default_rng(17)
+    rate = 44100
+    if kind == "int16":
+        x = np.concatenate([[-32768, 32767, 0], rng.integers(-32768, 32768, 997)])
+        wavfile.write(path, rate, x.astype(np.int16))
+    elif kind == "float32":
+        wavfile.write(path, rate, rng.uniform(-1, 1, 1000).astype(np.float32))
+    elif kind == "float64":
+        wavfile.write(path, rate, rng.uniform(-1, 1, 1000))
+    elif kind == "pcm32":
+        x = np.concatenate([[-2 ** 31, 2 ** 31 - 1, 0], rng.integers(-2 ** 31, 2 ** 31, 997)])
+        wavfile.write(path, rate, x.astype(np.int32))
+    elif kind == "u8":
+        wavfile.write(path, rate, np.arange(256, dtype=np.uint8))
+    elif kind == "stereo":
+        wavfile.write(path, rate, rng.integers(-32768, 32768, (999, 2)).astype(np.int16))
+        return 2
+    elif kind in ("pcm24", "extensible_pcm24_stereo"):
+        channels = 1 if kind == "pcm24" else 2
+        x = np.concatenate([[-2 ** 23, 2 ** 23 - 1, 0] * channels,
+                            rng.integers(-2 ** 23, 2 ** 23, 998 * channels)])
+        path.write_bytes(riff(1, channels, rate, 3, pcm24_bytes(x),
+                              extensible=channels == 2))
+        return channels
+    elif kind == "extensible_float32":
+        data = rng.uniform(-1, 1, 1000).astype("<f4").tobytes()
+        path.write_bytes(riff(3, 1, rate, 4, data, extensible=True))
+    elif kind == "extensible_u8":
+        path.write_bytes(riff(1, 1, rate, 1, bytes(range(256)), extensible=True))
+    elif kind == "odd_list_chunk":
+        data = rng.integers(-32768, 32768, 1001).astype("<i2").tobytes()
+        path.write_bytes(riff(1, 1, rate, 2, data,
+                              before_data=chunk(b"LIST", b"INFOx")))
+    return 1
+
+
+class TestWavOracle:
+    """load_wav and save_wav against scipy.io.wavfile, the codec they replace."""
+
+    @pytest.mark.parametrize("rate", [8000, 16000, 44100, 48000])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16001])
+    def test_save_bytes_equal_scipy(self, tmp_path, rate, n):
+        x = np.random.default_rng(n).uniform(-1, 1, n)
+        buf = AudioBuffer(x, rate)
+        pcm = np.clip(np.rint(x * 32768.0), -32768, 32767).astype(np.int16)
+        for fmt, ref in (("pcm16", pcm), ("float32", x.astype(np.float32))):
+            save_wav(buf, tmp_path / f"{fmt}.wav", fmt=fmt)
+            wavfile.write(tmp_path / f"{fmt}_ref.wav", rate, ref)
+            assert ((tmp_path / f"{fmt}.wav").read_bytes()
+                    == (tmp_path / f"{fmt}_ref.wav").read_bytes()), fmt
+
+    @pytest.mark.parametrize("kind", [
+        "int16", "float32", "float64", "pcm24", "pcm32", "u8", "stereo",
+        "extensible_pcm24_stereo", "extensible_float32", "extensible_u8",
+        "odd_list_chunk"])
+    def test_load_equals_scipy(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.wav"
+        channels = _wav_case(kind, path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            buf = load_wav(path)
+        assert buf.sample_rate == 44100
+        assert np.array_equal(buf.samples, scipy_reference(path))
+        assert len(caught) == (channels > 1)
+
+    def test_pcm24_scale(self, tmp_path):
+        path = tmp_path / "p24.wav"
+        path.write_bytes(riff(1, 1, SR, 3, pcm24_bytes([-2 ** 23, 2 ** 22, 1])))
+        assert list(load_wav(path).samples) == [-1.0, 0.5, 2.0 ** -23]
+
+    def test_u8_scale(self, tmp_path):
+        path = tmp_path / "u8.wav"
+        path.write_bytes(riff(1, 1, SR, 1, bytes([0, 128, 192])))
+        assert list(load_wav(path).samples) == [-1.0, 0.0, 0.5]
+
+
+@pytest.fixture(scope="module")
+def const_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "const.json"
+    MappingModel(coefficients=np.array([0.5]), t60_train_max=0.95, variant_tag="mel_band",
+                 config=EstimatorConfig.default("mel_band")).save(path)
+    return path
+
+
+def _malformed(kind: str) -> bytes:
+    rng = np.random.default_rng(3)
+    data = (0.1 * rng.standard_normal(2 * SR) * 32768).astype("<i2").tobytes()
+    good = riff(1, 1, SR, 2, data)
+    fmt_chunk = good[12:36]
+    return {
+        "truncated_header": good[:10],
+        "no_data_chunk": good[:36],
+        "data_before_fmt": good[:12] + chunk(b"data", data) + fmt_chunk,
+        "rifx": b"RIFX" + good[4:],
+        "unsupported_tag": good[:20] + struct.pack("<H", 2) + good[22:],
+        "truncated_data": good[:-10],
+    }[kind]
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("truncated_header", "truncated RIFF header"),
+    ("no_data_chunk", "no data chunk"),
+    ("data_before_fmt", "data chunk before fmt chunk"),
+    ("rifx", "RIFX"),
+    ("unsupported_tag", "unsupported format tag 0x0002"),
+    ("truncated_data", "data chunk holds 63990 of 64000 bytes"),
+])
+def test_malformed_wav_exits_one(tmp_path, const_model, capsys, kind, reason):
+    path = tmp_path / f"{kind}.wav"
+    path.write_bytes(_malformed(kind))
+    code = main(["estimate", str(path), "--model", str(const_model)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: unreadable WAV file") and reason in err, err
 
 
 def front_end(variant="full_band", dynamic_range_db=1000.0, **stft):
@@ -286,6 +444,13 @@ class TestMixAtSnr:
         noise /= np.sqrt(np.mean(noise ** 2))
         gain = noise_gain_for_snr(AudioBuffer(speech, SR), AudioBuffer(noise, SR), 0.0)
         assert gain == pytest.approx(1.0, abs=1e-9)
+
+    def test_given_speech_level_gives_same_gain(self, speech):
+        noise = AudioBuffer(0.05 * np.random.default_rng(8).standard_normal(len(speech)), SR)
+        level = active_speech_level(speech)
+        for snr in (-3.0, 6.0, 18.0):
+            assert (noise_gain_for_snr(speech, noise, snr, speech_level_db=level)
+                    == noise_gain_for_snr(speech, noise, snr))
 
     @pytest.mark.parametrize("snr", [-1.0, 12.0, 18.0])
     def test_realized_snr_matches_target(self, snr, speech):
