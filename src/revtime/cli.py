@@ -21,7 +21,7 @@ from .eval_harness import (
     rtf_table,
 )
 from .room_acoustics import image_method_rir, save_rir
-from .signal_core import StftConfig, load_wav, save_json
+from .signal_core import StftConfig, _from_fields, load_wav, save_json
 from .trainer import (
     RoomSampler,
     default_t60_grid,
@@ -210,24 +210,17 @@ def cmd_build_corpus(args) -> int:
     return 0
 
 
-def _train_config(args, sample_rate: int) -> EstimatorConfig:
-    return EstimatorConfig(
-        variant=args.variant,
-        stft=StftConfig.for_sample_rate(sample_rate, args.frame_ms, args.hop_ms),
-        n_mel_bands=args.n_mel_bands,
-        window_frames=args.window_frames,
-        snr_margin=args.snr_margin,
-    )
-
-
 def cmd_train(args) -> int:
     seed = 0 if args.seed is None else args.seed
     grid = args.grid if args.grid else default_t60_grid(args.t60_max)
     sample_rate = load_wav(list_speech_files(args.speech_dir)[0]).sample_rate
+    # --variant, --n-mel-bands, --window-frames and --snr-margin set the
+    # EstimatorConfig fields they are named after.
+    stft = StftConfig.for_sample_rate(sample_rate, args.frame_ms, args.hop_ms)
+    cfg = _from_fields(EstimatorConfig, {**vars(args), "stft": stft}, "train options")
     model, pairs, summary = train_model(
-        args.speech_dir, _train_config(args, sample_rate), grid,
-        args.rooms_per_t60, seed, order=args.order, target=args.target,
-        t60_train_max=args.t60_max)
+        args.speech_dir, cfg, grid, args.rooms_per_t60, seed, order=args.order,
+        target=args.target, t60_train_max=args.t60_max)
     model.save(args.out)
     save_json({"variant": args.variant, **summary, "grid": grid,
                "target": args.target, "order": args.order, "seed": seed},

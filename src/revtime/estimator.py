@@ -10,10 +10,9 @@ polynomial in log10(NSV).
 
 from __future__ import annotations
 
-import json
 import math
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -26,7 +25,9 @@ from .signal_core import (
     AudioBuffer,
     BandSpectrogram,
     StftConfig,
+    _from_fields,
     build_mel_filterbank,
+    load_json,
     save_json,
 )
 
@@ -156,30 +157,26 @@ class MappingModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MappingModel":
-        cfg = EstimatorConfig(
-            variant=data["variant"],
-            stft=StftConfig(**data["stft"]),
-            n_mel_bands=int(data["n_mel_bands"]),
-            window_frames=int(data["window_frames"]),
-            snr_margin=float(data["snr_margin"]),
-            min_duration_s=float(data.get("min_duration_s", 1.0)),
-            dynamic_range_db=float(data.get("dynamic_range_db", 80.0)),
-        )
-        return cls(
-            coefficients=np.asarray(data["coefficients"], dtype=np.float64),
-            t60_train_max=float(data["t60_train_max"]),
-            variant_tag=data["variant"],
-            config=cfg,
-            target=data.get("target", "t60"),
-        )
+        """Inverse of to_dict. Keys that are not fields are ignored, except
+        inside stft; fields with defaults may be absent (legacy models)."""
+        config = _from_fields(EstimatorConfig, data, "model")
+        config = replace(config, stft=_from_fields(StftConfig, config.stft, "model stft"))
+        unknown = sorted(set(data["stft"]) - {f.name for f in fields(StftConfig)})
+        if unknown:
+            raise RevtimeError(f"model stft has unknown key(s) {', '.join(unknown)}")
+        return _from_fields(cls, {**data, "variant_tag": config.variant, "config": config},
+                            "model")
 
     def save(self, path) -> None:
         save_json(self.to_dict(), path)
 
     @classmethod
     def load(cls, path) -> "MappingModel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        data = load_json(path)
+        try:
+            return cls.from_dict(data)
+        except RevtimeError as exc:
+            raise RevtimeError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ statistics and real-time-factor measurement."""
 from __future__ import annotations
 
 import csv
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -17,14 +16,17 @@ from .errors import EstimationError, RevtimeError
 from .estimator import MappingModel, estimate_t60
 from .signal_core import (
     AudioBuffer,
+    _from_fields,
+    _write_rows,
     active_speech_level,
     convolve,
+    load_json,
     load_wav,
     noise_gain_for_snr,
     save_json,
     save_wav,
 )
-from .room_acoustics import schroeder_edc, t60_from_edc
+from .room_acoustics import measure_t60
 
 NOISE_TYPES = ("ambient", "fan", "babble", "synthetic_white", "synthetic_babble", "none")
 MANIFEST_FIELDS = ("speech", "rir", "noise", "snr_db", "noise_type")
@@ -58,22 +60,9 @@ class CorpusItem:
             raise RevtimeError(f"unknown noise_type {self.noise_type!r}")
 
     def to_dict(self) -> dict:
+        # JSON has no infinity; float() reads "inf" back.
         return {**asdict(self),
                 "snr_db": self.snr_db if math.isfinite(self.snr_db) else "inf"}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CorpusItem":
-        snr = d["snr_db"]
-        return cls(
-            item_id=d["item_id"],
-            speech_path=d["speech_path"],
-            rir_path=d["rir_path"],
-            noise_path=d["noise_path"],
-            snr_db=math.inf if snr == "inf" else float(snr),
-            noise_type=d["noise_type"],
-            t60_true=float(d["t60_true"]),
-            mix_path=d["mix_path"],
-        )
 
 
 @dataclass(frozen=True)
@@ -191,9 +180,7 @@ def build_corpus(manifest, out_dir) -> list:
                     f"sample-rate mismatch between {row['speech']} and {row['rir']}"
                 )
             if row["rir"] not in t60_cache:
-                t60_cache[row["rir"]] = t60_from_edc(
-                    schroeder_edc(rir), rir.sample_rate
-                )
+                t60_cache[row["rir"]] = measure_t60(rir)
             pair = (row["speech"], row["rir"])
             reverberant = convolve(speech, rir)
             level = None
@@ -249,28 +236,11 @@ def load_items(corpus_dir) -> list:
     """Read a corpus's items.json; a malformed file or entry raises
     RevtimeError naming the entry index and the offending key."""
     index = Path(corpus_dir) / "items.json"
-    if not index.exists():
-        raise RevtimeError(f"no items.json in {corpus_dir}")
-    try:
-        with open(index) as fh:
-            entries = json.load(fh)
-    except ValueError as exc:
-        raise RevtimeError(f"{index} is not valid JSON: {exc}") from exc
+    entries = load_json(index)
     if not isinstance(entries, list):
         raise RevtimeError(f"{index} must hold a JSON list of items")
-    keys = [f.name for f in fields(CorpusItem)]
-    items = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise RevtimeError(f"{index}: entry {i} is not a JSON object")
-        missing = [key for key in keys if key not in entry]
-        if missing:
-            raise RevtimeError(f"{index}: entry {i} is missing key(s) {', '.join(missing)}")
-        try:
-            items.append(CorpusItem.from_dict(entry))
-        except (TypeError, ValueError, RevtimeError) as exc:
-            raise RevtimeError(f"{index}: entry {i}: {exc}") from exc
-    return items
+    return [_from_fields(CorpusItem, entry, f"{index}: entry {i}")
+            for i, entry in enumerate(entries)]
 
 
 def _eval_one(item: CorpusItem, buf: AudioBuffer, model: MappingModel):
@@ -411,36 +381,16 @@ def rtf_table(records) -> str:
     return "\n".join(lines)
 
 
-RECORD_COLUMNS = ("item_id", "variant", "noise_type", "snr_db", "t60_true",
-                  "t60_est", "error", "cpu_time", "audio_duration", "flags")
-
-
 def write_records(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            # Fields in RECORD_COLUMNS order; floats at full precision.
-            writer.writerow([v if isinstance(v, str) else repr(v) for v in astuple(r)])
+    """Write EvalRecords as CSV, one column per field."""
+    _write_rows(EvalRecord, records, path)
 
 
 def read_records(path) -> list:
-    records = []
+    """Read write_records' CSV; a malformed row raises RevtimeError."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(EvalRecord(
-                item_id=row["item_id"],
-                variant=row["variant"],
-                noise_type=row["noise_type"],
-                snr_db=float(row["snr_db"]),
-                t60_true=float(row["t60_true"]),
-                t60_est=float(row["t60_est"]),
-                error=float(row["error"]),
-                cpu_time=float(row["cpu_time"]),
-                audio_duration=float(row["audio_duration"]),
-                flags=row["flags"],
-            ))
-    return records
+        return [_from_fields(EvalRecord, row, f"{path}: row {i}")
+                for i, row in enumerate(csv.DictReader(fh))]
 
 
 def write_report(stats_by_variant: dict, group_names, out_csv, out_dat) -> None:
@@ -457,14 +407,10 @@ def write_report(stats_by_variant: dict, group_names, out_csv, out_dat) -> None:
 
     with open(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["variant", *group_names, "median", "q25", "q75",
-                         "whisker_lo", "whisker_hi", "n", "n_outliers"])
+        writer.writerow(["variant", *group_names, *(f.name for f in fields(BoxStats))])
         for key, variant, s in rows:
-            writer.writerow([
-                variant, *[repr(k) if isinstance(k, float) else k for k in key],
-                repr(s.median), repr(s.q25), repr(s.q75),
-                repr(s.whisker_lo), repr(s.whisker_hi), s.n, s.n_outliers,
-            ])
+            writer.writerow([v if isinstance(v, str) else repr(v)
+                             for v in (variant, *key, *astuple(s))])
 
     with open(out_dat, "w") as fh:
         fh.write("# box-and-whisker data, variants side by side within each group\n")

@@ -276,11 +276,16 @@ def t60_from_edc(edc: Edc, sample_rate: int) -> float:
     return float(-60.0 / slope)
 
 
+def measure_t60(buf: AudioBuffer) -> float:
+    """Schroeder T60 of an impulse response: every label revtime assigns."""
+    return t60_from_edc(schroeder_edc(buf), buf.sample_rate)
+
+
 def save_rir(rir: Rir, path) -> float:
     """Write a simulated response as a float32 WAV (full range kept) plus a
     JSON sidecar with the same stem holding its room and its
     Schroeder-measured T60, which is returned."""
-    measured = t60_from_edc(schroeder_edc(rir), rir.buf.sample_rate)
+    measured = measure_t60(rir.buf)
     save_wav(rir.buf, path, fmt="float32")
     save_json({"room": asdict(rir.provenance), "measured_t60": measured},
               Path(path).with_suffix(".json"))

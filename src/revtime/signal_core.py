@@ -13,10 +13,11 @@ scipy.
 
 from __future__ import annotations
 
+import csv
 import json
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, astuple, dataclass, fields
 
 import numpy as np
 
@@ -220,16 +221,57 @@ def save_json(data, path) -> None:
         fh.write("\n")
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
+def load_json(path):
+    """Parse a JSON file; invalid JSON raises RevtimeError naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise RevtimeError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _from_fields(cls, data, where: str):
+    """Build dataclass ``cls`` from a mapping of strings or JSON values,
+    converting fields annotated str, int or float by that type and ignoring
+    keys that are not fields. A None value (JSON null, a short CSV row) is
+    missing. Anything malformed raises RevtimeError naming ``where``."""
+    if not isinstance(data, dict):
+        raise RevtimeError(f"{where} is not a JSON object")
+    missing = [f.name for f in fields(cls)
+               if data.get(f.name) is None and (f.name in data or f.default is MISSING)]
+    if missing:
+        raise RevtimeError(f"{where} is missing key(s) {', '.join(missing)}")
+    values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+    types = {"str": str, "int": int, "float": float}
+    for f in fields(cls):
+        # Annotations are strings under ``from __future__ import annotations``.
+        parse = types.get(getattr(f.type, "__name__", f.type))
+        if parse is not None and f.name in values:
+            try:
+                values[f.name] = parse(values[f.name])
+            except (TypeError, ValueError, OverflowError):
+                raise RevtimeError(f"{where}: {f.name} {values[f.name]!r} cannot be "
+                                   f"read as {parse.__name__}") from None
+    try:
+        return cls(**values)
+    except (TypeError, ValueError, RevtimeError) as exc:
+        raise RevtimeError(f"{where}: {exc}") from exc
+
+
+def _write_rows(cls, rows, path) -> None:
+    """Write dataclass rows as CSV under a header of ``cls``'s field names,
+    non-strings by ``repr`` (floats at full precision)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f.name for f in fields(cls)])
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else repr(v) for v in astuple(row)])
 
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Analysis parameters for the windowed STFT (all lengths in samples)."""
+    """Analysis parameters for the windowed STFT (all lengths in samples).
+    fft_len 0 stands for the smallest power of two >= frame_len."""
 
     frame_len: int
     hop: int
@@ -238,7 +280,7 @@ class StftConfig:
 
     def __post_init__(self):
         if self.fft_len == 0:
-            object.__setattr__(self, "fft_len", _next_pow2(self.frame_len))
+            object.__setattr__(self, "fft_len", 1 << (int(self.frame_len) - 1).bit_length())
         if not (0 < self.hop <= self.frame_len <= self.fft_len):
             raise RevtimeError(
                 "need 0 < hop <= frame_len <= fft_len, got "

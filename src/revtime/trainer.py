@@ -12,12 +12,11 @@ from .estimator import EstimatorConfig, MappingModel, nsv_from_audio
 from .room_acoustics import (
     RoomSpec,
     image_method_rir,
+    measure_t60,
     required_image_order,
     sabine_absorption,
-    schroeder_edc,
-    t60_from_edc,
 )
-from .signal_core import convolve, load_wav
+from .signal_core import _write_rows, convolve, load_wav
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def build_training_set(speech_dir, t60_grid, rooms_per_t60: int,
         for r in range(rooms_per_t60):
             room = sampler.sample(rng, t60, fs)
             rir = image_method_rir(room)
-            t60_true = t60_from_edc(schroeder_edc(rir), fs)
+            t60_true = measure_t60(rir.buf)
             room_id = f"t60_{t60:.3f}_room{r}"
             for path, utt in zip(paths, utts):
                 reverberant = convolve(utt, rir.buf)
@@ -209,7 +208,5 @@ def train_model(speech_dir, cfg: EstimatorConfig, t60_grid, rooms_per_t60: int,
 
 
 def pairs_to_csv(pairs, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("nsv,t60_true,room_id,utt_id\n")
-        for p in pairs:
-            fh.write(f"{p.nsv!r},{p.t60_true!r},{p.room_id},{p.utt_id}\n")
+    """Write TrainingPairs as CSV, one column per field."""
+    _write_rows(TrainingPair, pairs, path)

@@ -235,6 +235,54 @@ def test_evaluate_malformed_items_json_exits_one(tmp_path, model_file, capsys,
     assert all(part in err for part in expected), err
 
 
+_RECORDS_HEADER = ("item_id,variant,noise_type,snr_db,t60_true,t60_est,error,"
+                   "cpu_time,audio_duration,flags\n")
+_GOOD_ROW = "x,mel_band,none,inf,0.4,0.5,0.1,0.001,2.0,\n"
+
+
+@pytest.mark.parametrize("text, expected", [
+    (_RECORDS_HEADER.replace("noise_type,", "") + _GOOD_ROW.replace("none,", ""),
+     ["row 0 is missing key(s) noise_type"]),
+    (_RECORDS_HEADER + _GOOD_ROW.replace("0.5", "abc"), ["row 0", "t60_est 'abc'"]),
+    (_RECORDS_HEADER + _GOOD_ROW + "y,mel_band,none\n", ["row 1", "t60_true"]),
+], ids=["missing_column", "bad_float", "short_row"])
+def test_rtf_malformed_records_exits_one(tmp_path, capsys, text, expected):
+    """A malformed records file is an `error:` line naming the row and the
+    key, and exit 1."""
+    path = tmp_path / "records.csv"
+    path.write_text(text)
+    code = main(["rtf", "--records", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {path}")
+    assert all(part in err for part in expected), err
+
+
+def _without(key):
+    return lambda model: {k: v for k, v in model.items() if k != key}
+
+
+@pytest.mark.parametrize("corrupt, expected", [
+    (lambda model: "variant=mel_band\n", ["not valid JSON"]),
+    (_without("stft"), ["missing key(s) stft"]),
+    (_without("coefficients"), ["missing key(s) coefficients"]),
+    (lambda model: {**model, "n_mel_bands": "many"}, ["n_mel_bands 'many'"]),
+    (lambda model: {**model, "stft": {**model["stft"], "hop_ms": 16.0}},
+     ["stft has unknown key(s) hop_ms"]),
+], ids=["not_json", "no_stft", "no_coefficients", "bad_n_mel_bands", "unknown_stft_key"])
+def test_estimate_malformed_model_exits_one(tmp_path, audio_file, model_file, capsys,
+                                            corrupt, expected):
+    """A malformed model file is an `error:` line naming the file, and exit 1."""
+    model = corrupt(json.loads(Path(model_file).read_text()))
+    path = tmp_path / "model.json"
+    path.write_text(model if isinstance(model, str) else json.dumps(model))
+    code = main(["estimate", str(audio_file), "--model", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {path}")
+    assert all(part in err for part in expected), err
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     """Importing the CLI loads scipy only for WAV I/O: scipy.signal and
     the stats stack behind it stay out of a fresh process."""

@@ -1,6 +1,8 @@
+import json
 import statistics
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,11 +24,17 @@ from revtime.estimator import (
     nsv_from_audio,
     select_bins,
 )
-from revtime.signal_core import AudioBuffer, BandSpectrogram, build_mel_filterbank
+from revtime.signal_core import (
+    AudioBuffer,
+    BandSpectrogram,
+    StftConfig,
+    build_mel_filterbank,
+)
 from revtime.synth import synthetic_speech
 from stft_reference import reference_log_spectrogram, reference_mel
 
 SR = 16000
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
 def make_spec(values, hop_s=0.016, mode="mel_bands"):
@@ -381,6 +389,32 @@ class TestModelSerialization:
         assert loaded.variant_tag == model.variant_tag
         assert loaded.target == model.target
         assert loaded.config == model.config
+
+    def test_legacy_model_loads_with_defaults(self, tmp_path):
+        data = model_with([0.5]).to_dict()
+        for key in ("min_duration_s", "dynamic_range_db", "target"):
+            del data[key]
+        data["trained_by"] = "keys that are not fields are ignored"
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(data))
+        loaded = MappingModel.load(path)
+        assert loaded.target == "t60"
+        assert loaded.config == EstimatorConfig.default("mel_band")
+
+    @pytest.mark.parametrize("variant, coefficients", [
+        ("full_band", [20.27734014236536, -9.396053476463523, 1.0922586796903824]),
+        ("mel_band", [7.155050022674248, -3.16831995462521, 0.3561376858137895]),
+    ])
+    def test_benchmark_fixture_models_load(self, variant, coefficients):
+        model = MappingModel.load(FIXTURES / f"{variant}.json")
+        assert model.config == EstimatorConfig(
+            variant=variant,
+            stft=StftConfig(frame_len=512, hop=256, window="hamming", fft_len=512),
+            n_mel_bands=23, window_frames=7, snr_margin=6.0,
+            min_duration_s=1.0, dynamic_range_db=80.0)
+        assert model.coefficients.tolist() == coefficients
+        assert (model.variant_tag, model.t60_train_max, model.target) == (
+            variant, 0.95, "t60")
 
     def test_rejects_bad_variant(self):
         with pytest.raises(RevtimeError):

@@ -252,6 +252,13 @@ class TestBuildCorpus:
         root, out, items = corpus
         assert load_items(out) == items
 
+    def test_items_json_keys_that_are_not_fields_are_ignored(self, corpus, tmp_path):
+        root, out, items = corpus
+        entries = json.loads((out / "items.json").read_text())
+        (tmp_path / "items.json").write_text(
+            json.dumps([{**entry, "room": "lab"} for entry in entries]))
+        assert load_items(tmp_path) == items
+
 
 class TestBuildCorpusReuse:
     """build_corpus realizes each run of (speech, RIR) rows once and must
@@ -555,3 +562,13 @@ class TestRecordsIo:
         write_records(records, tmp_path / "rec.csv")
         loaded = read_records(tmp_path / "rec.csv")
         assert loaded == records
+
+    def test_columns_that_are_not_fields_are_ignored(self, tmp_path):
+        (tmp_path / "rec.csv").write_text(
+            "item_id,variant,noise_type,snr_db,t60_true,t60_est,error,cpu_time,"
+            "audio_duration,flags,host\n"
+            "a,full_band,none,inf,0.4,0.5,0.1,0.001,2.0,,lab-1\n")
+        [record] = read_records(tmp_path / "rec.csv")
+        assert record == EvalRecord(item_id="a", variant="full_band", noise_type="none",
+                                    snr_db=math.inf, t60_true=0.4, t60_est=0.5,
+                                    error=0.1, cpu_time=0.001, audio_duration=2.0)

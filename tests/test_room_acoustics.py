@@ -15,6 +15,7 @@ from revtime.room_acoustics import (
     RoomSpec,
     Rir,
     image_method_rir,
+    measure_t60,
     required_image_order,
     sabine_absorption,
     schroeder_edc,
@@ -335,6 +336,13 @@ class TestT60FromEdc:
         curve = np.linspace(0.0, -20.0, 1000)
         with pytest.raises(RevtimeError, match="never reached"):
             t60_from_edc(Edc(curve), SR)
+
+
+class TestMeasureT60:
+    def test_is_the_schroeder_chain_bit_for_bit(self):
+        for seed, t60 in enumerate((0.2, 0.5, 1.1)):
+            rir = exponential_rir(t60, seed=seed)
+            assert measure_t60(rir.buf) == t60_from_edc(schroeder_edc(rir), SR)
 
 
 class TestEdcType:

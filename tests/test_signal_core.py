@@ -308,6 +308,16 @@ class TestStft:
         assert spec.frame_times[1] - spec.frame_times[0] == pytest.approx(256 / SR)
         assert spec.n_bands == 512 // 2 + 1
 
+    def test_default_fft_len_is_next_power_of_two(self):
+        def next_pow2(n):  # the loop the default replaced
+            p = 1
+            while p < n:
+                p *= 2
+            return p
+
+        for n in range(1, 4097):
+            assert StftConfig(frame_len=n, hop=1).fft_len == next_pow2(n)
+
     def test_parseval_on_white_noise(self):
         # Spectral energy per frame equals windowed time energy * fft_len.
         cfg = StftConfig(frame_len=480, hop=240, window="hamming", fft_len=512)

@@ -1,9 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from revtime.errors import RevtimeError
 from revtime.estimator import EstimatorConfig, map_nsv_to_t60
-from revtime.signal_core import save_wav
+from revtime.signal_core import _from_fields, save_wav
 from revtime.synth import synthetic_speech
 from revtime.trainer import (
     RoomSampler,
@@ -11,6 +13,7 @@ from revtime.trainer import (
     build_training_set,
     default_t60_grid,
     fit_mapping,
+    pairs_to_csv,
 )
 
 SR = 16000
@@ -131,6 +134,23 @@ class TestFitMapping:
             t60, _ = map_nsv_to_t60(NsvStatistic(p.nsv, 2, 2), model)
             residuals.append(p.t60_true - t60)
         assert np.sqrt(np.mean(np.square(residuals))) <= report.rms_residual + 1e-12
+
+
+class TestPairsCsv:
+    PAIRS = [TrainingPair(5483.167421530637, 1 / 3, "t60_0.300_room0", "u0"),
+             TrainingPair(2e-3, 0.95, "room, with a comma", 'utt "quoted"')]
+
+    def test_roundtrip(self, tmp_path):
+        pairs_to_csv(self.PAIRS, tmp_path / "pairs.csv")
+        with open(tmp_path / "pairs.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [_from_fields(TrainingPair, row, "pairs") for row in rows] == self.PAIRS
+
+    def test_header_and_line_ends(self, tmp_path):
+        pairs_to_csv(self.PAIRS[:1], tmp_path / "pairs.csv")
+        assert (tmp_path / "pairs.csv").read_bytes() == (
+            b"nsv,t60_true,room_id,utt_id\r\n"
+            b"5483.167421530637,0.3333333333333333,t60_0.300_room0,u0\r\n")
 
 
 class TestBuildTrainingSet:
