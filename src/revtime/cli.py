@@ -211,6 +211,8 @@ def cmd_build_corpus(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # Before any room is simulated: a missing parent would throw the run away.
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     seed = 0 if args.seed is None else args.seed
     grid = args.grid if args.grid else default_t60_grid(args.t60_max)
     sample_rate = load_wav(list_speech_files(args.speech_dir)[0]).sample_rate

@@ -186,13 +186,6 @@ class EstimateResult:
     flags: tuple
 
 
-@lru_cache(maxsize=8)
-def _mel_filterbank(n_fft_bins: int, n_bands: int, sample_rate: int):
-    # The filterbank depends only on these three ints; rebuilding it per
-    # utterance would dominate the Mel variant's runtime.
-    return build_mel_filterbank(n_fft_bins, n_bands, sample_rate)
-
-
 @lru_cache(maxsize=32)
 def _slope_row(window_frames: int, dt: float) -> np.ndarray:
     # Second row of the pseudoinverse of the shared [1, t] design matrix.
@@ -358,7 +351,7 @@ def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:
         centers = np.arange(n_bins) * (buf.sample_rate / stft.fft_len)
         mode = "linear_bins"
     else:
-        fb = _mel_filterbank(n_bins, cfg.n_mel_bands, buf.sample_rate)
+        fb = build_mel_filterbank(n_bins, cfg.n_mel_bands, buf.sample_rate)
         np.square(mag, out=mag)
         banded = mag @ fb.weights.T
         np.log10(banded, out=banded)

@@ -17,6 +17,7 @@ from .estimator import MappingModel, estimate_t60
 from .signal_core import (
     AudioBuffer,
     _from_fields,
+    _write_csv,
     _write_rows,
     active_speech_level,
     convolve,
@@ -30,6 +31,9 @@ from .room_acoustics import measure_t60
 
 NOISE_TYPES = ("ambient", "fan", "babble", "synthetic_white", "synthetic_babble", "none")
 MANIFEST_FIELDS = ("speech", "rir", "noise", "snr_db", "noise_type")
+
+# The record fields errors are grouped by in the box-plot report.
+GROUP_BY = ("noise_type", "snr_db")
 
 # Every mix is scaled to this peak before the 16-bit write (gain recorded in
 # the sidecar). Convolution outputs are small, so writing them unscaled would
@@ -121,8 +125,9 @@ def _parse_snr(text: str, row: int) -> float:
 
 
 def read_manifest(path):
-    """Parse a corpus manifest CSV. Paths are resolved relative to it."""
-    base = Path(path).parent
+    """Parse a corpus manifest CSV into rows whose paths are absolute (read
+    relative to the manifest). A malformed row raises RevtimeError naming it."""
+    base = Path(path).absolute().parent
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -140,12 +145,15 @@ def read_manifest(path):
                 raise RevtimeError(f"row {idx}: a finite SNR needs a noise path")
             else:
                 noise_path = str(base / noise)
+            noise_type = raw["noise_type"].strip()
+            if noise_type not in NOISE_TYPES:
+                raise RevtimeError(f"row {idx}: unknown noise_type {noise_type!r}")
             rows.append({
                 "speech": str(base / raw["speech"].strip()),
                 "rir": str(base / raw["rir"].strip()),
                 "noise": noise_path,
                 "snr_db": snr,
-                "noise_type": raw["noise_type"].strip(),
+                "noise_type": noise_type,
             })
     if not rows:
         raise RevtimeError(f"manifest {path} has no rows")
@@ -162,11 +170,12 @@ def build_corpus(manifest, out_dir) -> list:
     loaded once per build. Memory stays bounded to one reverberant buffer
     plus the noise files. Rows grouped by (speech, RIR) build fastest, but
     any row order gives the same files: a pair that comes back after
-    another is simply convolved again.
+    another is simply convolved again. Every recorded path is absolute, so
+    the corpus can be evaluated from any working directory.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = read_manifest(manifest)
+    out = Path(out_dir).absolute()
+    out.mkdir(parents=True, exist_ok=True)
     t60_cache = {}
     noises = {}
     pair = reverberant = level = None
@@ -323,12 +332,12 @@ def evaluate_to_dir(items, models, out_dir, jobs: int = 1) -> dict:
     stats = {tag: box_stats(records) for tag, (records, _) in results.items()}
     write_records([r for records, _ in results.values() for r in records],
                   out / "records.csv")
-    write_report(stats, ("noise_type", "snr_db"), out / "report.csv", out / "boxplot.dat")
+    write_report(stats, out / "report.csv", out / "boxplot.dat")
     return results
 
 
-def box_stats(records, group_by=("noise_type", "snr_db"), value: str = "error"):
-    """Box summaries of one record field per group.
+def box_stats(records):
+    """Box summaries of the estimate errors per (noise_type, snr_db) group.
 
     Quartiles use linear interpolation; whiskers reach the most extreme data
     within 1.5*IQR of the box and everything beyond counts as an outlier.
@@ -337,8 +346,8 @@ def box_stats(records, group_by=("noise_type", "snr_db"), value: str = "error"):
         raise RevtimeError("no records to summarize")
     groups = {}
     for rec in records:
-        key = tuple(getattr(rec, k) for k in group_by)
-        groups.setdefault(key, []).append(float(getattr(rec, value)))
+        key = tuple(getattr(rec, k) for k in GROUP_BY)
+        groups.setdefault(key, []).append(float(rec.error))
     out = {}
     for key in sorted(groups):
         data = np.asarray(groups[key])
@@ -393,28 +402,21 @@ def read_records(path) -> list:
                 for i, row in enumerate(csv.DictReader(fh))]
 
 
-def write_report(stats_by_variant: dict, group_names, out_csv, out_dat) -> None:
+def write_report(stats_by_variant: dict, out_csv, out_dat) -> None:
     """Write grouped box statistics as CSV plus a gnuplot-ready data file.
 
     The data file has one row per variant within each group so variants sit
     side by side on the x axis, grouped by SNR.
     """
-    rows = []
-    for variant in sorted(stats_by_variant):
-        for key, stats in stats_by_variant[variant].items():
-            rows.append((key, variant, stats))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    rows = sorted(((key, variant, s) for variant, groups in stats_by_variant.items()
+                   for key, s in groups.items()), key=lambda r: r[:2])
 
-    with open(out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", *group_names, *(f.name for f in fields(BoxStats))])
-        for key, variant, s in rows:
-            writer.writerow([v if isinstance(v, str) else repr(v)
-                             for v in (variant, *key, *astuple(s))])
+    _write_csv(["variant", *GROUP_BY, *(f.name for f in fields(BoxStats))],
+               [(variant, *key, *astuple(s)) for key, variant, s in rows], out_csv)
 
     with open(out_dat, "w") as fh:
         fh.write("# box-and-whisker data, variants side by side within each group\n")
-        fh.write(f"# columns: idx variant {' '.join(group_names)} "
+        fh.write(f"# columns: idx variant {' '.join(GROUP_BY)} "
                  "whisker_lo q25 median q75 whisker_hi n_outliers\n")
         fh.write("# gnuplot: plot 'boxplot.dat' u 1:5:4:8:7:xticlabels(2) "
                  "w candlesticks whiskerbars, '' u 1:6:6:6:6 w candlesticks\n")

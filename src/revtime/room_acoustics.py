@@ -66,11 +66,12 @@ class RoomSpec:
 
 @dataclass(frozen=True, eq=False)
 class Rir:
-    """Impulse response plus where it came from (a RoomSpec or "measured")."""
+    """Simulated impulse response, the room it came from, and whether
+    max_image_order cut the image set short."""
 
     buf: AudioBuffer
-    provenance: object = "measured"
-    order_warning: bool = False
+    provenance: RoomSpec
+    order_warning: bool
 
     def __post_init__(self):
         if not np.any(self.buf.samples != 0.0):

@@ -18,6 +18,7 @@ import json
 import struct
 import warnings
 from dataclasses import MISSING, astuple, dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -258,14 +259,19 @@ def _from_fields(cls, data, where: str):
         raise RevtimeError(f"{where}: {exc}") from exc
 
 
-def _write_rows(cls, rows, path) -> None:
-    """Write dataclass rows as CSV under a header of ``cls``'s field names,
-    non-strings by ``repr`` (floats at full precision)."""
+def _write_csv(header, rows, path) -> None:
+    """Write rows of values as CSV under ``header``, non-strings by ``repr``
+    (floats at full precision)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f.name for f in fields(cls)])
+        writer.writerow(header)
         for row in rows:
-            writer.writerow([v if isinstance(v, str) else repr(v) for v in astuple(row)])
+            writer.writerow([v if isinstance(v, str) else repr(v) for v in row])
+
+
+def _write_rows(cls, rows, path) -> None:
+    """Write dataclass rows as CSV under a header of ``cls``'s field names."""
+    _write_csv([f.name for f in fields(cls)], map(astuple, rows), path)
 
 
 @dataclass(frozen=True)
@@ -291,10 +297,10 @@ class StftConfig:
 
     @classmethod
     def for_sample_rate(cls, sample_rate: int, frame_ms: float = 32.0,
-                        hop_ms: float = 16.0, window: str = "hamming") -> "StftConfig":
+                        hop_ms: float = 16.0) -> "StftConfig":
         frame = max(2, int(round(sample_rate * frame_ms / 1000.0)))
         hop = max(1, int(round(sample_rate * hop_ms / 1000.0)))
-        return cls(frame_len=frame, hop=min(hop, frame), window=window)
+        return cls(frame_len=frame, hop=min(hop, frame))
 
     def window_array(self) -> np.ndarray:
         if self.window == "hann":
@@ -364,31 +370,16 @@ class MelFilterbank:
     weights: np.ndarray
     band_centers: np.ndarray
 
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        centers = np.asarray(self.band_centers, dtype=np.float64)
-        if weights.ndim != 2 or centers.shape != (weights.shape[0],):
-            raise RevtimeError("filterbank shape mismatch")
-        if np.any(weights < 0):
-            raise RevtimeError("filterbank weights must be non-negative")
-        sums = weights.sum(axis=1)
-        if np.any(sums <= 0):
-            raise RevtimeError("every filterbank band needs nonzero support")
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
-            raise RevtimeError("filterbank rows must sum to 1")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "band_centers", centers)
 
-    @property
-    def n_bands(self) -> int:
-        return self.weights.shape[0]
-
-
+@lru_cache(maxsize=8)
 def build_mel_filterbank(n_fft_bins: int, n_bands: int, sample_rate: int) -> MelFilterbank:
     """Triangular filters with centers equally spaced on the Mel scale.
 
     Covers 0 Hz to sample_rate/2 over n_fft_bins rfft bins; rows are
-    renormalized to sum to 1 so banding is an average, not a sum.
+    renormalized to sum to 1 so banding is an average, not a sum. The
+    filterbank depends only on the three ints, so it is built once per
+    setting and shared, read-only: rebuilding it per utterance would
+    dominate the Mel variant's runtime.
     """
     if n_bands < 2:
         raise RevtimeError("need at least 2 Mel bands")
@@ -407,7 +398,10 @@ def build_mel_filterbank(n_fft_bins: int, n_bands: int, sample_rate: int) -> Mel
     if np.any(sums <= 0):
         raise RevtimeError("too many Mel bands for this FFT resolution")
     weights /= sums[:, None]
-    return MelFilterbank(weights, hz_points[1:-1])
+    centers = hz_points[1:-1]
+    weights.setflags(write=False)
+    centers.setflags(write=False)
+    return MelFilterbank(weights, centers)
 
 
 def _rms(x: np.ndarray) -> float:

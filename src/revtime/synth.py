@@ -78,11 +78,11 @@ def shaped_noise(duration_s: float, sample_rate: int, seed: int) -> AudioBuffer:
     return AudioBuffer(0.1 * x, sample_rate)
 
 
-def babble_noise(source: AudioBuffer, seed: int, n_voices: int = 8) -> AudioBuffer:
-    """Sum of shifted, attenuated copies of a held-out speech signal."""
+def babble_noise(source: AudioBuffer, seed: int) -> AudioBuffer:
+    """Sum of eight shifted, attenuated copies of a held-out speech signal."""
     rng = np.random.default_rng(seed)
     mix = np.zeros(len(source))
-    for _ in range(n_voices):
+    for _ in range(8):
         shift = int(rng.integers(0, len(source)))
         mix += rng.uniform(0.3, 1.0) * np.roll(source.samples, shift)
     rms = np.sqrt(np.mean(np.square(mix)))

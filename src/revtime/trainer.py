@@ -51,13 +51,13 @@ class RoomSampler:
     alpha_range: tuple = (0.12, 0.28)
     # Near-cubic rooms: strongly elongated boxes develop a slow axial decay
     # mode that biases the broadband T60 well past the Sabine target.
-    width_ratio: tuple = (1.0, 1.3)
-    height_ratio: tuple = (0.6, 0.9)
-    min_dim: float = 1.0
-    max_dim: float = 10.0
-    position_margin: float = 0.12
-    rir_length_factor: float = 1.3
-    rir_length_min: float = 0.25
+    width_ratio = (1.0, 1.3)
+    height_ratio = (0.6, 0.9)
+    min_dim = 1.0
+    max_dim = 10.0
+    position_margin = 0.12
+    rir_length_factor = 1.3
+    rir_length_min = 0.25
 
     def sample(self, rng: np.random.Generator, target_t60: float,
                sample_rate: int) -> RoomSpec:
@@ -109,8 +109,7 @@ def list_speech_files(speech_dir) -> list:
 
 
 def build_training_set(speech_dir, t60_grid, rooms_per_t60: int,
-                       cfg: EstimatorConfig, seed: int,
-                       sampler: RoomSampler = RoomSampler()):
+                       cfg: EstimatorConfig, seed: int):
     """Simulate rooms over a T60 grid, convolve every utterance, and collect
     (NSV, measured T60) pairs. No noise is added.
 
@@ -128,6 +127,7 @@ def build_training_set(speech_dir, t60_grid, rooms_per_t60: int,
     fs = rates.pop()
 
     rng = np.random.default_rng(seed)
+    sampler = RoomSampler()
     pairs = []
     skipped = 0
     for t60 in t60_grid:
@@ -159,8 +159,6 @@ def fit_mapping(pairs, cfg: EstimatorConfig, order: int = 2,
     (MappingModel, FitReport) with the residual reported in seconds either
     way. t60_train_max defaults to the largest measured T60 in the pairs.
     """
-    if target not in ("t60", "log_t60"):
-        raise RevtimeError("target must be 't60' or 'log_t60'")
     n = len(pairs)
     if n < 10 * (order + 1):
         raise RevtimeError(

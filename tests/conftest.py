@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from revtime.signal_core import AudioBuffer
-from revtime.room_acoustics import Rir
 from revtime.synth import synthetic_speech
 
 SR = 16000
@@ -25,7 +24,7 @@ def demo_run(tmp_path_factory):
 
 
 def exponential_rir(t60: float, sample_rate: int = SR, length_factor: float = 1.25,
-                    seed: int | None = None) -> Rir:
+                    seed: int | None = None) -> AudioBuffer:
     """RIR with an exact exponential envelope: analytic T60 by construction.
 
     An amplitude envelope exp(-t/tau) decays at (20/ln10)/tau dB/s, so
@@ -38,7 +37,7 @@ def exponential_rir(t60: float, sample_rate: int = SR, length_factor: float = 1.
     env = np.exp(-t / tau)
     if seed is not None:
         env = env * np.random.default_rng(seed).standard_normal(n)
-    return Rir(AudioBuffer(env, sample_rate), provenance="measured")
+    return AudioBuffer(env, sample_rate)
 
 
 @pytest.fixture(scope="session")

@@ -127,6 +127,22 @@ class TestTrainCli:
         assert report["n_pairs"] == 10
         assert report["t60_train_max"] == t60_max
 
+    def test_train_creates_parent_of_out(self, tmp_path, capsys):
+        speech_dir = tmp_path / "speech"
+        speech_dir.mkdir()
+        for u in range(2):
+            save_wav(synthetic_speech(1.6, SR, seed=40 + u),
+                     speech_dir / f"u{u}.wav")
+        model_path = tmp_path / "new" / "nested" / "model.json"
+        code = main([
+            "train", "--speech-dir", str(speech_dir), "--out", str(model_path),
+            "--grid", "0.2,0.4,0.6,0.8,0.95", "--rooms-per-t60", "1",
+            "--order", "0", "--quiet",
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert MappingModel.load(model_path).variant_tag == "mel_band"
+        assert model_path.with_suffix(".report.json").is_file()
+
     def test_config_file_merged_under_flags(self, tmp_path, capsys):
         cfg = tmp_path / "revtime.conf"
         cfg.write_text("# defaults\nseed=11\nquiet=true\n")
@@ -159,7 +175,7 @@ def tiny_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_corpus")
     for u in range(2):
         save_wav(synthetic_speech(1.6, SR, seed=60 + u), root / f"s{u}.wav")
-    save_wav(exponential_rir(0.4, seed=61).buf, root / "rir.wav", fmt="float32")
+    save_wav(exponential_rir(0.4, seed=61), root / "rir.wav", fmt="float32")
     (root / "m.csv").write_text(
         "speech,rir,noise,snr_db,noise_type\n"
         "s0.wav,rir.wav,,inf,none\ns1.wav,rir.wav,,inf,none\n")
@@ -316,7 +332,7 @@ class TestBuildCorpusCli:
         from conftest import exponential_rir
 
         save_wav(synthetic_speech(1.6, SR, seed=62), tmp_path / "s.wav")
-        save_wav(exponential_rir(0.4, seed=63).buf, tmp_path / "rir.wav", fmt="float32")
+        save_wav(exponential_rir(0.4, seed=63), tmp_path / "rir.wav", fmt="float32")
         (tmp_path / "m.csv").write_text(
             "speech,rir,noise,snr_db,noise_type\n"
             "s.wav,rir.wav,,inf,none\ns.wav,rir.wav,gone.wav,12,fan\n")
@@ -329,7 +345,7 @@ class TestBuildCorpusCli:
         from conftest import exponential_rir
 
         save_wav(synthetic_speech(1.6, SR, seed=62), tmp_path / "s.wav")
-        save_wav(exponential_rir(0.4, seed=63).buf, tmp_path / "rir.wav", fmt="float32")
+        save_wav(exponential_rir(0.4, seed=63), tmp_path / "rir.wav", fmt="float32")
         save_wav(synthetic_speech(2.0, SR, seed=64), tmp_path / "n.wav")
         (tmp_path / "m.csv").write_text(
             "speech,rir,noise,snr_db,noise_type\n"
@@ -339,3 +355,42 @@ class TestBuildCorpusCli:
         assert code == 1
         assert "row 1: snr_db" in capsys.readouterr().err
         assert not list((tmp_path / "corpus").glob("*.wav"))
+
+    def test_unknown_noise_type_names_row_before_writing(self, tmp_path, capsys):
+        from conftest import exponential_rir
+
+        save_wav(synthetic_speech(1.6, SR, seed=62), tmp_path / "s.wav")
+        save_wav(exponential_rir(0.4, seed=63), tmp_path / "rir.wav", fmt="float32")
+        save_wav(synthetic_speech(2.0, SR, seed=64), tmp_path / "n.wav")
+        (tmp_path / "m.csv").write_text(
+            "speech,rir,noise,snr_db,noise_type\n"
+            "s.wav,rir.wav,n.wav,12,fan\ns.wav,rir.wav,n.wav,12,fann\n")
+        out = tmp_path / "corpus"
+        code = main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
+                     "--out", str(out), "--quiet"])
+        assert code == 1
+        assert "row 1: unknown noise_type 'fann'" in capsys.readouterr().err
+        assert not list(out.glob("item*"))
+
+    def test_relative_out_evaluates_from_another_directory(self, tmp_path, model_file,
+                                                           monkeypatch, capsys):
+        from conftest import exponential_rir
+
+        build = tmp_path / "build"
+        build.mkdir()
+        save_wav(synthetic_speech(1.6, SR, seed=62), build / "s.wav")
+        save_wav(exponential_rir(0.4, seed=63), build / "rir.wav", fmt="float32")
+        (build / "m.csv").write_text(
+            "speech,rir,noise,snr_db,noise_type\ns.wav,rir.wav,,inf,none\n")
+        monkeypatch.chdir(build)
+        assert main(["build-corpus", "--manifest", "m.csv", "--out", "d/corpus",
+                     "--quiet"]) == 0
+        [item] = json.loads((build / "d" / "corpus" / "items.json").read_text())
+        for key in ("speech_path", "rir_path", "mix_path"):
+            assert Path(item[key]).is_absolute(), item[key]
+        (tmp_path / "other").mkdir()
+        monkeypatch.chdir(tmp_path / "other")
+        code = main(["evaluate", "--corpus", "../build/d/corpus",
+                     "--model", str(model_file), "--out", "eval", "--quiet"])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "other" / "eval" / "records.csv").is_file()

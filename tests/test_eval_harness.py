@@ -142,7 +142,7 @@ def corpus(tmp_path_factory):
         save_wav(synthetic_speech(1.6 + 0.3 * u, SR, seed=70 + u), root / name)
         speech_names.append(name)
     rir = exponential_rir(0.4, seed=21)
-    save_wav(rir.buf, root / "rir.wav", fmt="float32")
+    save_wav(rir, root / "rir.wav", fmt="float32")
     save_wav(shaped_noise(4.0, SR, seed=77), root / "noise.wav")
 
     manifest = root / "manifest.csv"
@@ -287,8 +287,8 @@ class TestBuildCorpusReuse:
         root = tmp_path_factory.mktemp("reuse_assets")
         save_wav(synthetic_speech(1.6, SR, seed=80), root / "s0.wav")
         save_wav(synthetic_speech(1.9, SR, seed=81), root / "s1.wav")
-        save_wav(exponential_rir(0.4, seed=82).buf, root / "r0.wav", fmt="float32")
-        save_wav(exponential_rir(0.7, seed=83).buf, root / "r1.wav", fmt="float32")
+        save_wav(exponential_rir(0.4, seed=82), root / "r0.wav", fmt="float32")
+        save_wav(exponential_rir(0.7, seed=83), root / "r1.wav", fmt="float32")
         save_wav(shaped_noise(4.0, SR, seed=84), root / "white.wav")
         save_wav(shaped_noise(4.0, SR, seed=85), root / "fan.wav")
         return root
@@ -522,8 +522,7 @@ class TestReport:
     def test_csv_roundtrip_full_precision(self, tmp_path):
         stats = {"mel_band": {("fan", 12.0): BoxStats(
             0.5 + 1e-17, 1 / 3, 2 / 3, -1 / 7, 0.9, 5, 0)}}
-        write_report(stats, ("noise_type", "snr_db"),
-                     tmp_path / "r.csv", tmp_path / "b.dat")
+        write_report(stats, tmp_path / "r.csv", tmp_path / "b.dat")
         import csv
         with open(tmp_path / "r.csv") as fh:
             row = list(csv.DictReader(fh))[0]
@@ -535,8 +534,7 @@ class TestReport:
         assert int(row["n"]) == 5
 
     def test_row_cardinality(self, tmp_path):
-        write_report(self._stats(), ("noise_type", "snr_db"),
-                     tmp_path / "r.csv", tmp_path / "b.dat")
+        write_report(self._stats(), tmp_path / "r.csv", tmp_path / "b.dat")
         lines = (tmp_path / "r.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2  # header + groups x variants
         dat = [l for l in (tmp_path / "b.dat").read_text().splitlines()
@@ -544,8 +542,7 @@ class TestReport:
         assert len(dat) == 4
 
     def test_empty_variant_set_header_only(self, tmp_path):
-        write_report({}, ("noise_type", "snr_db"),
-                      tmp_path / "r.csv", tmp_path / "b.dat")
+        write_report({}, tmp_path / "r.csv", tmp_path / "b.dat")
         lines = (tmp_path / "r.csv").read_text().strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("variant,noise_type,snr_db,median")

@@ -359,6 +359,13 @@ class TestMel:
         with pytest.raises(RevtimeError):
             build_mel_filterbank(4, 5, SR)
 
+    def test_built_once_and_read_only(self):
+        fb = build_mel_filterbank(257, 23, SR)
+        assert build_mel_filterbank(257, 23, SR) is fb
+        for array in (fb.weights, fb.band_centers):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     def test_flat_frame_is_identity(self):
         # A click under a rectangular window has a flat magnitude spectrum,
         # |X| = 1 in every bin of frames 2 and 3 (starts 512, 768).

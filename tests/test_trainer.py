@@ -102,6 +102,11 @@ class TestFitMapping:
         with pytest.raises(RevtimeError, match="rank"):
             fit_mapping(pairs, CFG, order=1)
 
+    def test_unknown_target_rejected(self):
+        pairs = synthetic_pairs([0.5], np.logspace(2, 5, 12))
+        with pytest.raises(RevtimeError, match="target must be"):
+            fit_mapping(pairs, CFG, order=0, target="seconds")
+
     def test_train_max_override_stamped(self):
         pairs = synthetic_pairs([0.5], np.logspace(2, 5, 12))
         model, _ = fit_mapping(pairs, CFG, order=0, t60_train_max=1.85)
