@@ -12,7 +12,7 @@ import numpy as np
 
 from .demo import run_demo
 from .errors import EstimationError, RevtimeError
-from .estimator import EstimatorConfig, MappingModel, estimate_t60
+from .estimator import TARGETS, VARIANTS, EstimatorConfig, MappingModel, estimate_t60
 from .eval_harness import (
     build_corpus,
     evaluate_to_dir,
@@ -21,7 +21,7 @@ from .eval_harness import (
     rtf_table,
 )
 from .room_acoustics import image_method_rir, save_rir
-from .signal_core import StftConfig, _from_fields, load_wav, save_json
+from .signal_core import FRAME_MS, HOP_MS, StftConfig, _from_fields, load_wav, save_json
 from .trainer import (
     RoomSampler,
     default_t60_grid,
@@ -64,8 +64,7 @@ def _build_parser():
                         help="estimate T60 for one audio file")
     p.add_argument("audio", help="WAV file to analyze")
     p.add_argument("--model", required=True, help="trained model JSON")
-    p.add_argument("--json", action="store_true", dest="as_json",
-                   help="machine-readable output")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_estimate)
 
     p = subs.add_parser("simulate-rir", parents=[common],
@@ -88,20 +87,19 @@ def _build_parser():
     p.add_argument("--speech-dir", required=True,
                    help="directory of anechoic WAV files")
     p.add_argument("--out", required=True, help="output model JSON")
-    p.add_argument("--variant", choices=("full_band", "mel_band"),
-                   default="mel_band")
+    p.add_argument("--variant", choices=VARIANTS, default="mel_band")
     p.add_argument("--t60-max", type=float, default=0.95,
                    help="top of the training range; stamped into the model")
     p.add_argument("--grid", type=_floats, default=None,
                    help="explicit comma-separated T60 grid")
     p.add_argument("--rooms-per-t60", type=int, default=3)
     p.add_argument("--order", type=int, default=2)
-    p.add_argument("--target", choices=("t60", "log_t60"), default="t60")
-    p.add_argument("--n-mel-bands", type=int, default=23)
-    p.add_argument("--window-frames", type=int, default=7)
-    p.add_argument("--snr-margin", type=float, default=6.0)
-    p.add_argument("--frame-ms", type=float, default=32.0)
-    p.add_argument("--hop-ms", type=float, default=16.0)
+    p.add_argument("--target", choices=TARGETS, default="t60")
+    p.add_argument("--n-mel-bands", type=int, default=EstimatorConfig.n_mel_bands)
+    p.add_argument("--window-frames", type=int, default=EstimatorConfig.window_frames)
+    p.add_argument("--snr-margin", type=float, default=EstimatorConfig.snr_margin)
+    p.add_argument("--frame-ms", type=float, default=FRAME_MS)
+    p.add_argument("--hop-ms", type=float, default=HOP_MS)
     p.add_argument("--pairs-csv", default=None,
                    help="also dump training pairs as CSV")
     p.set_defaults(func=cmd_train)
@@ -135,40 +133,33 @@ def _build_parser():
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_demo)
 
-    return parser, subs.choices
+    return parser
 
 
-def _load_config_file(path) -> dict:
-    entries = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("["):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise RevtimeError(f"config line without '=': {line!r}")
-            entries[key.strip().replace("-", "_")] = value.strip()
-    return entries
-
-
-def _apply_config(args, subparser) -> None:
-    """Fill in flags the user left at their defaults from the config file."""
-    entries = _load_config_file(args.config)
-    actions = {a.dest: a for a in subparser._actions}
-    for key, raw in entries.items():
-        action = actions.get(key)
-        if action is None:
+def _config_tokens(path, args) -> list:
+    """Turn a key=value config file into --flag=value tokens. A key is a long
+    option name of the parsed subcommand; a true boolean adds its bare flag."""
+    keys = set(vars(args)) - {"command", "func", "config"}
+    tokens = []
+    for line in Path(path).read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith(("#", "[")):
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        dest = key.replace("-", "_")
+        if not sep:
+            raise RevtimeError(f"config line without '=': {line!r}")
+        if dest not in keys:
             raise RevtimeError(f"unknown config key: {key}")
-        if getattr(args, key) != action.default:
-            continue  # explicit flag wins
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            value = action.type(raw)
-        else:
-            value = raw
-        setattr(args, key, value)
+        flag = "--" + dest.replace("_", "-")
+        if not isinstance(getattr(args, dest), bool):
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("true", "1", "yes", "on"):
+            tokens.append(flag)
+        elif value.lower() not in ("false", "0", "no", "off"):
+            raise RevtimeError(f"config key {key}: {value!r} is not "
+                               "true/false, 1/0, yes/no or on/off")
+    return tokens
 
 
 def cmd_estimate(args) -> int:
@@ -176,7 +167,7 @@ def cmd_estimate(args) -> int:
     model = MappingModel.load(args.model)
     result = estimate_t60(load_wav(args.audio), model)
     flags = ",".join(result.flags) or "none"
-    if args.as_json:
+    if args.json:
         print(json.dumps({
             "t60_seconds": result.t60,
             "nsv": result.nsv.value,
@@ -212,7 +203,8 @@ def cmd_build_corpus(args) -> int:
 
 def cmd_train(args) -> int:
     # Before any room is simulated: a missing parent would throw the run away.
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    for path in filter(None, (args.out, args.pairs_csv)):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
     seed = 0 if args.seed is None else args.seed
     grid = args.grid if args.grid else default_t60_grid(args.t60_max)
     sample_rate = load_wav(list_speech_files(args.speech_dir)[0]).sample_rate
@@ -264,11 +256,14 @@ def cmd_demo(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser, subparsers = _build_parser()
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            _apply_config(args, subparsers[args.command])
+        if args.config:  # the file's flags go first, so the user's own win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_tokens(args.config, args),
+                                      *argv[at:]])
         return args.func(args)
     except EstimationError as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)

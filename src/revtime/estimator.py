@@ -32,6 +32,7 @@ from .signal_core import (
 )
 
 VARIANTS = ("full_band", "mel_band")
+TARGETS = ("t60", "log_t60")  # a mapping fits T60 in seconds, or log10 of it
 
 # Fraction of frames assumed noise-dominated when estimating each band's
 # noise floor.
@@ -131,15 +132,13 @@ class MappingModel:
             raise RevtimeError("coefficients must be a non-empty finite vector")
         if self.t60_train_max <= 0:
             raise RevtimeError("t60_train_max must be positive")
-        if self.variant_tag not in VARIANTS:
-            raise RevtimeError(f"variant_tag must be one of {VARIANTS}")
         if self.config.variant != self.variant_tag:
             raise RevtimeError(
                 f"config variant {self.config.variant!r} does not match "
                 f"model {self.variant_tag!r}"
             )
-        if self.target not in ("t60", "log_t60"):
-            raise RevtimeError("target must be 't60' or 'log_t60'")
+        if self.target not in TARGETS:
+            raise RevtimeError(f"target must be one of {TARGETS}")
         object.__setattr__(self, "coefficients", coeffs)
 
     def to_dict(self) -> dict:

@@ -174,6 +174,10 @@ def build_corpus(manifest, out_dir) -> list:
     the corpus can be evaluated from any working directory.
     """
     rows = read_manifest(manifest)
+    for idx, row in enumerate(rows):
+        for path in filter(None, (row["speech"], row["rir"], row["noise"])):
+            if not Path(path).is_file():
+                raise RevtimeError(f"row {idx}: no such file {path}")
     out = Path(out_dir).absolute()
     out.mkdir(parents=True, exist_ok=True)
     t60_cache = {}

@@ -36,6 +36,7 @@ ACTIVITY_FRAME_S = 0.010
 ACTIVITY_THRESHOLD_DB = -35.0
 
 WINDOW_KINDS = ("hann", "hamming", "rect")
+FRAME_MS, HOP_MS = 32.0, 16.0  # default STFT frame and hop
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,8 +297,8 @@ class StftConfig:
             raise RevtimeError(f"window must be one of {WINDOW_KINDS}")
 
     @classmethod
-    def for_sample_rate(cls, sample_rate: int, frame_ms: float = 32.0,
-                        hop_ms: float = 16.0) -> "StftConfig":
+    def for_sample_rate(cls, sample_rate: int, frame_ms: float = FRAME_MS,
+                        hop_ms: float = HOP_MS) -> "StftConfig":
         frame = max(2, int(round(sample_rate * frame_ms / 1000.0)))
         hop = max(1, int(round(sample_rate * hop_ms / 1000.0)))
         return cls(frame_len=frame, hop=min(hop, frame))

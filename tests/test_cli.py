@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import revtime
+from revtime import cli, trainer
 from revtime.cli import main
 from revtime.estimator import EstimatorConfig, MappingModel
 from revtime.signal_core import save_wav
@@ -159,6 +160,22 @@ class TestTrainCli:
         b = next((tmp_path / "r2").glob("*.json")).read_text()
         assert a != b  # different seeds produce different rooms
 
+    def test_train_creates_parent_of_pairs_csv(self, tmp_path, capsys):
+        speech_dir = tmp_path / "speech"
+        speech_dir.mkdir()
+        for u in range(2):
+            save_wav(synthetic_speech(1.6, SR, seed=40 + u),
+                     speech_dir / f"u{u}.wav")
+        pairs_csv = tmp_path / "new" / "p.csv"
+        code = main([
+            "train", "--speech-dir", str(speech_dir),
+            "--out", str(tmp_path / "model.json"), "--pairs-csv", str(pairs_csv),
+            "--grid", "0.2,0.4,0.6,0.8,0.95", "--rooms-per-t60", "1",
+            "--order", "0", "--quiet",
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert pairs_csv.read_text().startswith("nsv,t60_true,")
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("bogus_key=1\n")
@@ -166,6 +183,97 @@ class TestTrainCli:
                      "--t60", "0.3", "--config", str(cfg)])
         assert code == 1
         assert "bogus_key" in capsys.readouterr().err
+
+
+class TestConfigFile:
+    """A config file is turned into flags placed before the user's own, so
+    argparse applies every type, choice and precedence rule to it."""
+
+    def test_explicit_flag_equal_to_default_wins(self, tmp_path):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text("rooms_per_t60=2\n")
+        out = tmp_path / "rirs"
+        code = main(["simulate-rir", "--t60", "0.3", "--rooms-per-t60", "1",
+                     "--out", str(out), "--config", str(cfg), "--quiet"])
+        assert code == 0
+        assert len(list(out.glob("*.wav"))) == 1
+
+    def test_malformed_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text("rooms-per-t60 = abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate-rir", "--t60", "0.3", "--out", str(tmp_path / "r"),
+                  "--config", str(cfg)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: revtime simulate-rir")
+        assert "argument --rooms-per-t60: invalid int value: 'abc'" in err
+
+    def test_help_is_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text("help=1\n")
+        code = main(["simulate-rir", "--t60", "0.3", "--out", str(tmp_path / "r"),
+                     "--config", str(cfg)])
+        assert code == 1
+        assert "unknown config key: help" in capsys.readouterr().err
+
+    def test_bad_choice_fails_before_any_room(self, tmp_path, monkeypatch, capsys):
+        speech_dir = tmp_path / "speech"
+        speech_dir.mkdir()
+        save_wav(synthetic_speech(1.6, SR, seed=40), speech_dir / "u0.wav")
+        rooms = []
+
+        def no_room(room):
+            rooms.append(room)
+            raise AssertionError("a room was simulated")
+
+        monkeypatch.setattr(trainer, "image_method_rir", no_room)
+        cfg = tmp_path / "c.conf"
+        cfg.write_text("target=seconds\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--speech-dir", str(speech_dir),
+                  "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
+        assert exc.value.code == 1
+        assert "argument --target: invalid choice: 'seconds'" in capsys.readouterr().err
+        assert rooms == []
+
+    @pytest.mark.parametrize("value, quiet", [
+        ("true", True), ("YES", True), ("on", True), ("1", True),
+        ("false", False), ("no", False), ("off", False), ("0", False),
+    ])
+    def test_boolean_values(self, tmp_path, capsys, value, quiet):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(f"quiet={value}\n")
+        code = main(["simulate-rir", "--t60", "0.3", "--out", str(tmp_path / "r"),
+                     "--config", str(cfg)])
+        assert code == 0
+        assert (capsys.readouterr().out == "") == quiet
+
+    def test_bad_boolean_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text("quiet=maybe\n")
+        out = tmp_path / "r"
+        code = main(["simulate-rir", "--t60", "0.3", "--out", str(out),
+                     "--config", str(cfg)])
+        assert code == 1
+        assert "quiet: 'maybe'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_key(self, tmp_path, audio_file, model_file, capsys):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text("json=yes\n")
+        code = main(["estimate", str(audio_file), "--model", str(model_file),
+                     "--config", str(cfg)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["t60_seconds"] == 0.5
+
+    def test_negative_list_reaches_demo(self, tmp_path, monkeypatch):
+        seen = {}
+        monkeypatch.setattr(cli, "run_demo", lambda out, **kw: seen.update(kw))
+        cfg = tmp_path / "c.conf"
+        cfg.write_text("snr_list=-1,12\n")
+        assert main(["demo", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 0
+        assert seen["snr_list"] == [-1.0, 12.0]
 
 
 @pytest.fixture(scope="module")
@@ -336,10 +444,33 @@ class TestBuildCorpusCli:
         (tmp_path / "m.csv").write_text(
             "speech,rir,noise,snr_db,noise_type\n"
             "s.wav,rir.wav,,inf,none\ns.wav,rir.wav,gone.wav,12,fan\n")
+        out = tmp_path / "corpus"
         code = main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
-                     "--out", str(tmp_path / "corpus"), "--quiet"])
+                     "--out", str(out), "--quiet"])
         assert code == 1
-        assert "gone.wav" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "row 1" in err and "gone.wav" in err
+        assert not list(out.glob("item*"))
+
+    @pytest.mark.parametrize("column", ["speech", "rir"])
+    def test_missing_file_names_row_before_writing(self, tmp_path, capsys, column):
+        from conftest import exponential_rir
+
+        save_wav(synthetic_speech(1.6, SR, seed=62), tmp_path / "s.wav")
+        save_wav(exponential_rir(0.4, seed=63), tmp_path / "rir.wav", fmt="float32")
+        save_wav(synthetic_speech(2.0, SR, seed=64), tmp_path / "n.wav")
+        row = {"speech": "s.wav", "rir": "rir.wav", "noise": "n.wav", column: "gone.wav"}
+        (tmp_path / "m.csv").write_text(
+            "speech,rir,noise,snr_db,noise_type\n"
+            "s.wav,rir.wav,n.wav,12,fan\n"
+            f"{row['speech']},{row['rir']},{row['noise']},12,fan\n")
+        out = tmp_path / "corpus"
+        code = main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
+                     "--out", str(out), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "row 1" in err and "gone.wav" in err
+        assert not list(out.glob("item*"))
 
     def test_minus_inf_snr_row_exits_one(self, tmp_path, capsys):
         from conftest import exponential_rir
