@@ -21,7 +21,7 @@ from .eval_harness import (
     rtf_table,
 )
 from .room_acoustics import image_method_rir, save_rir
-from .signal_core import FRAME_MS, HOP_MS, StftConfig, _from_fields, load_wav, save_json
+from .signal_core import FRAME_MS, HOP_MS, StftConfig, _from_fields, load_wav, read_lines, save_json
 from .trainer import (
     RoomSampler,
     default_t60_grid,
@@ -141,7 +141,7 @@ def _config_tokens(path, args) -> list:
     option name of the parsed subcommand; a true boolean adds its bare flag."""
     keys = set(vars(args)) - {"command", "func", "config"}
     tokens = []
-    for line in Path(path).read_text().splitlines():
+    for line in read_lines(path):
         line = line.strip()
         if not line or line.startswith(("#", "[")):
             continue

@@ -122,7 +122,6 @@ class MappingModel:
 
     coefficients: np.ndarray
     t60_train_max: float
-    variant_tag: str
     config: EstimatorConfig
     target: str = "t60"
 
@@ -132,14 +131,13 @@ class MappingModel:
             raise RevtimeError("coefficients must be a non-empty finite vector")
         if self.t60_train_max <= 0:
             raise RevtimeError("t60_train_max must be positive")
-        if self.config.variant != self.variant_tag:
-            raise RevtimeError(
-                f"config variant {self.config.variant!r} does not match "
-                f"model {self.variant_tag!r}"
-            )
         if self.target not in TARGETS:
             raise RevtimeError(f"target must be one of {TARGETS}")
         object.__setattr__(self, "coefficients", coeffs)
+
+    @property
+    def variant_tag(self) -> str:
+        return self.config.variant
 
     def to_dict(self) -> dict:
         # Every EstimatorConfig field but variant (the model's own tag), in
@@ -163,8 +161,7 @@ class MappingModel:
         unknown = sorted(set(data["stft"]) - {f.name for f in fields(StftConfig)})
         if unknown:
             raise RevtimeError(f"model stft has unknown key(s) {', '.join(unknown)}")
-        return _from_fields(cls, {**data, "variant_tag": config.variant, "config": config},
-                            "model")
+        return _from_fields(cls, {**data, "config": config}, "model")
 
     def save(self, path) -> None:
         save_json(self.to_dict(), path)

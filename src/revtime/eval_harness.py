@@ -24,6 +24,7 @@ from .signal_core import (
     load_json,
     load_wav,
     noise_gain_for_snr,
+    read_lines,
     save_json,
     save_wav,
 )
@@ -129,32 +130,31 @@ def read_manifest(path):
     relative to the manifest). A malformed row raises RevtimeError naming it."""
     base = Path(path).absolute().parent
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(MANIFEST_FIELDS) - set(reader.fieldnames or ())
-        if missing:
-            raise RevtimeError(f"manifest missing columns: {sorted(missing)}")
-        for idx, raw in enumerate(reader):
-            if None in raw or None in raw.values():
-                raise RevtimeError(f"row {idx}: expected {len(reader.fieldnames)} columns")
-            snr = _parse_snr(raw["snr_db"], idx)
-            noise = raw["noise"].strip()
-            if not math.isfinite(snr) and not noise:
-                noise_path = ""
-            elif not noise:
-                raise RevtimeError(f"row {idx}: a finite SNR needs a noise path")
-            else:
-                noise_path = str(base / noise)
-            noise_type = raw["noise_type"].strip()
-            if noise_type not in NOISE_TYPES:
-                raise RevtimeError(f"row {idx}: unknown noise_type {noise_type!r}")
-            rows.append({
-                "speech": str(base / raw["speech"].strip()),
-                "rir": str(base / raw["rir"].strip()),
-                "noise": noise_path,
-                "snr_db": snr,
-                "noise_type": noise_type,
-            })
+    reader = csv.DictReader(read_lines(path))
+    missing = set(MANIFEST_FIELDS) - set(reader.fieldnames or ())
+    if missing:
+        raise RevtimeError(f"manifest missing columns: {sorted(missing)}")
+    for idx, raw in enumerate(reader):
+        if None in raw or None in raw.values():
+            raise RevtimeError(f"row {idx}: expected {len(reader.fieldnames)} columns")
+        snr = _parse_snr(raw["snr_db"], idx)
+        noise = raw["noise"].strip()
+        if not math.isfinite(snr) and not noise:
+            noise_path = ""
+        elif not noise:
+            raise RevtimeError(f"row {idx}: a finite SNR needs a noise path")
+        else:
+            noise_path = str(base / noise)
+        noise_type = raw["noise_type"].strip()
+        if noise_type not in NOISE_TYPES:
+            raise RevtimeError(f"row {idx}: unknown noise_type {noise_type!r}")
+        rows.append({
+            "speech": str(base / raw["speech"].strip()),
+            "rir": str(base / raw["rir"].strip()),
+            "noise": noise_path,
+            "snr_db": snr,
+            "noise_type": noise_type,
+        })
     if not rows:
         raise RevtimeError(f"manifest {path} has no rows")
     return rows
@@ -401,9 +401,8 @@ def write_records(records, path) -> None:
 
 def read_records(path) -> list:
     """Read write_records' CSV; a malformed row raises RevtimeError."""
-    with open(path, newline="") as fh:
-        return [_from_fields(EvalRecord, row, f"{path}: row {i}")
-                for i, row in enumerate(csv.DictReader(fh))]
+    return [_from_fields(EvalRecord, row, f"{path}: row {i}")
+            for i, row in enumerate(csv.DictReader(read_lines(path)))]
 
 
 def write_report(stats_by_variant: dict, out_csv, out_dat) -> None:

@@ -3,7 +3,6 @@ Schroeder backward-integration T60 measurement."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
@@ -34,7 +33,6 @@ class RoomSpec:
     target_t60: float
     sample_rate: int
     rir_length: float
-    max_image_order: int
 
     def __post_init__(self):
         dims = tuple(float(v) for v in self.dims)
@@ -55,23 +53,18 @@ class RoomSpec:
             raise RevtimeError("rir_length must be at least target_t60")
         if int(self.sample_rate) <= 0:
             raise RevtimeError("sample_rate must be positive")
-        if int(self.max_image_order) < 0:
-            raise RevtimeError("max_image_order must be non-negative")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "mic", mic)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
-        object.__setattr__(self, "max_image_order", int(self.max_image_order))
 
 
 @dataclass(frozen=True, eq=False)
 class Rir:
-    """Simulated impulse response, the room it came from, and whether
-    max_image_order cut the image set short."""
+    """Simulated impulse response and the room it came from."""
 
     buf: AudioBuffer
     provenance: RoomSpec
-    order_warning: bool
 
     def __post_init__(self):
         if not np.any(self.buf.samples != 0.0):
@@ -117,12 +110,6 @@ def _axis_orders(dims, rir_length: float) -> list:
     return [int(np.ceil(reach / (2.0 * float(d)))) + 1 for d in dims]
 
 
-def required_image_order(dims, rir_length: float) -> int:
-    """Image order that covers rir_length on every axis (the order of the
-    smallest dimension)."""
-    return max(_axis_orders(dims, rir_length))
-
-
 # Images enumerated per x-slab by image_method_rir: enough to amortize the
 # per-slab overhead, few enough that a slab's temporaries stay in cache.
 _SLAB_IMAGES = 1 << 16
@@ -150,8 +137,9 @@ def image_method_rir(spec: RoomSpec) -> Rir:
     Each image contributes amplitude 1 / (4*pi*distance) at the
     nearest-sample arrival time.
 
-    Images are enumerated in eight parity blocks over per-axis orders. Each
-    block is walked in x-slabs of about _SLAB_IMAGES images, and each slab
+    Images are enumerated in eight parity blocks over the per-axis orders
+    of _axis_orders, so the image set always covers rir_length. Each block
+    is walked in x-slabs of about _SLAB_IMAGES images, and each slab
     is clipped to the y/z bounding box of the sphere's cross-section over
     that slab, so the (2N+1)**3 cube is never built. The exact test
     ``dist2 <= radius**2`` (a sphere one sample wider than the response,
@@ -173,13 +161,6 @@ def image_method_rir(spec: RoomSpec) -> Rir:
     mic = np.asarray(spec.mic)
 
     orders = _axis_orders(spec.dims, spec.rir_length)
-    order_warning = max(orders) > spec.max_image_order
-    if order_warning:
-        orders = [min(n, spec.max_image_order) for n in orders]
-        warnings.warn(
-            "max_image_order truncates the image set before rir_length is covered"
-        )
-
     axis_n = [np.arange(-orders[d], orders[d] + 1) for d in range(3)]
     # rint(fs * dist / c) < n_out needs fs * dist / c <= n_out - 0.5. A sphere
     # of n_out + 1 samples leaves 1.5 samples of margin, far above rounding
@@ -237,7 +218,7 @@ def image_method_rir(spec: RoomSpec) -> Rir:
             amp = gains.take(refl) / (4.0 * np.pi * dist)
             np.add.at(block, sample, amp)
         h += block[:n_out]
-    return Rir(AudioBuffer(h, fs), provenance=spec, order_warning=order_warning)
+    return Rir(AudioBuffer(h, fs), provenance=spec)
 
 
 def schroeder_edc(rir) -> Edc:

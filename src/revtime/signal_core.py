@@ -232,6 +232,16 @@ def load_json(path):
             raise RevtimeError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def read_lines(path) -> list:
+    """A text file's lines with their ends, as csv reads them; bytes that
+    do not decode raise RevtimeError naming the file."""
+    with open(path, newline="") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise RevtimeError(f"{path} cannot be read as text: {exc}") from exc
+
+
 def _from_fields(cls, data, where: str):
     """Build dataclass ``cls`` from a mapping of strings or JSON values,
     converting fields annotated str, int or float by that type and ignoring

@@ -9,13 +9,7 @@ import numpy as np
 
 from .errors import EstimationError, RevtimeError
 from .estimator import EstimatorConfig, MappingModel, nsv_from_audio
-from .room_acoustics import (
-    RoomSpec,
-    image_method_rir,
-    measure_t60,
-    required_image_order,
-    sabine_absorption,
-)
+from .room_acoustics import RoomSpec, image_method_rir, measure_t60, sabine_absorption
 from .signal_core import _write_rows, convolve, load_wav
 
 
@@ -89,7 +83,6 @@ class RoomSampler:
             target_t60=float(target_t60),
             sample_rate=sample_rate,
             rir_length=float(rir_length),
-            max_image_order=required_image_order(dims, rir_length),
         )
 
 
@@ -178,7 +171,6 @@ def fit_mapping(pairs, cfg: EstimatorConfig, order: int = 2,
     model = MappingModel(
         coefficients=coeffs,
         t60_train_max=t_max,
-        variant_tag=cfg.variant,
         config=cfg,
         target=target,
     )

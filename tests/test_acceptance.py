@@ -24,7 +24,6 @@ from revtime.eval_harness import read_records, rtf
 from revtime.room_acoustics import (
     RoomSpec,
     image_method_rir,
-    required_image_order,
     schroeder_edc,
     t60_from_edc,
 )
@@ -134,8 +133,7 @@ def test_criterion_06_monotone_trend():
     nsvs, trues = [], []
     for t60 in (0.2, 0.4, 0.6, 0.8, 1.0, 1.2):
         length = max(0.3, 1.3 * t60)
-        spec = RoomSpec(dims, src, mic, t60, SR, length,
-                        required_image_order(dims, length))
+        spec = RoomSpec(dims, src, mic, t60, SR, length)
         rir = image_method_rir(spec)
         true = t60_from_edc(schroeder_edc(rir), SR)
         for seed in (200, 201):
@@ -181,7 +179,6 @@ def test_criterion_09_clamp_behavior():
     model = MappingModel(
         coefficients=np.array([-0.75, 0.0]),  # constant negative output
         t60_train_max=0.95,
-        variant_tag="mel_band",
         config=EstimatorConfig.default("mel_band"),
     )
     t60, flags = map_nsv_to_t60(NsvStatistic(250.0, 10, 20), model)

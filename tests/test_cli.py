@@ -30,7 +30,6 @@ def model_file(tmp_path_factory):
     MappingModel(
         coefficients=np.array([0.5]),
         t60_train_max=0.95,
-        variant_tag="mel_band",
         config=EstimatorConfig.default("mel_band"),
     ).save(path)
     return path
@@ -301,7 +300,6 @@ class TestEvaluateAndRtf:
             MappingModel(
                 coefficients=np.array([0.5]),
                 t60_train_max=0.95,
-                variant_tag=variant,
                 config=EstimatorConfig.default(variant),
             ).save(path)
             paths.append(str(path))
@@ -332,6 +330,22 @@ class TestEvaluateAndRtf:
         assert len(lines) == 3  # header + 2 variants
         assert lines[1].startswith("full_band")
         assert lines[2].startswith("mel_band")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate-rir", "--t60", "0.3", "--out", "{out}", "--config", "{path}"],
+    ["build-corpus", "--manifest", "{path}", "--out", "{out}"],
+    ["rtf", "--records", "{path}"],
+], ids=["config", "manifest", "records"])
+def test_non_text_input_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\xfe\x00\x01")
+    argv = [arg.format(path=path, out=tmp_path / "out") for arg in command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 _GOOD_ITEM = {"item_id": "x", "speech_path": "s.wav", "rir_path": "r.wav",

@@ -191,7 +191,6 @@ def model_with(coeffs, target="t60", variant="mel_band", t60_max=0.95):
     return MappingModel(
         coefficients=np.asarray(coeffs, dtype=float),
         t60_train_max=t60_max,
-        variant_tag=variant,
         config=EstimatorConfig.default(variant),
         target=target,
     )
@@ -364,14 +363,6 @@ class TestEstimateT60:
             assert scaled.value == pytest.approx(base.value, rel=1e-9)
             assert scaled.n_negative == base.n_negative
             assert scaled.n_selected == base.n_selected
-
-    def test_variant_mismatch(self):
-        # estimate_t60 runs the model's own config, so a model whose config
-        # belongs to the other variant cannot be built.
-        with pytest.raises(RevtimeError, match="variant"):
-            MappingModel(coefficients=np.array([0.5]), t60_train_max=0.95,
-                         variant_tag="full_band",
-                         config=EstimatorConfig.default("mel_band"))
 
     def test_estimates_never_negative(self, speech):
         model = model_with([-10.0, 0.001])  # wildly negative mapping

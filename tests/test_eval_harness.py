@@ -43,7 +43,6 @@ def constant_model(value=0.5, variant="mel_band"):
     return MappingModel(
         coefficients=np.array([value]),
         t60_train_max=0.95,
-        variant_tag=variant,
         config=EstimatorConfig.default(variant),
     )
 
@@ -363,7 +362,7 @@ def timeless(records):
 def paired_models():
     return [
         MappingModel(coefficients=np.array([0.2, 0.05]), t60_train_max=0.95,
-                     variant_tag=v, config=EstimatorConfig.default(v))
+                     config=EstimatorConfig.default(v))
         for v in ("full_band", "mel_band")
     ]
 

@@ -16,7 +16,6 @@ from revtime.room_acoustics import (
     Rir,
     image_method_rir,
     measure_t60,
-    required_image_order,
     sabine_absorption,
     schroeder_edc,
     t60_from_edc,
@@ -44,10 +43,9 @@ class TestSabine:
 
 
 def room(t60=0.5, dims=(4.0, 3.2, 2.6), source=(1.0, 1.1, 1.2),
-         mic=(2.8, 2.1, 1.5), rir_length=None, order=None):
+         mic=(2.8, 2.1, 1.5), rir_length=None):
     rir_length = rir_length if rir_length is not None else max(0.3, 1.3 * t60)
-    order = order if order is not None else required_image_order(dims, rir_length)
-    return RoomSpec(dims, source, mic, t60, SR, rir_length, order)
+    return RoomSpec(dims, source, mic, t60, SR, rir_length)
 
 
 class TestRoomSpec:
@@ -93,12 +91,6 @@ class TestImageMethod:
         assert first == round(SR * dist / SPEED_OF_SOUND)
         assert np.isfinite(np.sum(np.square(rir.buf.samples)))
 
-    def test_low_order_sets_warning(self):
-        spec = room(order=2)
-        with pytest.warns(UserWarning, match="truncates"):
-            rir = image_method_rir(spec)
-        assert rir.order_warning
-
     # A 2:1-aspect specular box sits at the tolerance boundary at both ends
     # of the range: Sabine/Eyring disagreement at T60=0.2 (alpha 0.58) and
     # the slow axial decay mode above 1.5 s (alpha < 0.08) each cost ~20%
@@ -125,7 +117,7 @@ class TestImageMethod:
 
 def reference_image_method_rir(spec):
     """Brute-force image method: every image in the per-axis order box,
-    gains by floating-point power. Returns (samples, order_warning)."""
+    gains by floating-point power."""
     alpha = sabine_absorption(spec.dims, spec.target_t60)
     beta = -float(np.sqrt(1.0 - alpha))
     fs = spec.sample_rate
@@ -134,9 +126,7 @@ def reference_image_method_rir(spec):
     dims = np.asarray(spec.dims)
     src = np.asarray(spec.source)
     mic = np.asarray(spec.mic)
-    needed = [int(np.ceil(reach / (2.0 * dims[d]))) + 1 for d in range(3)]
-    orders = [min(n, spec.max_image_order) for n in needed]
-    order_warning = max(needed) > spec.max_image_order
+    orders = [int(np.ceil(reach / (2.0 * dims[d]))) + 1 for d in range(3)]
     h = np.zeros(n_out)
     axis_n = [np.arange(-orders[d], orders[d] + 1) for d in range(3)]
     for parity in product((0, 1), repeat=3):
@@ -159,14 +149,12 @@ def reference_image_method_rir(spec):
         keep = sample < n_out
         amp = beta ** refl[keep].astype(np.float64) / (4.0 * np.pi * dist[keep])
         h += np.bincount(sample[keep], weights=amp, minlength=n_out)
-    return h, order_warning
+    return h
 
 
 def assert_matches_reference(spec):
     rir = image_method_rir(spec)
-    expected, expected_warning = reference_image_method_rir(spec)
-    assert np.array_equal(rir.buf.samples, expected)
-    assert rir.order_warning == expected_warning
+    assert np.array_equal(rir.buf.samples, reference_image_method_rir(spec))
     return rir
 
 
@@ -177,7 +165,7 @@ class TestImageMethodMatchesReference:
     @pytest.mark.parametrize("rate", [8000, 16000, 48000])
     def test_sample_rates(self, rate):
         spec = RoomSpec((4.0, 3.2, 2.6), (1.0, 1.1, 1.2), (2.8, 2.1, 1.5),
-                        0.5, rate, 0.65, required_image_order((4.0, 3.2, 2.6), 0.65))
+                        0.5, rate, 0.65)
         assert_matches_reference(spec)
 
     @pytest.mark.parametrize("t60", [0.1, 0.4, 0.8, 1.3, 1.9])
@@ -197,12 +185,6 @@ class TestImageMethodMatchesReference:
         spec = room(source=(0.02, 1.1, 2.57), mic=(2.8, 3.17, 1.5))
         assert_matches_reference(spec)
 
-    def test_order_truncated_room(self):
-        spec = room(t60=0.8, order=3)
-        with pytest.warns(UserWarning, match="truncates"):
-            rir = assert_matches_reference(spec)
-        assert rir.order_warning
-
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            t60=st.floats(0.1, 1.0),
@@ -218,8 +200,7 @@ def oracle_rooms():
     from revtime.trainer import RoomSampler
     rooms = [
         pytest.param(RoomSpec((4.0, 3.2, 2.6), (1.0, 1.1, 1.2), (2.8, 2.1, 1.5),
-                              0.5, rate, 0.65,
-                              required_image_order((4.0, 3.2, 2.6), 0.65)),
+                              0.5, rate, 0.65),
                      id=f"rate{rate}")
         for rate in (8000, 16000, 48000)
     ]
@@ -231,7 +212,6 @@ def oracle_rooms():
              mic=(3.0, 2.0, 2.5), rir_length=0.3), id="absorbing"))
     rooms.append(pytest.param(room(source=(0.02, 1.1, 2.57), mic=(2.8, 3.17, 1.5)),
                               id="near_wall"))
-    rooms.append(pytest.param(room(t60=0.8, order=3), id="truncated"))
     return rooms
 
 
@@ -243,17 +223,15 @@ class TestImageMethodSlabs:
     @pytest.mark.parametrize("slab", ["one_row", "below_one_row", "few_rows"])
     @pytest.mark.parametrize("spec", oracle_rooms())
     def test_matches_reference(self, monkeypatch, spec, slab):
-        orders = [min(n, spec.max_image_order)
-                  for n in ra._axis_orders(spec.dims, spec.rir_length)]
+        orders = ra._axis_orders(spec.dims, spec.rir_length)
         # At most one y/z plane of images: one x-row per slab.
         plane = (2 * orders[1] + 1) * (2 * orders[2] + 1)
         size = {"one_row": plane, "below_one_row": 1, "few_rows": 3 * plane + 7}[slab]
         monkeypatch.setattr(ra, "_SLAB_IMAGES", size)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rir = assert_matches_reference(spec)
-        assert len(caught) == int(rir.order_warning)
-        assert all("truncates" in str(w.message) for w in caught)
+            assert_matches_reference(spec)
+        assert caught == []
 
     def test_outside_slabs_get_empty_boxes(self, monkeypatch):
         # Rows of the order box beyond the sphere form slabs whose y/z box
@@ -276,7 +254,6 @@ class TestImageMethodSlabs:
             for length in (0.1, 0.65, 2.3):
                 reach = SPEED_OF_SOUND * length
                 expected = int(np.ceil(reach / (2.0 * min(dims)))) + 1
-                assert required_image_order(dims, length) == expected
                 assert max(ra._axis_orders(dims, length)) == expected
 
 
@@ -284,7 +261,7 @@ class TestSchroederEdc:
     def test_single_impulse(self):
         h = np.zeros(100)
         h[0] = 1.0
-        edc = schroeder_edc(Rir(AudioBuffer(h, SR), provenance=room(), order_warning=False))
+        edc = schroeder_edc(Rir(AudioBuffer(h, SR), provenance=room()))
         assert edc.curve[0] == 0.0
         assert np.all(edc.curve[1:] <= -399.0)
 
