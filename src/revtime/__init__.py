@@ -40,7 +40,6 @@ from .room_acoustics import (
 from .signal_core import (
     AudioBuffer,
     BandSpectrogram,
-    MelFilterbank,
     StftConfig,
     active_speech_level,
     build_mel_filterbank,
@@ -63,8 +62,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AudioBuffer", "BandSpectrogram", "BoxStats", "CorpusItem", "Edc",
     "EstimateResult", "EstimationError", "EstimatorConfig", "EvalRecord",
-    "FitReport", "GradientMatrix", "MappingModel", "MelFilterbank",
-    "NsvStatistic", "RevtimeError", "Rir", "RoomSampler", "RoomSpec",
+    "FitReport", "GradientMatrix", "MappingModel", "NsvStatistic",
+    "RevtimeError", "Rir", "RoomSampler", "RoomSpec",
     "StftConfig", "TrainingPair", "active_speech_level",
     "band_spectrogram", "box_stats", "build_corpus", "build_mel_filterbank",
     "build_training_set", "convolve", "decay_gradients", "default_t60_grid",

@@ -181,6 +181,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate_rir(args) -> int:
+    # File names keep three decimals: two targets sharing them would overwrite.
+    labels = [f"{t60:.3f}" for t60 in args.t60]
+    for t60, label in zip(args.t60, labels):
+        if labels.count(label) > 1:
+            raise RevtimeError(f"--t60 {t60:g} gives the same file names ({label}) as another --t60")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = 0 if args.seed is None else args.seed

@@ -45,7 +45,6 @@ class GradientMatrix:
 
     slopes: np.ndarray
     selected: np.ndarray
-    window_frames: int
 
     def __post_init__(self):
         slopes = np.asarray(self.slopes, dtype=np.float64)
@@ -54,11 +53,8 @@ class GradientMatrix:
             raise RevtimeError("selection mask must match the slope matrix shape")
         if not np.all(np.isfinite(slopes)):
             raise RevtimeError("slopes contain non-finite values")
-        if int(self.window_frames) < 2:
-            raise RevtimeError("window_frames must be at least 2")
         object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "selected", selected)
-        object.__setattr__(self, "window_frames", int(self.window_frames))
 
 
 @dataclass(frozen=True)
@@ -225,11 +221,10 @@ def decay_gradients(spec: BandSpectrogram, window_frames: int) -> GradientMatrix
         raise RevtimeError(
             f"spectrogram has {spec.n_frames} frames, need at least {w}"
         )
-    dt = spec.frame_times[1] - spec.frame_times[0]
-    slope_row = _slope_row(w, float(dt))
+    slope_row = _slope_row(w, float(spec.frame_step))
     windows = sliding_window_view(spec.values, w, axis=1)
     slopes = windows @ slope_row
-    return GradientMatrix(slopes, np.ones(slopes.shape, dtype=bool), w)
+    return GradientMatrix(slopes, np.ones(slopes.shape, dtype=bool))
 
 
 def estimate_band_snr(spec: BandSpectrogram) -> np.ndarray:
@@ -258,7 +253,7 @@ def select_bins(grads: GradientMatrix, snr: np.ndarray, margin_db: float) -> Gra
             f"SNR map {snr.shape} incompatible with gradients {grads.slopes.shape}"
         )
     mask = grads.selected & (snr[:, :n_windows] >= margin_db)
-    return GradientMatrix(grads.slopes, mask, grads.window_frames)
+    return GradientMatrix(grads.slopes, mask)
 
 
 def nsv(grads: GradientMatrix) -> NsvStatistic:
@@ -339,24 +334,19 @@ def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:
     mag = _work_array("mag", (n_frames, n_bins), np.float64)
     np.abs(spectrum, out=mag)
     mag += LOG_FLOOR
-    times = np.arange(n_frames) * (stft.hop / buf.sample_rate)
     if cfg.variant == "full_band":
         np.log10(mag, out=mag)
         mag *= 20.0
         values = mag.T.copy()
-        centers = np.arange(n_bins) * (buf.sample_rate / stft.fft_len)
-        mode = "linear_bins"
     else:
-        fb = build_mel_filterbank(n_bins, cfg.n_mel_bands, buf.sample_rate)
+        weights = build_mel_filterbank(n_bins, cfg.n_mel_bands, buf.sample_rate)
         np.square(mag, out=mag)
-        banded = mag @ fb.weights.T
+        banded = mag @ weights.T
         np.log10(banded, out=banded)
         banded *= 10.0
         values = np.ascontiguousarray(banded.T)
-        centers = fb.band_centers
-        mode = "mel_bands"
     np.maximum(values, values.max() - cfg.dynamic_range_db, out=values)
-    return BandSpectrogram(values, centers, times, mode)
+    return BandSpectrogram(values, stft.hop / buf.sample_rate)
 
 
 def nsv_from_audio(buf: AudioBuffer, cfg: EstimatorConfig) -> NsvStatistic:

@@ -204,8 +204,11 @@ def build_corpus(manifest, out_dir) -> list:
             noise = noises[row["noise"]]
             if level is None:
                 level = active_speech_level(reverberant)
-            gain = noise_gain_for_snr(reverberant, noise, row["snr_db"],
-                                      speech_level_db=level)
+            try:
+                gain = noise_gain_for_snr(reverberant, noise, row["snr_db"],
+                                          speech_level_db=level)
+            except RevtimeError as exc:
+                raise RevtimeError(f"row {idx}: noise {row['noise']}: {exc}") from exc
             mix = reverberant.samples + gain * noise.samples[:len(reverberant)]
         else:
             gain = 0.0

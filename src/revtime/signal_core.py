@@ -323,42 +323,21 @@ class StftConfig:
 
 @dataclass(frozen=True, eq=False)
 class BandSpectrogram:
-    """Log-magnitude time-frequency matrix in dB, linear FFT bins or Mel bands.
-
-    values has shape (n_bands, n_frames); band_centers are in Hz and
-    frame_times in seconds (uniform hop spacing).
-    """
+    """Log-magnitude dB matrix, shape (n_bands, n_frames), over linear FFT
+    bins or Mel bands; frames are frame_step seconds apart."""
 
     values: np.ndarray
-    band_centers: np.ndarray
-    frame_times: np.ndarray
-    mode: str
+    frame_step: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        centers = np.asarray(self.band_centers, dtype=np.float64)
-        times = np.asarray(self.frame_times, dtype=np.float64)
-        if self.mode not in ("linear_bins", "mel_bands"):
-            raise RevtimeError(f"unknown spectrogram mode: {self.mode}")
         if values.ndim != 2:
             raise RevtimeError("spectrogram values must be 2-D (bands x frames)")
         if not np.all(np.isfinite(values)):
             raise RevtimeError("spectrogram contains non-finite values")
-        if centers.shape != (values.shape[0],) or np.any(np.diff(centers) <= 0):
-            raise RevtimeError("band_centers must be strictly increasing, one per band")
-        if times.shape != (values.shape[1],):
-            raise RevtimeError("frame_times length must match frame count")
-        if times.size > 1:
-            steps = np.diff(times)
-            if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
-                raise RevtimeError("frame_times must increase uniformly")
+        if not self.frame_step > 0:
+            raise RevtimeError("frame_step must be positive")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "band_centers", centers)
-        object.__setattr__(self, "frame_times", times)
-
-    @property
-    def n_bands(self) -> int:
-        return self.values.shape[0]
 
     @property
     def n_frames(self) -> int:
@@ -374,17 +353,10 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class MelFilterbank:
-    """Triangular Mel filters; each row averages FFT bins (rows sum to 1)."""
-
-    weights: np.ndarray
-    band_centers: np.ndarray
-
-
 @lru_cache(maxsize=8)
-def build_mel_filterbank(n_fft_bins: int, n_bands: int, sample_rate: int) -> MelFilterbank:
-    """Triangular filters with centers equally spaced on the Mel scale.
+def build_mel_filterbank(n_fft_bins: int, n_bands: int, sample_rate: int) -> np.ndarray:
+    """Triangular Mel filter weights, shape (n_bands, n_fft_bins), with
+    centers equally spaced on the Mel scale.
 
     Covers 0 Hz to sample_rate/2 over n_fft_bins rfft bins; rows are
     renormalized to sum to 1 so banding is an average, not a sum. The
@@ -409,10 +381,8 @@ def build_mel_filterbank(n_fft_bins: int, n_bands: int, sample_rate: int) -> Mel
     if np.any(sums <= 0):
         raise RevtimeError("too many Mel bands for this FFT resolution")
     weights /= sums[:, None]
-    centers = hz_points[1:-1]
     weights.setflags(write=False)
-    centers.setflags(write=False)
-    return MelFilterbank(weights, centers)
+    return weights
 
 
 def _rms(x: np.ndarray) -> float:

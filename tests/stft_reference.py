@@ -17,14 +17,12 @@ def reference_stft(buf, cfg):
 def reference_log_spectrogram(buf, cfg):
     """20*log10(|X| + LOG_FLOOR) per FFT bin and frame."""
     values = 20.0 * np.log10(np.abs(reference_stft(buf, cfg)) + LOG_FLOOR)
-    n_bins, n_frames = values.shape
-    centers = np.arange(n_bins) * (buf.sample_rate / cfg.fft_len)
-    times = np.arange(n_frames) * (cfg.hop / buf.sample_rate)
-    return BandSpectrogram(values, centers, times, "linear_bins")
+    return BandSpectrogram(values, cfg.hop / buf.sample_rate)
 
 
-def reference_mel(spec, fb):
+def reference_mel(spec, weights):
     """Average a linear-bin dB spectrogram into Mel bands in the power
-    domain (10^(dB/10)), then convert back to dB."""
-    values = 10.0 * np.log10(fb.weights @ 10.0 ** (spec.values / 10.0))
-    return BandSpectrogram(values, fb.band_centers, spec.frame_times, "mel_bands")
+    domain (10^(dB/10)) with the filterbank weights, then convert back to
+    dB."""
+    values = 10.0 * np.log10(weights @ 10.0 ** (spec.values / 10.0))
+    return BandSpectrogram(values, spec.frame_step)

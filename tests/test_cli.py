@@ -100,6 +100,22 @@ class TestSimulateRir:
         assert sidecar["measured_t60"] == pytest.approx(0.4, rel=0.2)
         assert sidecar["room"]["target_t60"] == 0.4
 
+    @pytest.mark.parametrize("targets", [("0.5", "0.5"), ("0.3001", "0.3004")],
+                             ids=["equal", "same_stem"])
+    def test_repeated_target_fails_before_any_room(self, tmp_path, monkeypatch,
+                                                   capsys, targets):
+        def no_room(room):
+            raise AssertionError("a room was simulated")
+
+        monkeypatch.setattr(cli, "image_method_rir", no_room)
+        out = tmp_path / "rirs"
+        code = main(["simulate-rir", "--out", str(out), "--t60", targets[0],
+                     "--t60", targets[1], "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --t60 ") and targets[0] in err
+        assert not list(out.glob("*.wav"))
+
 
 class TestTrainCli:
     @pytest.mark.parametrize("t60_max,grid", [
@@ -516,6 +532,26 @@ class TestBuildCorpusCli:
         assert code == 1
         assert "row 1: unknown noise_type 'fann'" in capsys.readouterr().err
         assert not list(out.glob("item*"))
+
+    @pytest.mark.parametrize("noise, expected", [
+        (synthetic_speech(0.5, SR, seed=64), "is shorter than speech"),
+        (synthetic_speech(2.0, SR // 2, seed=64), "sample-rate mismatch"),
+    ], ids=["short", "rate"])
+    def test_noise_error_names_row_and_file(self, tmp_path, capsys, noise, expected):
+        from conftest import exponential_rir
+
+        save_wav(synthetic_speech(1.6, SR, seed=62), tmp_path / "s.wav")
+        save_wav(exponential_rir(0.4, seed=63), tmp_path / "rir.wav", fmt="float32")
+        save_wav(noise, tmp_path / "n.wav")
+        (tmp_path / "m.csv").write_text(
+            "speech,rir,noise,snr_db,noise_type\n"
+            "s.wav,rir.wav,,inf,none\ns.wav,rir.wav,n.wav,12,fan\n")
+        code = main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
+                     "--out", str(tmp_path / "corpus"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: row 1: noise {tmp_path / 'n.wav'}: " in err
+        assert expected in err
 
     def test_relative_out_evaluates_from_another_directory(self, tmp_path, model_file,
                                                            monkeypatch, capsys):
