@@ -49,7 +49,6 @@ from .signal_core import (
     save_wav,
 )
 from .trainer import (
-    FitReport,
     RoomSampler,
     TrainingPair,
     build_training_set,
@@ -62,7 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AudioBuffer", "BandSpectrogram", "BoxStats", "CorpusItem", "Edc",
     "EstimateResult", "EstimationError", "EstimatorConfig", "EvalRecord",
-    "FitReport", "GradientMatrix", "MappingModel", "NsvStatistic",
+    "GradientMatrix", "MappingModel", "NsvStatistic",
     "RevtimeError", "Rir", "RoomSampler", "RoomSpec",
     "StftConfig", "TrainingPair", "active_speech_level",
     "band_spectrogram", "box_stats", "build_corpus", "build_mel_filterbank",

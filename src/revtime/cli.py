@@ -40,7 +40,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _floats(text: str) -> list:
-    return [float(v) for v in text.split(",") if v.strip()]
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one number")
+    return values
+
+
+def _int_from(low: int):
+    """argparse type: an int no smaller than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports a non-number as "invalid int value"
+    return parse
+
+
+_count, _order = _int_from(1), _int_from(0)
 
 
 def _say(args, message: str) -> None:
@@ -72,7 +89,7 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--t60", type=float, action="append", required=True,
                    help="target T60 in seconds (repeatable)")
-    p.add_argument("--rooms-per-t60", type=int, default=1)
+    p.add_argument("--rooms-per-t60", type=_count, default=1)
     p.add_argument("--sample-rate", type=int, default=16000)
     p.set_defaults(func=cmd_simulate_rir)
 
@@ -88,12 +105,13 @@ def _build_parser():
                    help="directory of anechoic WAV files")
     p.add_argument("--out", required=True, help="output model JSON")
     p.add_argument("--variant", choices=VARIANTS, default="mel_band")
-    p.add_argument("--t60-max", type=float, default=0.95,
-                   help="top of the training range; stamped into the model")
-    p.add_argument("--grid", type=_floats, default=None,
-                   help="explicit comma-separated T60 grid")
-    p.add_argument("--rooms-per-t60", type=int, default=3)
-    p.add_argument("--order", type=int, default=2)
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--t60-max", type=float, default=0.95,
+                      help="top of the default grid (0.1 s steps from 0.1)")
+    grid.add_argument("--grid", type=_floats, default=None,
+                      help="explicit comma-separated T60 grid")
+    p.add_argument("--rooms-per-t60", type=_count, default=3)
+    p.add_argument("--order", type=_order, default=2)
     p.add_argument("--target", choices=TARGETS, default="t60")
     p.add_argument("--n-mel-bands", type=int, default=EstimatorConfig.n_mel_bands)
     p.add_argument("--window-frames", type=int, default=EstimatorConfig.window_frames)
@@ -110,7 +128,7 @@ def _build_parser():
     p.add_argument("--model", action="append", required=True,
                    help="model JSON (repeat to compare variants)")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_count, default=1,
                    help="parallel workers; keep 1 for reference RTF timing")
     p.set_defaults(func=cmd_evaluate)
 
@@ -122,15 +140,15 @@ def _build_parser():
     p = subs.add_parser("demo", parents=[common],
                         help="synthesize assets, train, evaluate and report")
     p.add_argument("--out", required=True)
-    p.add_argument("--talkers", type=int, default=2)
-    p.add_argument("--utterances", type=int, default=3)
+    p.add_argument("--talkers", type=_count, default=2)
+    p.add_argument("--utterances", type=_count, default=3)
     p.add_argument("--t60-list", type=_floats, default=[0.3, 0.5, 0.7, 0.9, 1.1])
     p.add_argument("--snr-list", type=_floats, default=[-1.0, 12.0, 18.0])
     p.add_argument("--train-t60-max", type=float, default=0.95)
-    p.add_argument("--train-rooms", type=int, default=3)
-    p.add_argument("--train-utterances", type=int, default=3)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--train-rooms", type=_count, default=3)
+    p.add_argument("--train-utterances", type=_count, default=3)
+    p.add_argument("--order", type=_order, default=2)
+    p.add_argument("--jobs", type=_count, default=1)
     p.set_defaults(func=cmd_demo)
 
     return parser
@@ -217,19 +235,16 @@ def cmd_train(args) -> int:
     # EstimatorConfig fields they are named after.
     stft = StftConfig.for_sample_rate(sample_rate, args.frame_ms, args.hop_ms)
     cfg = _from_fields(EstimatorConfig, {**vars(args), "stft": stft}, "train options")
-    model, pairs, summary = train_model(
-        args.speech_dir, cfg, grid, args.rooms_per_t60, seed, order=args.order,
-        target=args.target, t60_train_max=args.t60_max)
+    model, pairs, report = train_model(args.speech_dir, cfg, grid, args.rooms_per_t60,
+                                       seed, order=args.order, target=args.target)
     model.save(args.out)
-    save_json({"variant": args.variant, **summary, "grid": grid,
-               "target": args.target, "order": args.order, "seed": seed},
-              Path(args.out).with_suffix(".report.json"))
+    save_json(report, Path(args.out).with_suffix(".report.json"))
     if args.pairs_csv:
         pairs_to_csv(pairs, args.pairs_csv)
-    _say(args, f"trained {args.variant} on {summary['n_pairs']} pairs "
-               f"({summary['n_skipped']} skipped), rms residual "
-               f"{summary['rms_residual_s']:.3f} s, "
-               f"t60_train_max {model.t60_train_max:g} s -> {args.out}")
+    _say(args, f"trained {args.variant} on {report['n_pairs']} pairs "
+               f"({report['n_skipped']} skipped), rms residual "
+               f"{report['rms_residual_s']:.3f} s, "
+               f"t60_train_max {report['t60_train_max']:g} s -> {args.out}")
     return 0
 
 

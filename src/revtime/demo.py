@@ -120,14 +120,14 @@ def run_demo(out, *, seed: int, talkers: int, utterances: int, t60_list,
     models = []
     training_report = {}
     for variant in VARIANTS:
-        model, _, summary = train_model(
+        model, _, report = train_model(
             assets["train_speech"], EstimatorConfig.default(variant, SR), grid,
-            train_rooms, seed, order=order, t60_train_max=train_t60_max)
+            train_rooms, seed, order=order)
         model.save(model_dir / f"{variant}.json")
         models.append(model)
-        training_report[variant] = summary
-        say(f"  {variant}: {summary['n_pairs']} pairs ({summary['n_skipped']} "
-            f"skipped), rms residual {summary['rms_residual_s']:.3f} s")
+        training_report[variant] = report
+        say(f"  {variant}: {report['n_pairs']} pairs ({report['n_skipped']} "
+            f"skipped), rms residual {report['rms_residual_s']:.3f} s")
     save_json(training_report, model_dir / "training_report.json")
 
     say("[3/5] building the corpora")

@@ -27,6 +27,7 @@ from .signal_core import (
     read_lines,
     save_json,
     save_wav,
+    wav_info,
 )
 from .room_acoustics import measure_t60
 
@@ -160,6 +161,40 @@ def read_manifest(path):
     return rows
 
 
+def _check_files(rows) -> None:
+    """Check the manifest's files from their WAV headers, each distinct path
+    read once. Every file must load; then, row by row, an RIR must be at
+    its speech's sample rate, and a noise mixed at a finite SNR at that rate
+    too and at least as long as the reverberant speech (speech + RIR - 1
+    frames). A failure raises RevtimeError naming the row."""
+    headers = {}
+    for idx, row in enumerate(rows):
+        for path in filter(None, (row["speech"], row["rir"], row["noise"])):
+            if path in headers:
+                continue
+            if not Path(path).is_file():
+                raise RevtimeError(f"row {idx}: no such file {path}")
+            try:
+                headers[path] = wav_info(path)
+            except RevtimeError as exc:
+                raise RevtimeError(f"row {idx}: {exc}") from exc
+    for idx, row in enumerate(rows):
+        (rate, n_speech), (rir_rate, n_rir) = headers[row["speech"]], headers[row["rir"]]
+        if rir_rate != rate:
+            raise RevtimeError(f"row {idx}: sample-rate mismatch between {row['speech']} "
+                               f"({rate} Hz) and {row['rir']} ({rir_rate} Hz)")
+        if not math.isfinite(row["snr_db"]):
+            continue
+        noise_rate, n_noise = headers[row["noise"]]
+        if noise_rate != rate:
+            raise RevtimeError(f"row {idx}: noise {row['noise']}: sample-rate mismatch: "
+                               f"speech {rate} Hz vs noise {noise_rate} Hz")
+        if n_noise < n_speech + n_rir - 1:
+            raise RevtimeError(f"row {idx}: noise {row['noise']}: noise ({n_noise} "
+                               f"samples) is shorter than speech convolved with its "
+                               f"RIR ({n_speech + n_rir - 1})")
+
+
 def build_corpus(manifest, out_dir) -> list:
     """Realize every manifest row: convolve speech with its impulse
     response, mix noise at the target SNR, and write the mix plus a JSON
@@ -172,12 +207,13 @@ def build_corpus(manifest, out_dir) -> list:
     any row order gives the same files: a pair that comes back after
     another is simply convolved again. Every recorded path is absolute, so
     the corpus can be evaluated from any working directory.
+
+    Every file is checked from its header before out_dir is created; only
+    a silent mix, or a noise silent over the speech span, fails when its
+    row is reached.
     """
     rows = read_manifest(manifest)
-    for idx, row in enumerate(rows):
-        for path in filter(None, (row["speech"], row["rir"], row["noise"])):
-            if not Path(path).is_file():
-                raise RevtimeError(f"row {idx}: no such file {path}")
+    _check_files(rows)
     out = Path(out_dir).absolute()
     out.mkdir(parents=True, exist_ok=True)
     t60_cache = {}
@@ -188,10 +224,6 @@ def build_corpus(manifest, out_dir) -> list:
         if (row["speech"], row["rir"]) != pair:
             speech = load_wav(row["speech"])
             rir = load_wav(row["rir"])
-            if rir.sample_rate != speech.sample_rate:
-                raise RevtimeError(
-                    f"sample-rate mismatch between {row['speech']} and {row['rir']}"
-                )
             if row["rir"] not in t60_cache:
                 t60_cache[row["rir"]] = measure_t60(rir)
             pair = (row["speech"], row["rir"])

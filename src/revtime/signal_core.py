@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 import warnings
 from dataclasses import MISSING, astuple, dataclass, fields
@@ -116,10 +117,12 @@ def _channel0(frames: np.ndarray, tag: int, width: int) -> np.ndarray:
     return np.ascontiguousarray(raw).view(f"<i{width}").ravel() / 2.0 ** (8 * width - 1)
 
 
-def _read_wav(fh):
-    """(rate, channels, channel-0 samples) from a RIFF WAVE stream; walks the
-    chunks to ``data`` and skips unknown ones, pad byte included. Raises
-    ValueError for anything malformed or unsupported."""
+def _wav_header(fh):
+    """(format tag, channels, rate, bytes per sample, frame count) of a RIFF
+    WAVE stream, leaving it at the first sample; walks the chunks to
+    ``data`` and skips unknown ones, pad byte included. Raises ValueError
+    for anything malformed or unsupported, a data chunk longer than the
+    bytes left in the file included."""
     header = fh.read(12)
     if len(header) < 12:
         raise ValueError("truncated RIFF header")
@@ -139,17 +142,44 @@ def _read_wav(fh):
             if fmt is None:
                 raise ValueError("data chunk before fmt chunk")
             tag, channels, rate, width = fmt
-            frame = width * channels
-            whole_frames = size - size % frame
-            raw = np.fromfile(fh, dtype=np.uint8, count=whole_frames)
-            if raw.size < whole_frames:
-                raise ValueError(f"data chunk holds {raw.size} of {size} bytes")
-            return rate, channels, _channel0(raw.reshape(-1, frame), tag, width)
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size > left:
+                raise ValueError(f"data chunk holds {left} of {size} bytes")
+            return tag, channels, rate, width, size // (width * channels)
         else:
             fh.seek(size, 1)
         if size % 2:
             fh.seek(1, 1)
     raise ValueError("no data chunk")
+
+
+def _read_wav(path, samples: bool = True):
+    """(rate, channels, frame count, channel-0 samples) of a WAV file; the
+    samples are None when not asked for, and only the header is read.
+    Raises RevtimeError for a file that does not load; a missing file
+    raises FileNotFoundError."""
+    try:
+        with open(path, "rb") as fh:
+            tag, channels, rate, width, n_frames = _wav_header(fh)
+            data = None
+            if samples:
+                frame = width * channels
+                raw = np.fromfile(fh, dtype=np.uint8, count=n_frames * frame)
+                data = _channel0(raw.reshape(n_frames, frame), tag, width)
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise RevtimeError(f"unreadable WAV file {path}: {exc}") from exc
+    if n_frames == 0:
+        raise RevtimeError(f"zero-length audio: {path}")
+    return rate, channels, n_frames, data
+
+
+def wav_info(path) -> tuple:
+    """(sample rate, frame count) from a WAV file's header, without reading
+    its samples. Raises as load_wav does for a file that would not load."""
+    rate, _, n_frames, _ = _read_wav(path, samples=False)
+    return rate, n_frames
 
 
 def load_wav(path) -> AudioBuffer:
@@ -162,15 +192,7 @@ def load_wav(path) -> AudioBuffer:
     are reduced to channel 0 with a warning. Anything else raises
     RevtimeError; a missing file raises FileNotFoundError.
     """
-    try:
-        with open(path, "rb") as fh:
-            rate, channels, samples = _read_wav(fh)
-    except FileNotFoundError:
-        raise
-    except (OSError, ValueError) as exc:
-        raise RevtimeError(f"unreadable WAV file {path}: {exc}") from exc
-    if samples.size == 0:
-        raise RevtimeError(f"zero-length audio: {path}")
+    rate, channels, _, samples = _read_wav(path)
     if channels > 1:
         warnings.warn(f"{path}: multichannel input, taking channel 0")
     return AudioBuffer(samples, rate)

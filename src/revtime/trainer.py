@@ -28,12 +28,6 @@ class TrainingPair:
 
 
 @dataclass(frozen=True)
-class FitReport:
-    rms_residual: float
-    n_pairs: int
-
-
-@dataclass(frozen=True)
 class RoomSampler:
     """Seeded random room geometry for a requested T60.
 
@@ -143,14 +137,13 @@ def build_training_set(speech_dir, t60_grid, rooms_per_t60: int,
     return pairs, skipped
 
 
-def fit_mapping(pairs, cfg: EstimatorConfig, order: int = 2,
-                target: str = "t60", t60_train_max: float | None = None):
+def fit_mapping(pairs, cfg: EstimatorConfig, t60_train_max: float, order: int = 2,
+                target: str = "t60"):
     """Ordinary least squares of the target against powers of log10(NSV).
 
     target "t60" fits seconds directly (the mapping can then go negative,
     which the estimator clamps); "log_t60" fits log10 seconds. Returns
-    (MappingModel, FitReport) with the residual reported in seconds either
-    way. t60_train_max defaults to the largest measured T60 in the pairs.
+    (MappingModel stamped with t60_train_max, rms residual in seconds).
     """
     n = len(pairs)
     if n < 10 * (order + 1):
@@ -167,33 +160,29 @@ def fit_mapping(pairs, cfg: EstimatorConfig, order: int = 2,
     pred = design @ coeffs
     pred_seconds = 10.0 ** pred if target == "log_t60" else pred
     rms = float(np.sqrt(np.mean(np.square(t60s - pred_seconds))))
-    t_max = float(t60_train_max) if t60_train_max is not None else float(t60s.max())
     model = MappingModel(
         coefficients=coeffs,
-        t60_train_max=t_max,
+        t60_train_max=float(t60_train_max),
         config=cfg,
         target=target,
     )
-    return model, FitReport(rms_residual=rms, n_pairs=n)
+    return model, rms
 
 
 def train_model(speech_dir, cfg: EstimatorConfig, t60_grid, rooms_per_t60: int,
-                seed: int, order: int = 2, target: str = "t60",
-                t60_train_max: float | None = None):
-    """build_training_set, then fit_mapping on its pairs.
+                seed: int, order: int = 2, target: str = "t60"):
+    """build_training_set, then fit_mapping on its pairs, stamping the
+    grid's top as t60_train_max.
 
-    Returns (model, pairs, summary); summary is the training report entry
-    (n_pairs, n_skipped, rms_residual_s, t60_train_max) that the CLI writes
-    as JSON.
+    Returns (model, pairs, report); report is the training report that
+    train and demo write as JSON.
     """
     pairs, skipped = build_training_set(speech_dir, t60_grid, rooms_per_t60, cfg, seed)
-    model, report = fit_mapping(pairs, cfg, order=order, target=target,
-                                t60_train_max=t60_train_max)
+    model, rms = fit_mapping(pairs, cfg, max(t60_grid), order=order, target=target)
     return model, pairs, {
-        "n_pairs": report.n_pairs,
-        "n_skipped": skipped,
-        "rms_residual_s": report.rms_residual,
-        "t60_train_max": model.t60_train_max,
+        "variant": cfg.variant, "n_pairs": len(pairs), "n_skipped": skipped,
+        "rms_residual_s": rms, "t60_train_max": model.t60_train_max,
+        "grid": list(t60_grid), "target": target, "order": order, "seed": seed,
     }
 
 

@@ -8,6 +8,11 @@ from revtime.synth import synthetic_speech
 
 SR = 16000
 
+# The keys of the training report that train writes beside its model and
+# demo writes per variant, in their order.
+TRAINING_REPORT_KEYS = ["variant", "n_pairs", "n_skipped", "rms_residual_s",
+                        "t60_train_max", "grid", "target", "order", "seed"]
+
 
 @pytest.fixture(scope="session")
 def demo_run(tmp_path_factory):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import revtime
-from revtime import cli, trainer
+from revtime import cli, demo, trainer
 from revtime.cli import main
 from revtime.estimator import EstimatorConfig, MappingModel
 from revtime.signal_core import save_wav
@@ -22,6 +22,24 @@ def audio_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("audio") / "utt.wav"
     save_wav(synthetic_speech(1.8, SR, seed=31), path)
     return path
+
+
+@pytest.fixture(scope="module")
+def speech_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("speech")
+    for u in range(2):
+        save_wav(synthetic_speech(1.6, SR, seed=40 + u), path / f"u{u}.wav")
+    return path
+
+
+def no_rooms(monkeypatch):
+    """Make every room simulation fail the test: trainer's, simulate-rir's
+    and demo's."""
+    def no_room(room):
+        raise AssertionError("a room was simulated")
+
+    for module in (trainer, cli, demo):
+        monkeypatch.setattr(module, "image_method_rir", no_room)
 
 
 @pytest.fixture(scope="module")
@@ -131,8 +149,7 @@ class TestTrainCli:
         model_path = tmp_path / "model.json"
         code = main([
             "train", "--speech-dir", str(speech_dir),
-            "--out", str(model_path), "--variant", "mel_band",
-            "--t60-max", str(t60_max), "--grid", grid,
+            "--out", str(model_path), "--variant", "mel_band", "--grid", grid,
             "--rooms-per-t60", "1", "--order", "0", "--seed", "3", "--quiet",
         ])
         assert code == 0
@@ -142,6 +159,31 @@ class TestTrainCli:
         report = json.loads(model_path.with_suffix(".report.json").read_text())
         assert report["n_pairs"] == 10
         assert report["t60_train_max"] == t60_max
+
+    def test_grid_top_is_stamped(self, tmp_path, speech_dir, capsys):
+        from conftest import TRAINING_REPORT_KEYS
+
+        model_path = tmp_path / "model.json"
+        code = main(["train", "--speech-dir", str(speech_dir), "--out", str(model_path),
+                     "--grid", "0.3,0.6,1.2", "--rooms-per-t60", "2", "--order", "0",
+                     "--quiet"])
+        assert code == 0, capsys.readouterr().err
+        assert MappingModel.load(model_path).t60_train_max == 1.2
+        report = json.loads(model_path.with_suffix(".report.json").read_text())
+        assert list(report) == TRAINING_REPORT_KEYS
+        assert report["t60_train_max"] == 1.2
+        assert report["grid"] == [0.3, 0.6, 1.2]
+
+    def test_t60_max_with_grid_fails_before_any_room(self, tmp_path, speech_dir,
+                                                     monkeypatch, capsys):
+        no_rooms(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--speech-dir", str(speech_dir),
+                  "--out", str(tmp_path / "m.json"), "--t60-max", "1.2",
+                  "--grid", "0.3,0.6,1.2"])
+        assert exc.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_train_creates_parent_of_out(self, tmp_path, capsys):
         speech_dir = tmp_path / "speech"
@@ -198,6 +240,43 @@ class TestTrainCli:
                      "--t60", "0.3", "--config", str(cfg)])
         assert code == 1
         assert "bogus_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [
+    (["simulate-rir", "--t60", "0.4", "--rooms-per-t60", "0"], "--rooms-per-t60"),
+    (["train", "--rooms-per-t60", "0"], "--rooms-per-t60"),
+    (["train", "--order", "-1"], "--order"),
+    (["train", "--grid="], "--grid"),
+    (["demo", "--talkers", "0"], "--talkers"),
+    (["demo", "--utterances", "0"], "--utterances"),
+    (["demo", "--train-rooms", "0"], "--train-rooms"),
+    (["demo", "--train-utterances", "0"], "--train-utterances"),
+    (["demo", "--order", "-1"], "--order"),
+    (["demo", "--jobs", "0"], "--jobs"),
+    (["demo", "--t60-list="], "--t60-list"),
+    (["demo", "--snr-list="], "--snr-list"),
+    (["evaluate", "--jobs", "0"], "--jobs"),
+], ids=["rir_rooms", "train_rooms", "train_order", "train_grid", "demo_talkers",
+        "demo_utterances", "demo_train_rooms", "demo_train_utterances", "demo_order",
+        "demo_jobs", "demo_t60_list", "demo_snr_list", "evaluate_jobs"])
+def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file,
+                                                monkeypatch, capsys, command, option):
+    """A count below its minimum or an empty list exits 1 with a usage line
+    before any room is simulated or any file is written."""
+    no_rooms(monkeypatch)
+    out = tmp_path / "out"
+    required = {"simulate-rir": ["--out", str(out)],
+                "train": ["--speech-dir", str(speech_dir), "--out", str(out / "m.json")],
+                "demo": ["--out", str(out)],
+                "evaluate": ["--corpus", str(tmp_path), "--model", str(model_file),
+                             "--out", str(out)]}[command[0]]
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *required, "--quiet"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: revtime {command[0]}")
+    assert f"argument {option}: " in err
+    assert not out.exists()
 
 
 class TestConfigFile:
@@ -552,6 +631,45 @@ class TestBuildCorpusCli:
         err = capsys.readouterr().err
         assert f"error: row 1: noise {tmp_path / 'n.wav'}: " in err
         assert expected in err
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("short_noise", "is shorter than speech"),
+        ("noise_rate", "sample-rate mismatch"),
+        ("bad_rir", "unreadable WAV file"),
+        ("rir_rate", "sample-rate mismatch"),
+    ])
+    def test_bad_row_fails_before_any_item(self, tmp_path, capsys, kind, expected):
+        """A row whose files cannot make an item stops build-corpus before
+        the first item is written, however late in the manifest it comes."""
+        from conftest import exponential_rir
+
+        save_wav(synthetic_speech(1.6, SR, seed=62), tmp_path / "s.wav")
+        save_wav(exponential_rir(0.4, seed=63), tmp_path / "rir.wav", fmt="float32")
+        save_wav(synthetic_speech(3.0, SR, seed=64), tmp_path / "n.wav")
+        rir, noise = "rir.wav", "n.wav"
+        if kind == "short_noise":
+            save_wav(synthetic_speech(0.5, SR, seed=64), tmp_path / "bad.wav")
+            noise = "bad.wav"
+        elif kind == "noise_rate":
+            save_wav(synthetic_speech(3.0, SR // 2, seed=64), tmp_path / "bad.wav")
+            noise = "bad.wav"
+        elif kind == "bad_rir":
+            (tmp_path / "bad.wav").write_bytes(b"not a wav file")
+            rir = "bad.wav"
+        else:
+            save_wav(exponential_rir(0.4, SR // 2, seed=63), tmp_path / "bad.wav",
+                     fmt="float32")
+            rir = "bad.wav"
+        (tmp_path / "m.csv").write_text(
+            "speech,rir,noise,snr_db,noise_type\n"
+            f"s.wav,rir.wav,n.wav,12,fan\ns.wav,{rir},{noise},12,fan\n")
+        out = tmp_path / "corpus"
+        code = main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
+                     "--out", str(out), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 1: ") and expected in err, err
+        assert not list(out.glob("item*"))
 
     def test_relative_out_evaluates_from_another_directory(self, tmp_path, model_file,
                                                            monkeypatch, capsys):

@@ -35,6 +35,18 @@ def test_training_residual_bound(demo_run):
         assert entry["t60_train_max"] == 0.95
 
 
+def test_training_report_entries_are_train_reports(demo_run):
+    from conftest import TRAINING_REPORT_KEYS
+
+    out, _ = demo_run
+    report = json.loads((out / "models" / "training_report.json").read_text())
+    assert sorted(report) == ["full_band", "mel_band"]
+    for variant, entry in report.items():
+        assert list(entry) == TRAINING_REPORT_KEYS
+        assert entry["variant"] == variant
+        assert entry["grid"][-1] == entry["t60_train_max"]
+
+
 def test_dry_speech_estimates_near_zero(demo_models):
     dry = synthetic_speech(2.5, SR, seed=600)
     result = estimate_t60(dry, demo_models["mel_band"])

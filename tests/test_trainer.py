@@ -75,47 +75,41 @@ class TestFitMapping:
         coeffs = [1.2, -0.4, 0.05]
         nsv_values = np.logspace(2, 6, 40)
         pairs = synthetic_pairs(coeffs, nsv_values)
-        model, report = fit_mapping(pairs, CFG, order=2)
+        model, rms = fit_mapping(pairs, CFG, 0.95, order=2)
         assert np.allclose(model.coefficients, coeffs, atol=1e-8)
-        assert report.rms_residual == pytest.approx(0.0, abs=1e-8)
-        assert report.n_pairs == 40
+        assert rms == pytest.approx(0.0, abs=1e-8)
 
     def test_order_zero_is_mean(self):
         pairs = synthetic_pairs([0.5], np.logspace(2, 5, 12), noise=0.05, seed=1)
-        model, _ = fit_mapping(pairs, CFG, order=0)
+        model, _ = fit_mapping(pairs, CFG, 0.95, order=0)
         expected = np.mean([p.t60_true for p in pairs])
         assert model.coefficients[0] == pytest.approx(expected, rel=1e-12)
 
     def test_duplicated_dataset_same_coefficients(self):
         pairs = synthetic_pairs([1.2, -0.15], np.logspace(2, 5, 24), noise=0.02, seed=2)
-        m1, _ = fit_mapping(pairs, CFG, order=1)
-        m2, _ = fit_mapping(pairs + pairs, CFG, order=1)
+        m1, _ = fit_mapping(pairs, CFG, 0.95, order=1)
+        m2, _ = fit_mapping(pairs + pairs, CFG, 0.95, order=1)
         assert np.allclose(m1.coefficients, m2.coefficients, rtol=1e-9)
 
     def test_too_few_pairs(self):
         pairs = synthetic_pairs([0.5], np.logspace(2, 5, 12))
         with pytest.raises(RevtimeError, match="pairs"):
-            fit_mapping(pairs, CFG, order=2)
+            fit_mapping(pairs, CFG, 0.95, order=2)
 
     def test_degenerate_design(self):
         pairs = [TrainingPair(100.0, 0.5 + 0.01 * i, f"r{i}", "u") for i in range(25)]
         with pytest.raises(RevtimeError, match="rank"):
-            fit_mapping(pairs, CFG, order=1)
+            fit_mapping(pairs, CFG, 0.95, order=1)
 
     def test_unknown_target_rejected(self):
         pairs = synthetic_pairs([0.5], np.logspace(2, 5, 12))
         with pytest.raises(RevtimeError, match="target must be"):
-            fit_mapping(pairs, CFG, order=0, target="seconds")
+            fit_mapping(pairs, CFG, 0.95, order=0, target="seconds")
 
     def test_train_max_override_stamped(self):
         pairs = synthetic_pairs([0.5], np.logspace(2, 5, 12))
-        model, _ = fit_mapping(pairs, CFG, order=0, t60_train_max=1.85)
+        model, _ = fit_mapping(pairs, CFG, 1.85, order=0)
         assert model.t60_train_max == 1.85
-
-    def test_default_train_max_is_measured(self):
-        pairs = synthetic_pairs([0.7], np.logspace(2, 5, 12))
-        model, _ = fit_mapping(pairs, CFG, order=0)
-        assert model.t60_train_max == max(p.t60_true for p in pairs)
 
     def test_log_target_residual_in_seconds(self):
         coeffs = [-0.3, -0.05]
@@ -124,21 +118,21 @@ class TestFitMapping:
         for i, v in enumerate(nsv_values):
             t60 = 10.0 ** float(np.polynomial.polynomial.polyval(np.log10(v), coeffs))
             pairs.append(TrainingPair(v, t60, f"r{i}", "u"))
-        model, report = fit_mapping(pairs, CFG, order=1, target="log_t60")
+        model, rms = fit_mapping(pairs, CFG, 0.95, order=1, target="log_t60")
         assert model.target == "log_t60"
         assert np.allclose(model.coefficients, coeffs, atol=1e-9)
-        assert report.rms_residual == pytest.approx(0.0, abs=1e-9)
+        assert rms == pytest.approx(0.0, abs=1e-9)
 
     def test_mapping_roundtrips_training_pairs(self):
         pairs = synthetic_pairs([1.6, -0.2], np.logspace(2.5, 5.5, 20),
                                 noise=0.03, seed=5)
-        model, report = fit_mapping(pairs, CFG, order=1)
+        model, rms = fit_mapping(pairs, CFG, 0.95, order=1)
         residuals = []
         for p in pairs:
             from revtime.estimator import NsvStatistic
             t60, _ = map_nsv_to_t60(NsvStatistic(p.nsv, 2, 2), model)
             residuals.append(p.t60_true - t60)
-        assert np.sqrt(np.mean(np.square(residuals))) <= report.rms_residual + 1e-12
+        assert np.sqrt(np.mean(np.square(residuals))) <= rms + 1e-12
 
 
 class TestPairsCsv:
@@ -187,6 +181,6 @@ class TestBuildTrainingSet:
         models = []
         for _ in range(2):
             pairs, _ = build_training_set(speech_dir, grids, 1, CFG, seed=4)
-            model, _ = fit_mapping(pairs, CFG, order=0)
+            model, _ = fit_mapping(pairs, CFG, 0.5, order=0)
             models.append(model)
         assert np.array_equal(models[0].coefficients, models[1].coefficients)
