@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -14,19 +15,20 @@ from .demo import run_demo
 from .errors import EstimationError, RevtimeError
 from .estimator import TARGETS, VARIANTS, EstimatorConfig, MappingModel, estimate_t60
 from .eval_harness import (
+    _parse_snr,
     build_corpus,
     evaluate_to_dir,
     load_items,
     read_records,
     rtf_table,
 )
-from .room_acoustics import image_method_rir, save_rir
+from .room_acoustics import save_rir
 from .signal_core import FRAME_MS, HOP_MS, StftConfig, _from_fields, load_wav, read_lines, save_json
 from .trainer import (
-    RoomSampler,
     default_t60_grid,
     list_speech_files,
     pairs_to_csv,
+    simulate_rooms,
     train_model,
 )
 
@@ -39,11 +41,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _floats(text: str) -> list:
-    values = [float(v) for v in text.split(",") if v.strip()]
-    if not values:
-        raise argparse.ArgumentTypeError("needs at least one number")
-    return values
+def _list_of(item):
+    """argparse type: a comma-separated list of item values, at least one."""
+    def parse(text: str) -> list:
+        values = [item(v) for v in text.split(",") if v.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one number")
+        return values
+    parse.__name__ = "float"  # argparse reports a non-number as "invalid float value"
+    return parse
+
+
+def _float_where(ok, rule: str):
+    """argparse type: a float for which ok holds."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text.strip()}")
+        return value
+    parse.__name__ = "float"
+    return parse
+
+
+def _snr(text: str) -> float:
+    """argparse type: an SNR in dB as a manifest row takes it."""
+    try:
+        return _parse_snr(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_positive = _float_where(lambda v: 0 < v < math.inf, "finite and > 0")
+_finite = _float_where(math.isfinite, "finite")
 
 
 def _int_from(low: int):
@@ -87,7 +116,7 @@ def _build_parser():
     p = subs.add_parser("simulate-rir", parents=[common],
                         help="generate image-method impulse responses")
     p.add_argument("--out", required=True)
-    p.add_argument("--t60", type=float, action="append", required=True,
+    p.add_argument("--t60", type=_positive, action="append", required=True,
                    help="target T60 in seconds (repeatable)")
     p.add_argument("--rooms-per-t60", type=_count, default=1)
     p.add_argument("--sample-rate", type=int, default=16000)
@@ -106,18 +135,18 @@ def _build_parser():
     p.add_argument("--out", required=True, help="output model JSON")
     p.add_argument("--variant", choices=VARIANTS, default="mel_band")
     grid = p.add_mutually_exclusive_group()
-    grid.add_argument("--t60-max", type=float, default=0.95,
+    grid.add_argument("--t60-max", type=_positive, default=0.95,
                       help="top of the default grid (0.1 s steps from 0.1)")
-    grid.add_argument("--grid", type=_floats, default=None,
+    grid.add_argument("--grid", type=_list_of(_positive), default=None,
                       help="explicit comma-separated T60 grid")
     p.add_argument("--rooms-per-t60", type=_count, default=3)
     p.add_argument("--order", type=_order, default=2)
     p.add_argument("--target", choices=TARGETS, default="t60")
     p.add_argument("--n-mel-bands", type=int, default=EstimatorConfig.n_mel_bands)
     p.add_argument("--window-frames", type=int, default=EstimatorConfig.window_frames)
-    p.add_argument("--snr-margin", type=float, default=EstimatorConfig.snr_margin)
-    p.add_argument("--frame-ms", type=float, default=FRAME_MS)
-    p.add_argument("--hop-ms", type=float, default=HOP_MS)
+    p.add_argument("--snr-margin", type=_finite, default=EstimatorConfig.snr_margin)
+    p.add_argument("--frame-ms", type=_positive, default=FRAME_MS)
+    p.add_argument("--hop-ms", type=_positive, default=HOP_MS)
     p.add_argument("--pairs-csv", default=None,
                    help="also dump training pairs as CSV")
     p.set_defaults(func=cmd_train)
@@ -142,9 +171,10 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--talkers", type=_count, default=2)
     p.add_argument("--utterances", type=_count, default=3)
-    p.add_argument("--t60-list", type=_floats, default=[0.3, 0.5, 0.7, 0.9, 1.1])
-    p.add_argument("--snr-list", type=_floats, default=[-1.0, 12.0, 18.0])
-    p.add_argument("--train-t60-max", type=float, default=0.95)
+    p.add_argument("--t60-list", type=_list_of(_positive),
+                   default=[0.3, 0.5, 0.7, 0.9, 1.1])
+    p.add_argument("--snr-list", type=_list_of(_snr), default=[-1.0, 12.0, 18.0])
+    p.add_argument("--train-t60-max", type=_positive, default=0.95)
     p.add_argument("--train-rooms", type=_count, default=3)
     p.add_argument("--train-utterances", type=_count, default=3)
     p.add_argument("--order", type=_order, default=2)
@@ -207,14 +237,11 @@ def cmd_simulate_rir(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = 0 if args.seed is None else args.seed
-    rng = np.random.default_rng(seed)
-    sampler = RoomSampler()
-    for t60 in args.t60:
-        for r in range(args.rooms_per_t60):
-            room = sampler.sample(rng, t60, args.sample_rate)
-            stem = f"rir_t60_{t60:.3f}_room{r}"
-            measured = save_rir(image_method_rir(room), out / f"{stem}.wav")
-            _say(args, f"{stem}.wav: target {t60:.3f} s, measured {measured:.3f} s")
+    for t60, r, rir in simulate_rooms(np.random.default_rng(seed), args.t60,
+                                      args.rooms_per_t60, args.sample_rate):
+        stem = f"rir_t60_{t60:.3f}_room{r}"
+        measured = save_rir(rir, out / f"{stem}.wav")
+        _say(args, f"{stem}.wav: target {t60:.3f} s, measured {measured:.3f} s")
     return 0
 
 

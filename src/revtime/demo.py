@@ -16,10 +16,10 @@ from .eval_harness import (
     run_eval_paired,
     write_records,
 )
-from .room_acoustics import image_method_rir, save_rir
+from .room_acoustics import save_rir
 from .signal_core import save_json, save_wav
 from .synth import babble_noise, shaped_noise, synthetic_speech
-from .trainer import RoomSampler, default_t60_grid, train_model
+from .trainer import default_t60_grid, simulate_rooms, train_model
 
 SR = 16000
 HELDOUT_T60S = (0.3, 0.45, 0.6, 0.75, 0.9)
@@ -64,13 +64,11 @@ def _make_assets(root: Path, seed: int, talkers: int, utterances: int,
     noises = {"synthetic_white": "noise/white.wav",
               "synthetic_babble": "noise/babble.wav"}
 
-    sampler = RoomSampler()
-
     def write_rirs(t60s, prefix):
         rel = []
-        for i, t60 in enumerate(t60s):
+        for i, (t60, _, rir) in enumerate(simulate_rooms(rng, t60s, 1, SR)):
             name = f"{prefix}_t60_{t60:.2f}_r{i}.wav"
-            save_rir(image_method_rir(sampler.sample(rng, t60, SR)), rir_dir / name)
+            save_rir(rir, rir_dir / name)
             rel.append(f"rirs/{name}")
         return rel
 

@@ -110,8 +110,9 @@ class BoxStats:
             raise RevtimeError("quartiles must bracket the median")
 
 
-def _parse_snr(text: str, row: int) -> float:
-    """A finite SNR in dB, or inf for a clean row ("inf", "+inf", "clean")."""
+def _parse_snr(text: str) -> float:
+    """A finite SNR in dB, or inf for a clean row ("inf", "+inf", "clean");
+    anything else raises ValueError (the CLI's --snr-list takes the same)."""
     text = text.strip().lower()
     if text in ("inf", "+inf", "clean"):
         return math.inf
@@ -120,9 +121,7 @@ def _parse_snr(text: str, row: int) -> float:
     except ValueError:
         snr = math.nan
     if not math.isfinite(snr):
-        raise RevtimeError(
-            f"row {row}: snr_db must be a finite number, inf or clean, got {text!r}"
-        )
+        raise ValueError(f"must be a finite number, inf or clean, got {text!r}")
     return snr
 
 
@@ -138,7 +137,10 @@ def read_manifest(path):
     for idx, raw in enumerate(reader):
         if None in raw or None in raw.values():
             raise RevtimeError(f"row {idx}: expected {len(reader.fieldnames)} columns")
-        snr = _parse_snr(raw["snr_db"], idx)
+        try:
+            snr = _parse_snr(raw["snr_db"])
+        except ValueError as exc:
+            raise RevtimeError(f"row {idx}: snr_db {exc}") from None
         noise = raw["noise"].strip()
         if not math.isfinite(snr) and not noise:
             noise_path = ""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 from .errors import EstimationError, RevtimeError
 from .estimator import EstimatorConfig, MappingModel, nsv_from_audio
 from .room_acoustics import RoomSpec, image_method_rir, measure_t60, sabine_absorption
-from .signal_core import _write_rows, convolve, load_wav
+from .signal_core import _write_rows, build_mel_filterbank, convolve, load_wav
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,7 @@ class RoomSampler:
 
     def sample(self, rng: np.random.Generator, target_t60: float,
                sample_rate: int) -> RoomSpec:
+        _check_t60(target_t60)
         shape = np.array([
             1.0,
             rng.uniform(*self.width_ratio),
@@ -80,8 +82,32 @@ class RoomSampler:
         )
 
 
+def _check_t60(t60: float) -> None:
+    if not 0 < t60 < math.inf:  # NaN fails the comparison too
+        raise RevtimeError(f"T60 must be finite and positive, got {t60!r}")
+
+
+def _check_pair_count(n: int, order: int) -> None:
+    """A polynomial fit of this order needs ten pairs per coefficient."""
+    if n < 10 * (order + 1):
+        raise RevtimeError(
+            f"need at least {10 * (order + 1)} pairs to fit order {order}, got {n}")
+
+
+def simulate_rooms(rng: np.random.Generator, t60s, rooms_per_t60: int, sample_rate: int):
+    """Yield (t60, room_index, Rir) per room, targets outer, rooms inner.
+    Every RoomSpec is drawn from rng before the first room is simulated, so
+    a target the sampler rejects fails before any simulation work."""
+    sampler = RoomSampler()
+    specs = [(t60, r, sampler.sample(rng, t60, sample_rate))
+             for t60 in t60s for r in range(rooms_per_t60)]
+    for t60, r, spec in specs:
+        yield t60, r, image_method_rir(spec)
+
+
 def default_t60_grid(t60_max: float) -> list:
     """0.1 s steps from 0.1 up to (and always including) t60_max."""
+    _check_t60(t60_max)
     grid = [round(0.1 * k, 10) for k in range(1, int(t60_max / 0.1) + 1)]
     if not grid or grid[-1] < t60_max:
         grid.append(float(t60_max))
@@ -112,28 +138,26 @@ def build_training_set(speech_dir, t60_grid, rooms_per_t60: int,
     if len(rates) != 1:
         raise RevtimeError(f"speech files have mixed sample rates: {sorted(rates)}")
     fs = rates.pop()
+    if cfg.variant == "mel_band":  # too many bands for the FFT fails here, not per room
+        build_mel_filterbank(cfg.stft.fft_len // 2 + 1, cfg.n_mel_bands, fs)
 
-    rng = np.random.default_rng(seed)
-    sampler = RoomSampler()
     pairs = []
     skipped = 0
-    for t60 in t60_grid:
-        for r in range(rooms_per_t60):
-            room = sampler.sample(rng, t60, fs)
-            rir = image_method_rir(room)
-            t60_true = measure_t60(rir.buf)
-            room_id = f"t60_{t60:.3f}_room{r}"
-            for path, utt in zip(paths, utts):
-                reverberant = convolve(utt, rir.buf)
-                try:
-                    stat = nsv_from_audio(reverberant, cfg)
-                except EstimationError:
-                    skipped += 1
-                    continue
-                if stat.value <= 0:
-                    skipped += 1
-                    continue
-                pairs.append(TrainingPair(stat.value, t60_true, room_id, path.stem))
+    for t60, r, rir in simulate_rooms(np.random.default_rng(seed), t60_grid,
+                                      rooms_per_t60, fs):
+        t60_true = measure_t60(rir.buf)
+        room_id = f"t60_{t60:.3f}_room{r}"
+        for path, utt in zip(paths, utts):
+            reverberant = convolve(utt, rir.buf)
+            try:
+                stat = nsv_from_audio(reverberant, cfg)
+            except EstimationError:
+                skipped += 1
+                continue
+            if stat.value <= 0:
+                skipped += 1
+                continue
+            pairs.append(TrainingPair(stat.value, t60_true, room_id, path.stem))
     return pairs, skipped
 
 
@@ -145,11 +169,7 @@ def fit_mapping(pairs, cfg: EstimatorConfig, t60_train_max: float, order: int = 
     which the estimator clamps); "log_t60" fits log10 seconds. Returns
     (MappingModel stamped with t60_train_max, rms residual in seconds).
     """
-    n = len(pairs)
-    if n < 10 * (order + 1):
-        raise RevtimeError(
-            f"need at least {10 * (order + 1)} pairs to fit order {order}, got {n}"
-        )
+    _check_pair_count(len(pairs), order)
     x = np.log10([p.nsv for p in pairs])
     t60s = np.array([p.t60_true for p in pairs])
     y = np.log10(t60s) if target == "log_t60" else t60s
@@ -172,11 +192,14 @@ def fit_mapping(pairs, cfg: EstimatorConfig, t60_train_max: float, order: int = 
 def train_model(speech_dir, cfg: EstimatorConfig, t60_grid, rooms_per_t60: int,
                 seed: int, order: int = 2, target: str = "t60"):
     """build_training_set, then fit_mapping on its pairs, stamping the
-    grid's top as t60_train_max.
+    grid's top as t60_train_max. Too few possible pairs (grid points x
+    rooms x utterances) for the fit fails before any room is simulated.
 
     Returns (model, pairs, report); report is the training report that
     train and demo write as JSON.
     """
+    _check_pair_count(len(t60_grid) * rooms_per_t60 * len(list_speech_files(speech_dir)),
+                      order)
     pairs, skipped = build_training_set(speech_dir, t60_grid, rooms_per_t60, cfg, seed)
     model, rms = fit_mapping(pairs, cfg, max(t60_grid), order=order, target=target)
     return model, pairs, {

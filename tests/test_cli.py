@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import revtime
-from revtime import cli, demo, trainer
+from revtime import cli, trainer
 from revtime.cli import main
 from revtime.estimator import EstimatorConfig, MappingModel
 from revtime.signal_core import save_wav
@@ -33,13 +33,12 @@ def speech_dir(tmp_path_factory):
 
 
 def no_rooms(monkeypatch):
-    """Make every room simulation fail the test: trainer's, simulate-rir's
-    and demo's."""
+    """Make every room simulation fail the test: train, simulate-rir and
+    demo all simulate through trainer.simulate_rooms."""
     def no_room(room):
         raise AssertionError("a room was simulated")
 
-    for module in (trainer, cli, demo):
-        monkeypatch.setattr(module, "image_method_rir", no_room)
+    monkeypatch.setattr(trainer, "image_method_rir", no_room)
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +124,7 @@ class TestSimulateRir:
         def no_room(room):
             raise AssertionError("a room was simulated")
 
-        monkeypatch.setattr(cli, "image_method_rir", no_room)
+        monkeypatch.setattr(trainer, "image_method_rir", no_room)
         out = tmp_path / "rirs"
         code = main(["simulate-rir", "--out", str(out), "--t60", targets[0],
                      "--t60", targets[1], "--quiet"])
@@ -277,6 +276,60 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
     assert err.startswith(f"usage: revtime {command[0]}")
     assert f"argument {option}: " in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, expected", [
+    (["train", "--grid", "0.3,nan"], "argument --grid: must be finite and > 0, got nan"),
+    (["train", "--grid", "0.3,-0.5", "--rooms-per-t60", "4"],
+     "argument --grid: must be finite and > 0, got -0.5"),
+    (["train", "--t60-max", "inf"], "argument --t60-max: must be finite and > 0, got inf"),
+    (["train", "--t60-max", "nan"], "argument --t60-max: must be finite and > 0, got nan"),
+    (["simulate-rir", "--t60", "0.3", "--t60", "inf"],
+     "argument --t60: must be finite and > 0, got inf"),
+    (["demo", "--t60-list", "0.3,nan"], "argument --t60-list: must be finite and > 0"),
+    (["demo", "--train-t60-max", "0"], "argument --train-t60-max: must be finite and > 0"),
+    (["demo", "--snr-list", "nan"],
+     "argument --snr-list: must be a finite number, inf or clean, got 'nan'"),
+    (["demo", "--snr-list=12,-inf"], "argument --snr-list: must be a finite number"),
+    (["train", "--snr-margin", "nan", "--grid", "0.3,0.5,0.7"],
+     "argument --snr-margin: must be finite, got nan"),
+    (["train", "--frame-ms", "0"], "argument --frame-ms: must be finite and > 0, got 0"),
+    (["train", "--hop-ms", "-4"], "argument --hop-ms: must be finite and > 0, got -4"),
+    (["train", "--t60-max", "0.05", "--rooms-per-t60", "4"],
+     "error: need at least 30 pairs to fit order 2, got 8"),
+    (["train", "--n-mel-bands", "500"], "error: 500 bands exceed the 257 available bins"),
+    (["train", "--frame-ms", "1"], "error: 23 bands exceed the 9 available bins"),
+], ids=["grid_nan", "grid_negative", "t60_max_inf", "t60_max_nan", "rir_t60_inf",
+        "demo_t60_nan", "demo_train_t60_max_zero", "demo_snr_nan", "demo_snr_minus_inf",
+        "snr_margin_nan", "frame_ms_zero", "hop_ms_negative", "too_few_pairs",
+        "too_many_bands", "frame_too_short"])
+def test_bad_value_fails_before_any_room(tmp_path, speech_dir, monkeypatch, capsys,
+                                         command, expected):
+    """A bad number on the command line, too few possible training pairs or
+    more Mel bands than FFT bins exits 1 with one message and no traceback
+    before any room is simulated."""
+    no_rooms(monkeypatch)
+    out = tmp_path / "out"
+    required = {"simulate-rir": ["--out", str(out)],
+                "train": ["--speech-dir", str(speech_dir), "--out", str(out / "m.json")],
+                "demo": ["--out", str(out)]}[command[0]]
+    try:
+        code = main([*command, *required, "--quiet"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    err = capsys.readouterr().err
+    assert expected in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.wav")) and not list(tmp_path.rglob("*.json"))
+
+
+@pytest.mark.parametrize("text", ["inf", "+inf", "clean"])
+def test_snr_list_takes_clean_like_a_manifest(tmp_path, monkeypatch, text):
+    seen = {}
+    monkeypatch.setattr(cli, "run_demo", lambda out, **kw: seen.update(kw))
+    assert main(["demo", "--out", str(tmp_path / "d"), f"--snr-list=12,{text}"]) == 0
+    assert seen["snr_list"] == [12.0, float("inf")]
 
 
 class TestConfigFile:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from revtime.errors import RevtimeError
 from revtime.estimator import EstimatorConfig, map_nsv_to_t60
 from revtime.signal_core import _from_fields, save_wav
 from revtime.synth import synthetic_speech
+from revtime import trainer
 from revtime.trainer import (
     RoomSampler,
     TrainingPair,
@@ -14,6 +16,7 @@ from revtime.trainer import (
     default_t60_grid,
     fit_mapping,
     pairs_to_csv,
+    simulate_rooms,
 )
 
 SR = 16000
@@ -55,7 +58,18 @@ class TestDefaultGrid:
         assert max(grid) == 1.85
 
 
+    @pytest.mark.parametrize("t60_max", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_bad_top_rejected(self, t60_max):
+        with pytest.raises(RevtimeError, match=f"T60 must be finite and positive, got {t60_max}"):
+            default_t60_grid(t60_max)
+
+
 class TestRoomSampler:
+    @pytest.mark.parametrize("t60", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_bad_target_rejected(self, t60):
+        with pytest.raises(RevtimeError, match=f"T60 must be finite and positive, got {t60}"):
+            RoomSampler().sample(np.random.default_rng(0), t60, SR)
+
     def test_deterministic(self):
         a = RoomSampler().sample(np.random.default_rng(3), 0.6, SR)
         b = RoomSampler().sample(np.random.default_rng(3), 0.6, SR)
@@ -184,3 +198,36 @@ class TestBuildTrainingSet:
             model, _ = fit_mapping(pairs, CFG, 0.5, order=0)
             models.append(model)
         assert np.array_equal(models[0].coefficients, models[1].coefficients)
+
+
+class TestSimulateRooms:
+    GRID = (0.2, 0.5, 0.9)
+
+    def test_specs_match_interleaved_loop(self, monkeypatch):
+        monkeypatch.setattr(trainer, "image_method_rir", lambda spec: spec)
+        got = list(simulate_rooms(np.random.default_rng(11), self.GRID, 3, SR))
+        rng = np.random.default_rng(11)
+        expected = [(t60, r, RoomSampler().sample(rng, t60, SR))
+                    for t60 in self.GRID for r in range(3)]
+        assert [(t60, r) for t60, r, _ in got] == [(t60, r) for t60, r, _ in expected]
+        for (*_, a), (*_, b) in zip(got, expected):
+            assert dataclasses.astuple(a) == dataclasses.astuple(b)
+
+    def test_every_room_drawn_before_the_first_is_simulated(self, monkeypatch):
+        drawn = []
+        draws_before_first_room = []
+        sample = RoomSampler.sample
+
+        def counting_sample(self, *args):
+            drawn.append(1)
+            return sample(self, *args)
+
+        def fake_rir(spec):
+            draws_before_first_room.append(len(drawn))
+            return spec
+
+        monkeypatch.setattr(RoomSampler, "sample", counting_sample)
+        monkeypatch.setattr(trainer, "image_method_rir", fake_rir)
+        rooms = simulate_rooms(np.random.default_rng(11), self.GRID, 3, SR)
+        assert len(list(rooms)) == 9
+        assert draws_before_first_room[0] == 9
