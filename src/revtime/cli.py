@@ -22,7 +22,9 @@ from .eval_harness import (
     read_records,
     rtf_table,
 )
-from .room_acoustics import save_rir
+# Unused: cli simulates through trainer.simulate_rooms. perfbench's holder
+# check still expects cli to hold the simulator (ROADMAP item 7).
+from .room_acoustics import image_method_rir, save_rir  # noqa: F401
 from .signal_core import FRAME_MS, HOP_MS, StftConfig, _from_fields, load_wav, read_lines, save_json
 from .trainer import (
     default_t60_grid,

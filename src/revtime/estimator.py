@@ -293,6 +293,15 @@ def map_nsv_to_t60(stat: NsvStatistic, model: MappingModel):
     return pred, ()
 
 
+def mel_weights(cfg: EstimatorConfig, sample_rate: int):
+    """The Mel filterbank band_spectrogram applies for cfg at this rate, or
+    None for the full_band variant. More bands than the FFT has bins raise
+    RevtimeError."""
+    if cfg.variant == "full_band":
+        return None
+    return build_mel_filterbank(cfg.stft.fft_len // 2 + 1, cfg.n_mel_bands, sample_rate)
+
+
 def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:
     """Estimator front-end: peak-normalized banded log-magnitude spectrogram
     clamped to the configured dynamic range below its maximum.
@@ -334,12 +343,12 @@ def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:
     mag = _work_array("mag", (n_frames, n_bins), np.float64)
     np.abs(spectrum, out=mag)
     mag += LOG_FLOOR
-    if cfg.variant == "full_band":
+    weights = mel_weights(cfg, buf.sample_rate)
+    if weights is None:
         np.log10(mag, out=mag)
         mag *= 20.0
         values = mag.T.copy()
     else:
-        weights = build_mel_filterbank(n_bins, cfg.n_mel_bands, buf.sample_rate)
         np.square(mag, out=mag)
         banded = mag @ weights.T
         np.log10(banded, out=banded)

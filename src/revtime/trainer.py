@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EstimationError, RevtimeError
-from .estimator import EstimatorConfig, MappingModel, nsv_from_audio
+from .estimator import EstimatorConfig, MappingModel, mel_weights, nsv_from_audio
 from .room_acoustics import RoomSpec, image_method_rir, measure_t60, sabine_absorption
-from .signal_core import _write_rows, build_mel_filterbank, convolve, load_wav
+from .signal_core import _write_rows, convolve, load_wav
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,7 @@ def build_training_set(speech_dir, t60_grid, rooms_per_t60: int,
     if len(rates) != 1:
         raise RevtimeError(f"speech files have mixed sample rates: {sorted(rates)}")
     fs = rates.pop()
-    if cfg.variant == "mel_band":  # too many bands for the FFT fails here, not per room
-        build_mel_filterbank(cfg.stft.fft_len // 2 + 1, cfg.n_mel_bands, fs)
+    mel_weights(cfg, fs)  # too many bands for the FFT fails here, not per room
 
     pairs = []
     skipped = 0
