@@ -19,7 +19,7 @@ from .eval_harness import (
 from .room_acoustics import save_rir
 from .signal_core import save_json, save_wav
 from .synth import babble_noise, shaped_noise, synthetic_speech
-from .trainer import default_t60_grid, simulate_rooms, train_model
+from .trainer import _check_pair_count, default_t60_grid, simulate_rooms, train_model
 
 SR = 16000
 HELDOUT_T60S = (0.3, 0.45, 0.6, 0.75, 0.9)
@@ -102,17 +102,19 @@ def run_demo(out, *, seed: int, talkers: int, utterances: int, t60_list,
     heldout_corpus/ and results/ (records.csv, heldout_records.csv,
     report.csv, boxplot.dat). The same arguments give byte-identical files
     apart from the cpu_time column of the records. say receives the
-    progress lines.
+    progress lines. A bad training grid or too few possible training pairs
+    fails before anything is synthesized or simulated.
     """
     out = Path(out)
     results = out / "results"
+    grid = default_t60_grid(train_t60_max)
+    _check_pair_count(len(grid) * train_rooms * train_utterances, order)
 
     say("[1/5] synthesizing speech, noise and impulse responses")
     assets = _make_assets(out / "assets", seed, talkers, utterances, t60_list,
                           snr_list, train_utterances)
 
     say("[2/5] training both variants")
-    grid = default_t60_grid(train_t60_max)
     model_dir = out / "models"
     model_dir.mkdir(parents=True, exist_ok=True)
     models = []

@@ -207,23 +207,57 @@ def _work_array(name: str, shape: tuple, dtype) -> np.ndarray:
     return flat[:size].reshape(shape)
 
 
+# Elements per block of decay_gradients' shifted sum (about 512 KB of
+# float64): the block and its running sum stay in cache.
+_SLOPE_BLOCK = 1 << 16
+
+
 def decay_gradients(spec: BandSpectrogram, window_frames: int) -> GradientMatrix:
     """Least-squares decay slope of every length-window_frames sliding window.
 
-    The pseudoinverse of the common (window_frames x 2) design matrix is
-    computed once; its slope row applied to all windows of all bands in a
-    single matrix product. Slopes are in dB per second.
+    The slope of a window is the dot product of its values with the slope
+    row of the pseudoinverse of the common (window_frames x 2) design
+    matrix, computed once. The products are summed as shifted copies of the
+    flattened band-major spectrogram, ``acc = v[0:m] * row[0]`` and then
+    ``acc += v[k:k+m] * row[k]`` for k = 1 .. window_frames - 1, in blocks
+    of whole bands held in two per-thread work arrays (about 1 MB in all).
+    That is the sequential sum of numpy's matmul loop for strided operands,
+    so the slopes equal ``sliding_window_view(values, w, axis=1) @ row`` bit
+    for bit (up to the sign of an exactly zero slope) without its generic
+    length-w inner loop. Slopes are in dB per second; the returned matrix is
+    a fresh array.
     """
     w = int(window_frames)
     if w < 2:
         raise RevtimeError("window_frames must be at least 2")
-    if spec.n_frames < w:
-        raise RevtimeError(
-            f"spectrogram has {spec.n_frames} frames, need at least {w}"
-        )
-    slope_row = _slope_row(w, float(spec.frame_step))
-    windows = sliding_window_view(spec.values, w, axis=1)
-    slopes = windows @ slope_row
+    n_bands, n_frames = spec.values.shape
+    if n_frames < w:
+        raise RevtimeError(f"spectrogram has {n_frames} frames, need at least {w}")
+    row = _slope_row(w, float(spec.frame_step))
+    n_windows = n_frames - w + 1
+    if n_windows == 1:
+        # One window per band is a plain row, which numpy's matmul hands to
+        # BLAS dot (another summation order); keep that product.
+        slopes = spec.values[:, None, :] @ row
+    else:
+        slopes = np.empty((n_bands, n_windows))
+        flat = np.ascontiguousarray(spec.values).ravel()
+        bands = max(1, _SLOPE_BLOCK // n_frames)
+        block_size = min(bands, n_bands) * n_frames
+        acc_buf = _work_array("slope_acc", (block_size,), np.float64)
+        term_buf = _work_array("slope_term", (block_size,), np.float64)
+        for b0 in range(0, n_bands, bands):
+            b1 = min(b0 + bands, n_bands)
+            block = flat[b0 * n_frames:b1 * n_frames]
+            # Sums that straddle two bands land in the last w - 1 columns of
+            # a band, which are not windows and are dropped.
+            m = block.size - w + 1
+            acc, term = acc_buf[:m], term_buf[:m]
+            np.multiply(block[:m], row[0], out=acc)
+            for k in range(1, w):
+                np.multiply(block[k:k + m], row[k], out=term)
+                acc += term
+            slopes[b0:b1] = acc_buf[:block.size].reshape(b1 - b0, n_frames)[:, :n_windows]
     return GradientMatrix(slopes, np.ones(slopes.shape, dtype=bool))
 
 
@@ -267,9 +301,13 @@ def nsv(grads: GradientMatrix) -> NsvStatistic:
         raise EstimationError(
             "insufficient decay evidence: fewer than 2 selected negative gradients"
         )
+    # np.var's arithmetic, done in place on the work array.
+    n = negatives.size
+    negatives -= np.add.reduce(negatives) / n
+    negatives *= negatives
     return NsvStatistic(
-        value=float(np.var(negatives)),
-        n_negative=int(negatives.size),
+        value=float(np.add.reduce(negatives) / n),
+        n_negative=int(n),
         n_selected=int(np.count_nonzero(grads.selected)),
     )
 
@@ -322,8 +360,7 @@ def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:
             f"audio of {buf.duration:.3f} s is shorter than the "
             f"{cfg.min_duration_s:.3f} s minimum"
         )
-    scaled = _work_array("scaled", buf.samples.shape, np.float64)
-    peak = float(np.max(np.abs(buf.samples, out=scaled)))
+    peak = float(max(buf.samples.max(), -buf.samples.min()))
     if peak == 0.0:
         raise EstimationError("cannot estimate from digital silence")
     stft = cfg.stft
@@ -331,6 +368,7 @@ def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:
         raise EstimationError(
             f"audio of {len(buf)} samples is shorter than one analysis frame"
         )
+    scaled = _work_array("scaled", buf.samples.shape, np.float64)
     np.divide(buf.samples, peak, out=scaled)
     frames = sliding_window_view(scaled, stft.frame_len)[::stft.hop]
     n_frames = frames.shape[0]

@@ -1,5 +1,6 @@
-"""Reference STFT and Mel banding, written the direct way: the oracle that
-``estimator.band_spectrogram`` is compared against."""
+"""Reference STFT, Mel banding and decay slopes, written the direct way: the
+oracles that ``estimator.band_spectrogram`` and ``estimator.decay_gradients``
+are compared against."""
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,3 +27,10 @@ def reference_mel(spec, weights):
     dB."""
     values = 10.0 * np.log10(weights @ 10.0 ** (spec.values / 10.0))
     return BandSpectrogram(values, spec.frame_step)
+
+
+def reference_slopes(spec, w):
+    """Decay slope of every length-w window as one matrix product of the
+    sliding windows with the slope row of the [1, t] design pseudoinverse."""
+    design = np.column_stack([np.ones(w), np.arange(w) * spec.frame_step])
+    return sliding_window_view(spec.values, w, axis=1) @ np.linalg.pinv(design)[1]

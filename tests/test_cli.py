@@ -299,15 +299,19 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
      "error: need at least 30 pairs to fit order 2, got 8"),
     (["train", "--n-mel-bands", "500"], "error: 500 bands exceed the 257 available bins"),
     (["train", "--frame-ms", "1"], "error: 23 bands exceed the 9 available bins"),
+    (["demo", "--train-t60-max", "0.01"],
+     "error: need at least 30 pairs to fit order 2, got 9"),
+    (["demo", "--train-t60-max", "0.1", "--train-rooms", "1", "--train-utterances", "1"],
+     "error: need at least 30 pairs to fit order 2, got 1"),
 ], ids=["grid_nan", "grid_negative", "t60_max_inf", "t60_max_nan", "rir_t60_inf",
         "demo_t60_nan", "demo_train_t60_max_zero", "demo_snr_nan", "demo_snr_minus_inf",
         "snr_margin_nan", "frame_ms_zero", "hop_ms_negative", "too_few_pairs",
-        "too_many_bands", "frame_too_short"])
+        "too_many_bands", "frame_too_short", "demo_too_few_pairs", "demo_one_pair"])
 def test_bad_value_fails_before_any_room(tmp_path, speech_dir, monkeypatch, capsys,
                                          command, expected):
     """A bad number on the command line, too few possible training pairs or
     more Mel bands than FFT bins exits 1 with one message and no traceback
-    before any room is simulated."""
+    before any room is simulated (demo: before any file is written)."""
     no_rooms(monkeypatch)
     out = tmp_path / "out"
     required = {"simulate-rir": ["--out", str(out)],

@@ -31,7 +31,7 @@ from revtime.signal_core import (
     build_mel_filterbank,
 )
 from revtime.synth import synthetic_speech
-from stft_reference import reference_log_spectrogram, reference_mel
+from stft_reference import reference_log_spectrogram, reference_mel, reference_slopes
 
 SR = 16000
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -79,6 +79,30 @@ class TestDecayGradients:
     def test_too_few_frames(self):
         with pytest.raises(RevtimeError, match="frames"):
             decay_gradients(make_spec(np.zeros((2, 4))), 7)
+
+    @pytest.mark.parametrize("shape, w", [
+        ((1, 40), 7),         # a single band
+        ((6, 7), 7),          # n_frames == w: one window per band
+        ((1, 5), 5),
+        *[((9, 33), w) for w in range(2, 10)],
+        ((257, 3000), 7),     # several blocks of whole bands
+        ((3, 70000), 7),      # one band longer than a block
+    ])
+    def test_equals_matrix_product_oracle(self, shape, w):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1] + w)
+        spec = make_spec(rng.uniform(-100, 0, size=shape), 0.008)
+        slopes = decay_gradients(spec, w).slopes
+        assert slopes.shape == (shape[0], shape[1] - w + 1)
+        assert np.array_equal(slopes, reference_slopes(spec, w))
+
+    @pytest.mark.parametrize("n_frames", [7, 50])
+    def test_non_contiguous_values_equal_oracle(self, n_frames):
+        rng = np.random.default_rng(n_frames)
+        values = rng.uniform(-100, 0, size=(n_frames, 40)).T  # Fortran order
+        spec = make_spec(values[::2], 0.008)
+        assert not spec.values.flags.c_contiguous
+        assert np.array_equal(decay_gradients(spec, 7).slopes,
+                              reference_slopes(spec, 7))
 
 
 class TestEstimateBandSnr:
@@ -181,6 +205,17 @@ class TestNsv:
         stat = nsv(GradientMatrix(slopes, mask))
         expected = statistics.pvariance(flat)
         assert stat.value == pytest.approx(expected, rel=1e-12)
+
+    def test_equals_np_var_across_sizes(self):
+        """Exactly np.var of the selected negatives, with the per-thread
+        work array shrinking and growing between calls."""
+        rng = np.random.default_rng(5)
+        for shape in [(40, 500), (3, 20), (60, 900), (2, 5), (20, 100), (80, 1000)]:
+            slopes = rng.normal(-20.0, 150.0, size=shape)
+            mask = rng.random(size=shape) < rng.uniform(0.2, 0.9)
+            stat = nsv(GradientMatrix(slopes, mask))
+            assert stat.value == np.var(np.compress((mask & (slopes < 0)).ravel(),
+                                                    slopes.ravel()))
 
 
 def model_with(coeffs, target="t60", variant="mel_band", t60_max=0.95):
