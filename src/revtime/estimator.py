@@ -41,20 +41,17 @@ NOISE_FLOOR_PERCENTILE = 10.0
 
 @dataclass(frozen=True, eq=False)
 class GradientMatrix:
-    """Per-band, per-window decay slopes in dB/s with a selection mask."""
+    """Per-band, per-window decay slopes in dB/s."""
 
     slopes: np.ndarray
-    selected: np.ndarray
 
     def __post_init__(self):
         slopes = np.asarray(self.slopes, dtype=np.float64)
-        selected = np.asarray(self.selected, dtype=bool)
-        if slopes.ndim != 2 or selected.shape != slopes.shape:
-            raise RevtimeError("selection mask must match the slope matrix shape")
+        if slopes.ndim != 2:
+            raise RevtimeError("slopes must be a (bands, windows) matrix")
         if not np.all(np.isfinite(slopes)):
             raise RevtimeError("slopes contain non-finite values")
         object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "selected", selected)
 
 
 @dataclass(frozen=True)
@@ -258,7 +255,7 @@ def decay_gradients(spec: BandSpectrogram, window_frames: int) -> GradientMatrix
                 np.multiply(block[k:k + m], row[k], out=term)
                 acc += term
             slopes[b0:b1] = acc_buf[:block.size].reshape(b1 - b0, n_frames)[:, :n_windows]
-    return GradientMatrix(slopes, np.ones(slopes.shape, dtype=bool))
+    return GradientMatrix(slopes)
 
 
 def estimate_band_snr(spec: BandSpectrogram) -> np.ndarray:
@@ -278,25 +275,27 @@ def estimate_band_snr(spec: BandSpectrogram) -> np.ndarray:
     return spec.values - floor[:, None]
 
 
-def select_bins(grads: GradientMatrix, snr: np.ndarray, margin_db: float) -> GradientMatrix:
-    """Keep only slopes whose window starts at a frame with SNR >= margin_db."""
+def select_bins(grads: GradientMatrix, snr: np.ndarray, margin_db: float) -> np.ndarray:
+    """The slopes whose window starts at a frame with SNR >= margin_db, as a
+    1-D array in band-major order."""
     snr = np.asarray(snr, dtype=np.float64)
     n_bands, n_windows = grads.slopes.shape
     if snr.ndim != 2 or snr.shape[0] != n_bands or snr.shape[1] < n_windows:
         raise RevtimeError(
             f"SNR map {snr.shape} incompatible with gradients {grads.slopes.shape}"
         )
-    mask = grads.selected & (snr[:, :n_windows] >= margin_db)
-    return GradientMatrix(grads.slopes, mask)
+    return grads.slopes[snr[:, :n_windows] >= margin_db]
 
 
-def nsv(grads: GradientMatrix) -> NsvStatistic:
-    """Population variance of the selected negative slopes."""
-    mask = grads.selected & (grads.slopes < 0.0)
+def nsv(slopes: np.ndarray) -> NsvStatistic:
+    """Population variance of the negative values among the given slopes,
+    all of which count as selected."""
+    slopes = np.asarray(slopes, dtype=np.float64)
+    mask = slopes < 0.0
     # The slopes are gathered into a work array: a fresh one per call would
     # be the largest temporary of a full_band estimate.
     negatives = _work_array("negatives", (int(np.count_nonzero(mask)),), np.float64)
-    np.compress(mask.ravel(), grads.slopes.ravel(), out=negatives)
+    np.compress(mask.ravel(), slopes.ravel(), out=negatives)
     if negatives.size < 2:
         raise EstimationError(
             "insufficient decay evidence: fewer than 2 selected negative gradients"
@@ -308,7 +307,7 @@ def nsv(grads: GradientMatrix) -> NsvStatistic:
     return NsvStatistic(
         value=float(np.add.reduce(negatives) / n),
         n_negative=int(n),
-        n_selected=int(np.count_nonzero(grads.selected)),
+        n_selected=int(slopes.size),
     )
 
 
@@ -319,8 +318,6 @@ def map_nsv_to_t60(stat: NsvStatistic, model: MappingModel):
     an arbitrarily long decay). Negative polynomial output clamps to 0.0;
     there is no upper clamp.
     """
-    if stat.value < 0:
-        raise RevtimeError("NSV cannot be negative")
     if stat.value == 0.0:
         return float(model.t60_train_max), ("saturated",)
     pred = float(npoly.polyval(np.log10(stat.value), model.coefficients))
@@ -400,9 +397,9 @@ def nsv_from_audio(buf: AudioBuffer, cfg: EstimatorConfig) -> NsvStatistic:
     """Run the front-end through the NSV statistic (no T60 mapping)."""
     spec = band_spectrogram(buf, cfg)
     grads = decay_gradients(spec, cfg.window_frames)
-    if cfg.variant == "mel_band":
-        grads = select_bins(grads, estimate_band_snr(spec), cfg.snr_margin)
-    return nsv(grads)
+    if cfg.variant == "full_band":
+        return nsv(grads.slopes)
+    return nsv(select_bins(grads, estimate_band_snr(spec), cfg.snr_margin))
 
 
 def estimate_t60(buf: AudioBuffer, model: MappingModel) -> EstimateResult:

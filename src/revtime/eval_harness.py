@@ -163,12 +163,14 @@ def read_manifest(path):
     return rows
 
 
-def _check_files(rows) -> None:
+def _check_files(rows) -> dict:
     """Check the manifest's files from their WAV headers, each distinct path
     read once. Every file must load; then, row by row, an RIR must be at
     its speech's sample rate, and a noise mixed at a finite SNR at that rate
     too and at least as long as the reverberant speech (speech + RIR - 1
-    frames). A failure raises RevtimeError naming the row."""
+    frames). Last, each distinct RIR is loaded and its T60 label measured.
+    A failure raises RevtimeError naming the row; returns the labels by RIR
+    path."""
     headers = {}
     for idx, row in enumerate(rows):
         for path in filter(None, (row["speech"], row["rir"], row["noise"])):
@@ -195,6 +197,14 @@ def _check_files(rows) -> None:
             raise RevtimeError(f"row {idx}: noise {row['noise']}: noise ({n_noise} "
                                f"samples) is shorter than speech convolved with its "
                                f"RIR ({n_speech + n_rir - 1})")
+    labels = {}
+    for idx, row in enumerate(rows):
+        if row["rir"] not in labels:
+            try:
+                labels[row["rir"]] = measure_t60(load_wav(row["rir"]))
+            except RevtimeError as exc:
+                raise RevtimeError(f"row {idx}: rir {row['rir']}: {exc}") from exc
+    return labels
 
 
 def build_corpus(manifest, out_dir) -> list:
@@ -210,15 +220,14 @@ def build_corpus(manifest, out_dir) -> list:
     another is simply convolved again. Every recorded path is absolute, so
     the corpus can be evaluated from any working directory.
 
-    Every file is checked from its header before out_dir is created; only
-    a silent mix, or a noise silent over the speech span, fails when its
-    row is reached.
+    Every file is checked from its header, and every RIR labeled, before
+    out_dir is created; only a silent mix, silent speech on a noisy row, or
+    a noise silent over the speech span fails when its row is reached.
     """
     rows = read_manifest(manifest)
-    _check_files(rows)
+    labels = _check_files(rows)
     out = Path(out_dir).absolute()
     out.mkdir(parents=True, exist_ok=True)
-    t60_cache = {}
     noises = {}
     pair = reverberant = level = None
     items = []
@@ -226,18 +235,18 @@ def build_corpus(manifest, out_dir) -> list:
         if (row["speech"], row["rir"]) != pair:
             speech = load_wav(row["speech"])
             rir = load_wav(row["rir"])
-            if row["rir"] not in t60_cache:
-                t60_cache[row["rir"]] = measure_t60(rir)
             pair = (row["speech"], row["rir"])
             reverberant = convolve(speech, rir)
             level = None
-        t60_true = t60_cache[row["rir"]]
         if math.isfinite(row["snr_db"]):
             if row["noise"] not in noises:
                 noises[row["noise"]] = load_wav(row["noise"])
             noise = noises[row["noise"]]
             if level is None:
-                level = active_speech_level(reverberant)
+                try:
+                    level = active_speech_level(reverberant)
+                except RevtimeError as exc:
+                    raise RevtimeError(f"row {idx}: speech {row['speech']}: {exc}") from exc
             try:
                 gain = noise_gain_for_snr(reverberant, noise, row["snr_db"],
                                           speech_level_db=level)
@@ -267,7 +276,7 @@ def build_corpus(manifest, out_dir) -> list:
             noise_path=row["noise"],
             snr_db=row["snr_db"],
             noise_type=row["noise_type"],
-            t60_true=t60_true,
+            t60_true=labels[row["rir"]],
             mix_path=str(mix_path),
         )
         sidecar = item.to_dict()

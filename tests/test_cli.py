@@ -11,7 +11,7 @@ import revtime
 from revtime import cli, trainer
 from revtime.cli import main
 from revtime.estimator import EstimatorConfig, MappingModel
-from revtime.signal_core import save_wav
+from revtime.signal_core import AudioBuffer, save_wav
 from revtime.synth import synthetic_speech
 
 SR = 16000
@@ -617,6 +617,20 @@ class TestBuildCorpusCli:
         err = capsys.readouterr().err
         assert "row 1" in err and "gone.wav" in err
         assert not list(out.glob("item*"))
+
+    def test_unlabelable_rir_names_row_before_writing(self, tmp_path, capsys):
+        save_wav(synthetic_speech(1.6, SR, seed=62), tmp_path / "s.wav")
+        impulse = AudioBuffer(np.concatenate([[1.0], np.zeros(50)]), SR)
+        save_wav(impulse, tmp_path / "impulse.wav", fmt="float32")
+        (tmp_path / "m.csv").write_text(
+            "speech,rir,noise,snr_db,noise_type\ns.wav,impulse.wav,,inf,none\n")
+        out = tmp_path / "corpus"
+        code = main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
+                     "--out", str(out), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "row 0" in err and "impulse.wav" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("column", ["speech", "rir"])
     def test_missing_file_names_row_before_writing(self, tmp_path, capsys, column):

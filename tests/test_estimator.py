@@ -61,7 +61,6 @@ class TestDecayGradients:
         values = np.tile(-60.0 * times, (5, 1)) + np.arange(5)[:, None]
         grads = decay_gradients(make_spec(values), 7)
         assert np.allclose(grads.slopes, -60.0, atol=1e-9)
-        assert grads.selected.all()
         assert grads.slopes.shape == (5, 20 - 7 + 1)
 
     def test_constant_band_zero_slope(self):
@@ -139,27 +138,26 @@ class TestEstimateBandSnr:
 class TestSelectBins:
     def _grads(self, shape):
         rng = np.random.default_rng(4)
-        return GradientMatrix(rng.normal(size=shape), np.ones(shape, bool))
+        return GradientMatrix(rng.normal(size=shape))
 
     def test_minus_inf_selects_all(self):
         grads = self._grads((4, 10))
         snr = np.random.default_rng(5).uniform(0, 60, size=(4, 12))
         out = select_bins(grads, snr, -np.inf)
-        assert out.selected.all()
-        assert np.array_equal(out.slopes, grads.slopes)
+        assert np.array_equal(out, grads.slopes.ravel())
 
     def test_plus_inf_selects_none(self):
         grads = self._grads((4, 10))
         snr = np.random.default_rng(6).uniform(0, 60, size=(4, 12))
-        assert not select_bins(grads, snr, np.inf).selected.any()
+        assert select_bins(grads, snr, np.inf).shape == (0,)
 
     def test_elementwise_oracle(self):
         grads = self._grads((5, 8))
         snr = np.random.default_rng(7).uniform(0, 12, size=(5, 8))
         out = select_bins(grads, snr, 6.0)
-        for b in range(5):
-            for i in range(8):
-                assert out.selected[b, i] == (snr[b, i] >= 6.0)
+        kept = [grads.slopes[b, i] for b in range(5) for i in range(8)
+                if snr[b, i] >= 6.0]
+        assert out.tolist() == kept
 
     def test_shape_mismatch(self):
         grads = self._grads((4, 10))
@@ -169,15 +167,13 @@ class TestSelectBins:
 
 class TestNsv:
     def test_equal_negatives_zero_variance(self):
-        grads = GradientMatrix(np.full((2, 3), -5.0), np.ones((2, 3), bool))
-        stat = nsv(grads)
+        stat = nsv(np.full((2, 3), -5.0))
         assert stat.value == 0.0
         assert stat.n_negative == 6
 
     def test_two_point_variance(self):
         slopes = np.array([[-1.0, -3.0, 5.0]])
-        grads = GradientMatrix(slopes, np.ones((1, 3), bool))
-        stat = nsv(grads)
+        stat = nsv(slopes)
         assert stat.value == pytest.approx(1.0, abs=1e-12)
         assert stat.n_negative == 2
         assert stat.n_selected == 3
@@ -185,13 +181,13 @@ class TestNsv:
     def test_mask_respected(self):
         slopes = np.array([[-1.0, -3.0, -100.0]])
         mask = np.array([[True, True, False]])
-        stat = nsv(GradientMatrix(slopes, mask))
+        stat = nsv(slopes[mask])
         assert stat.value == pytest.approx(1.0, abs=1e-12)
+        assert stat.n_selected == 2
 
     def test_insufficient_evidence(self):
-        grads = GradientMatrix(np.array([[1.0, 2.0, -1.0]]), np.ones((1, 3), bool))
         with pytest.raises(EstimationError, match="insufficient decay evidence"):
-            nsv(grads)
+            nsv(np.array([[1.0, 2.0, -1.0]]))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -202,20 +198,25 @@ class TestNsv:
         flat = [s for s, m in zip(slopes.ravel(), mask.ravel()) if m and s < 0]
         if len(flat) < 2:
             return
-        stat = nsv(GradientMatrix(slopes, mask))
+        stat = nsv(slopes[mask])
         expected = statistics.pvariance(flat)
         assert stat.value == pytest.approx(expected, rel=1e-12)
 
     def test_equals_np_var_across_sizes(self):
-        """Exactly np.var of the selected negatives, with the per-thread
-        work array shrinking and growing between calls."""
+        """Exactly np.var of the selected negatives, whether the selection
+        is a mask or select_bins' SNR gate, with the per-thread work array
+        shrinking and growing between calls."""
         rng = np.random.default_rng(5)
         for shape in [(40, 500), (3, 20), (60, 900), (2, 5), (20, 100), (80, 1000)]:
             slopes = rng.normal(-20.0, 150.0, size=shape)
-            mask = rng.random(size=shape) < rng.uniform(0.2, 0.9)
-            stat = nsv(GradientMatrix(slopes, mask))
-            assert stat.value == np.var(np.compress((mask & (slopes < 0)).ravel(),
-                                                    slopes.ravel()))
+            snr = rng.uniform(0.0, 30.0, size=(shape[0], shape[1] + 6))
+            margin = rng.uniform(3.0, 24.0)
+            mask = snr[:, :shape[1]] >= margin
+            expected = np.var(np.compress((mask & (slopes < 0)).ravel(), slopes.ravel()))
+            assert nsv(slopes[mask]).value == expected
+            stat = nsv(select_bins(GradientMatrix(slopes), snr, margin))
+            assert stat.value == expected
+            assert stat.n_selected == np.count_nonzero(mask)
 
 
 def model_with(coeffs, target="t60", variant="mel_band", t60_max=0.95):
@@ -225,6 +226,19 @@ def model_with(coeffs, target="t60", variant="mel_band", t60_max=0.95):
         config=EstimatorConfig.default(variant),
         target=target,
     )
+
+
+class TestNsvStatistic:
+    """The statistic enforces its own invariants, so map_nsv_to_t60 never
+    sees a negative NSV."""
+
+    def test_negative_value_rejected(self):
+        with pytest.raises(RevtimeError, match="variance cannot be negative"):
+            NsvStatistic(-1e-12, 5, 9)
+
+    def test_more_negatives_than_selected_rejected(self):
+        with pytest.raises(RevtimeError, match="negative count cannot exceed"):
+            NsvStatistic(10.0, 10, 9)
 
 
 class TestMapNsvToT60:

@@ -323,8 +323,9 @@ class TestBuildCorpusReuse:
         monkeypatch.setattr(signal_core, "active_speech_level",
                             lambda buf: remeasured.append(buf) or real_level(buf))
         build_corpus(manifest, assets / "built_loads")
-        # speech + RIR per pair run, each noise file once.
-        assert len(loaded) == 2 * self.N_PAIR_RUNS + 2
+        # Each distinct RIR once to label it, then speech + RIR per pair
+        # run, and each noise file once.
+        assert len(loaded) == 2 + 2 * self.N_PAIR_RUNS + 2
         # One level per pair run, handed to noise_gain_for_snr on every
         # noisy row rather than measured again there.
         assert len(levels) == self.N_PAIR_RUNS
@@ -338,6 +339,28 @@ class TestBuildCorpusReuse:
         ])
         with pytest.raises(RevtimeError, match="row 1: mix is silent"):
             build_corpus(manifest, assets / "built_silent")
+
+    def test_silent_speech_on_noisy_row_names_row_and_speech(self, assets):
+        save_wav(AudioBuffer(np.zeros(SR), SR), assets / "silent.wav")
+        manifest = write_manifest(assets / "m_silent_noisy.csv", [
+            ("s0.wav", "r0.wav", "", "inf", "none"),
+            ("silent.wav", "r0.wav", "fan.wav", "12", "fan"),
+        ])
+        with pytest.raises(RevtimeError,
+                           match=r"row 1: speech .*silent\.wav: no active frames"):
+            build_corpus(manifest, assets / "built_silent_noisy")
+
+    def test_unlabelable_rir_fails_before_output(self, assets):
+        impulse = AudioBuffer(np.concatenate([[1.0], np.zeros(50)]), SR)
+        save_wav(impulse, assets / "impulse.wav", fmt="float32")
+        manifest = write_manifest(assets / "m_impulse.csv", [
+            ("s0.wav", "r0.wav", "", "inf", "none"),
+            ("s1.wav", "r1.wav", "fan.wav", "12", "fan"),
+            ("s0.wav", "impulse.wav", "", "inf", "none"),
+        ])
+        with pytest.raises(RevtimeError, match=r"row 2: rir .*impulse\.wav: too few"):
+            build_corpus(manifest, assets / "built_impulse")
+        assert not (assets / "built_impulse").exists()
 
     def test_sample_rate_mismatch_before_convolution(self, assets, monkeypatch):
         save_wav(synthetic_speech(1.0, 8000, seed=86), assets / "s8k.wav")
