@@ -3,11 +3,13 @@ speech, plus the simulation, training and evaluation tools around it."""
 
 from .errors import EstimationError, RevtimeError
 from .estimator import (
+    BandSpectrogram,
     EstimateResult,
     EstimatorConfig,
     GradientMatrix,
     MappingModel,
     NsvStatistic,
+    StftConfig,
     band_spectrogram,
     decay_gradients,
     estimate_band_snr,
@@ -39,10 +41,7 @@ from .room_acoustics import (
 )
 from .signal_core import (
     AudioBuffer,
-    BandSpectrogram,
-    StftConfig,
     active_speech_level,
-    build_mel_filterbank,
     convolve,
     load_wav,
     mix_at_snr,
@@ -64,7 +63,7 @@ __all__ = [
     "GradientMatrix", "MappingModel", "NsvStatistic",
     "RevtimeError", "Rir", "RoomSampler", "RoomSpec",
     "StftConfig", "TrainingPair", "active_speech_level",
-    "band_spectrogram", "box_stats", "build_corpus", "build_mel_filterbank",
+    "band_spectrogram", "box_stats", "build_corpus",
     "build_training_set", "convolve", "decay_gradients", "default_t60_grid",
     "estimate_band_snr", "estimate_t60", "fit_mapping", "image_method_rir",
     "load_items", "load_wav", "map_nsv_to_t60", "mix_at_snr", "nsv",

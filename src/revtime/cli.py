@@ -13,7 +13,16 @@ import numpy as np
 
 from .demo import run_demo
 from .errors import EstimationError, RevtimeError
-from .estimator import TARGETS, VARIANTS, EstimatorConfig, MappingModel, estimate_t60
+from .estimator import (
+    FRAME_MS,
+    HOP_MS,
+    TARGETS,
+    VARIANTS,
+    EstimatorConfig,
+    MappingModel,
+    StftConfig,
+    estimate_t60,
+)
 from .eval_harness import (
     _parse_snr,
     build_corpus,
@@ -23,9 +32,9 @@ from .eval_harness import (
     rtf_table,
 )
 # Unused: cli simulates through trainer.simulate_rooms. perfbench's holder
-# check still expects cli to hold the simulator (ROADMAP item 7).
+# check still expects cli to hold the simulator (ROADMAP item 5).
 from .room_acoustics import image_method_rir, save_rir  # noqa: F401
-from .signal_core import FRAME_MS, HOP_MS, StftConfig, _from_fields, load_wav, read_lines, save_json
+from .signal_core import _from_fields, load_wav, read_lines, save_json
 from .trainer import (
     default_t60_grid,
     list_speech_files,
@@ -121,7 +130,7 @@ def _build_parser():
     p.add_argument("--t60", type=_positive, action="append", required=True,
                    help="target T60 in seconds (repeatable)")
     p.add_argument("--rooms-per-t60", type=_count, default=1)
-    p.add_argument("--sample-rate", type=int, default=16000)
+    p.add_argument("--sample-rate", type=_count, default=16000)
     p.set_defaults(func=cmd_simulate_rir)
 
     p = subs.add_parser("build-corpus", parents=[common],

@@ -1,11 +1,13 @@
 """Blind T60 estimation from the negative-side variance of per-band decay
 slopes in a log-magnitude spectrogram.
 
-Two front-end variants exist: full_band fits a decay slope in every FFT bin
-and pools them all, while mel_band first averages bins into Mel bands and
-gates time-frequency points on a per-band SNR estimate before pooling. The
-pooled negative-slope variance is mapped to a T60 through a trained
-polynomial in log10(NSV).
+The module owns the whole estimator, front-end included: the STFT settings
+(StftConfig), the Mel filterbank (mel_weights) and the peak-normalized dB
+spectrogram (band_spectrogram, a BandSpectrogram). Two front-end variants
+exist: full_band fits a decay slope in every FFT bin and pools them all,
+while mel_band first averages bins into Mel bands and gates time-frequency
+points on a per-band SNR estimate before pooling. The pooled negative-slope
+variance is mapped to a T60 through a trained polynomial in log10(NSV).
 """
 
 from __future__ import annotations
@@ -20,16 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as npoly
 
 from .errors import EstimationError, RevtimeError
-from .signal_core import (
-    LOG_FLOOR,
-    AudioBuffer,
-    BandSpectrogram,
-    StftConfig,
-    _from_fields,
-    build_mel_filterbank,
-    load_json,
-    save_json,
-)
+from .signal_core import AudioBuffer, _from_fields, load_json, save_json
 
 VARIANTS = ("full_band", "mel_band")
 TARGETS = ("t60", "log_t60")  # a mapping fits T60 in seconds, or log10 of it
@@ -37,6 +30,72 @@ TARGETS = ("t60", "log_t60")  # a mapping fits T60 in seconds, or log10 of it
 # Fraction of frames assumed noise-dominated when estimating each band's
 # noise floor.
 NOISE_FLOOR_PERCENTILE = 10.0
+
+# Linear-magnitude floor applied before taking logs (-200 dB) so silence
+# stays finite.
+LOG_FLOOR = 1e-10
+
+WINDOW_KINDS = ("hann", "hamming", "rect")
+FRAME_MS, HOP_MS = 32.0, 16.0  # default STFT frame and hop
+
+
+@dataclass(frozen=True)
+class StftConfig:
+    """Analysis parameters for the windowed STFT (all lengths in samples).
+    fft_len 0 stands for the smallest power of two >= frame_len."""
+
+    frame_len: int
+    hop: int
+    window: str = "hamming"
+    fft_len: int = 0
+
+    def __post_init__(self):
+        if self.fft_len == 0:
+            object.__setattr__(self, "fft_len", 1 << (int(self.frame_len) - 1).bit_length())
+        if not (0 < self.hop <= self.frame_len <= self.fft_len):
+            raise RevtimeError(
+                "need 0 < hop <= frame_len <= fft_len, got "
+                f"hop={self.hop} frame_len={self.frame_len} fft_len={self.fft_len}"
+            )
+        if self.window not in WINDOW_KINDS:
+            raise RevtimeError(f"window must be one of {WINDOW_KINDS}")
+
+    @classmethod
+    def for_sample_rate(cls, sample_rate: int, frame_ms: float = FRAME_MS,
+                        hop_ms: float = HOP_MS) -> "StftConfig":
+        frame = max(2, int(round(sample_rate * frame_ms / 1000.0)))
+        hop = max(1, int(round(sample_rate * hop_ms / 1000.0)))
+        return cls(frame_len=frame, hop=min(hop, frame))
+
+    def window_array(self) -> np.ndarray:
+        if self.window == "hann":
+            return np.hanning(self.frame_len)
+        if self.window == "hamming":
+            return np.hamming(self.frame_len)
+        return np.ones(self.frame_len)
+
+
+@dataclass(frozen=True, eq=False)
+class BandSpectrogram:
+    """Log-magnitude dB matrix, shape (n_bands, n_frames), over linear FFT
+    bins or Mel bands; frames are frame_step seconds apart."""
+
+    values: np.ndarray
+    frame_step: float
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 2:
+            raise RevtimeError("spectrogram values must be 2-D (bands x frames)")
+        if not np.all(np.isfinite(values)):
+            raise RevtimeError("spectrogram contains non-finite values")
+        if not self.frame_step > 0:
+            raise RevtimeError("frame_step must be positive")
+        object.__setattr__(self, "values", values)
+
+    @property
+    def n_frames(self) -> int:
+        return self.values.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,13 +387,48 @@ def map_nsv_to_t60(stat: NsvStatistic, model: MappingModel):
     return pred, ()
 
 
+def hz_to_mel(f):
+    """Mel scale: 2595*log10(1 + f/700)."""
+    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
+
+
+def mel_to_hz(m):
+    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
+
+
+@lru_cache(maxsize=8)
 def mel_weights(cfg: EstimatorConfig, sample_rate: int):
     """The Mel filterbank band_spectrogram applies for cfg at this rate, or
-    None for the full_band variant. More bands than the FFT has bins raise
-    RevtimeError."""
+    None for the full_band variant.
+
+    Triangular filters, shape (n_mel_bands, fft_len // 2 + 1), with centers
+    equally spaced on the Mel scale from 0 Hz to sample_rate/2; rows are
+    renormalized to sum to 1 so banding is an average, not a sum. The
+    weights are built once per (cfg, rate) and shared, read-only:
+    rebuilding them per utterance would dominate the Mel variant's runtime.
+    More bands than the FFT has bins, or a band that covers no bin, raise
+    RevtimeError.
+    """
     if cfg.variant == "full_band":
         return None
-    return build_mel_filterbank(cfg.stft.fft_len // 2 + 1, cfg.n_mel_bands, sample_rate)
+    n_bins, n_bands = cfg.stft.fft_len // 2 + 1, cfg.n_mel_bands
+    if n_bins < n_bands:
+        raise RevtimeError(f"{n_bands} bands exceed the {n_bins} available bins")
+    bin_freqs = np.arange(n_bins) * (sample_rate / 2.0) / (n_bins - 1)
+    mel_points = np.linspace(0.0, float(hz_to_mel(sample_rate / 2.0)), n_bands + 2)
+    hz_points = mel_to_hz(mel_points)
+    weights = np.zeros((n_bands, n_bins))
+    for b in range(n_bands):
+        lo, mid, hi = hz_points[b], hz_points[b + 1], hz_points[b + 2]
+        rising = (bin_freqs - lo) / (mid - lo)
+        falling = (hi - bin_freqs) / (hi - mid)
+        weights[b] = np.maximum(0.0, np.minimum(rising, falling))
+    sums = weights.sum(axis=1)
+    if np.any(sums <= 0):
+        raise RevtimeError("too many Mel bands for this FFT resolution")
+    weights /= sums[:, None]
+    weights.setflags(write=False)
+    return weights
 
 
 def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:

@@ -221,15 +221,15 @@ def build_corpus(manifest, out_dir) -> list:
     the corpus can be evaluated from any working directory.
 
     Every file is checked from its header, and every RIR labeled, before
-    out_dir is created; only a silent mix, silent speech on a noisy row, or
-    a noise silent over the speech span fails when its row is reached.
+    out_dir is created; only silent speech, a silent mix, or a noise silent
+    over the speech span fails when its row is reached.
     """
     rows = read_manifest(manifest)
     labels = _check_files(rows)
     out = Path(out_dir).absolute()
     out.mkdir(parents=True, exist_ok=True)
     noises = {}
-    pair = reverberant = level = None
+    pair = None
     items = []
     for idx, row in enumerate(rows):
         if (row["speech"], row["rir"]) != pair:
@@ -237,16 +237,14 @@ def build_corpus(manifest, out_dir) -> list:
             rir = load_wav(row["rir"])
             pair = (row["speech"], row["rir"])
             reverberant = convolve(speech, rir)
-            level = None
+            try:
+                level = active_speech_level(reverberant)
+            except RevtimeError as exc:
+                raise RevtimeError(f"row {idx}: speech {row['speech']}: {exc}") from exc
         if math.isfinite(row["snr_db"]):
             if row["noise"] not in noises:
                 noises[row["noise"]] = load_wav(row["noise"])
             noise = noises[row["noise"]]
-            if level is None:
-                try:
-                    level = active_speech_level(reverberant)
-                except RevtimeError as exc:
-                    raise RevtimeError(f"row {idx}: speech {row['speech']}: {exc}") from exc
             try:
                 gain = noise_gain_for_snr(reverberant, noise, row["snr_db"],
                                           speech_level_db=level)
@@ -259,10 +257,6 @@ def build_corpus(manifest, out_dir) -> list:
         peak = float(np.max(np.abs(mix)))
         if peak == 0.0:
             raise RevtimeError(f"row {idx}: mix is silent")
-        # A clean row measures after the peak check: a silent pair has no
-        # active level, and its error should name the row.
-        if level is None:
-            level = active_speech_level(reverberant)
         output_gain = PEAK_TARGET / peak
         mix_buf = AudioBuffer(output_gain * mix, reverberant.sample_rate)
 
@@ -374,14 +368,15 @@ def run_eval_paired(items, models, jobs: int = 1):
 def evaluate_to_dir(items, models, out_dir, jobs: int = 1) -> dict:
     """run_eval_paired, then write records.csv and the box-plot report
     (report.csv, boxplot.dat; errors grouped by noise type and SNR) into
-    out_dir. Returns run_eval_paired's {variant_tag: (records, failures)}.
+    out_dir. A variant that estimated no item is left out of the report.
+    Returns run_eval_paired's {variant_tag: (records, failures)}.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = run_eval_paired(items, models, jobs=jobs)
-    stats = {tag: box_stats(records) for tag, (records, _) in results.items()}
     write_records([r for records, _ in results.values() for r in records],
                   out / "records.csv")
+    stats = {tag: box_stats(records) for tag, (records, _) in results.items() if records}
     write_report(stats, out / "report.csv", out / "boxplot.dat")
     return results
 

@@ -1,5 +1,6 @@
-"""Shared DSP substrate: WAV and JSON I/O, STFT settings, Mel filterbanks,
-speech levels, SNR-controlled noise mixing and FFT convolution.
+"""Shared audio substrate: WAV, JSON and CSV I/O, active speech levels,
+SNR-controlled noise mixing and FFT convolution. The estimator's STFT and
+Mel front-end lives in ``estimator``.
 
 The runtime needs numpy only. WAV files are read and written by a small RIFF
 codec on ``struct`` and ``numpy``: it reads PCM (8-bit unsigned, 16-, 24- and
@@ -19,15 +20,10 @@ import os
 import struct
 import warnings
 from dataclasses import MISSING, astuple, dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import RevtimeError
-
-# Linear-magnitude floor applied before taking logs (-200 dB) so silence
-# stays finite.
-LOG_FLOOR = 1e-10
 
 PCM16_SCALE = 32768.0
 
@@ -35,9 +31,6 @@ PCM16_SCALE = 32768.0
 # 35 dB below the loudest frame are treated as silence.
 ACTIVITY_FRAME_S = 0.010
 ACTIVITY_THRESHOLD_DB = -35.0
-
-WINDOW_KINDS = ("hann", "hamming", "rect")
-FRAME_MS, HOP_MS = 32.0, 16.0  # default STFT frame and hop
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,106 +298,6 @@ def _write_csv(header, rows, path) -> None:
 def _write_rows(cls, rows, path) -> None:
     """Write dataclass rows as CSV under a header of ``cls``'s field names."""
     _write_csv([f.name for f in fields(cls)], map(astuple, rows), path)
-
-
-@dataclass(frozen=True)
-class StftConfig:
-    """Analysis parameters for the windowed STFT (all lengths in samples).
-    fft_len 0 stands for the smallest power of two >= frame_len."""
-
-    frame_len: int
-    hop: int
-    window: str = "hamming"
-    fft_len: int = 0
-
-    def __post_init__(self):
-        if self.fft_len == 0:
-            object.__setattr__(self, "fft_len", 1 << (int(self.frame_len) - 1).bit_length())
-        if not (0 < self.hop <= self.frame_len <= self.fft_len):
-            raise RevtimeError(
-                "need 0 < hop <= frame_len <= fft_len, got "
-                f"hop={self.hop} frame_len={self.frame_len} fft_len={self.fft_len}"
-            )
-        if self.window not in WINDOW_KINDS:
-            raise RevtimeError(f"window must be one of {WINDOW_KINDS}")
-
-    @classmethod
-    def for_sample_rate(cls, sample_rate: int, frame_ms: float = FRAME_MS,
-                        hop_ms: float = HOP_MS) -> "StftConfig":
-        frame = max(2, int(round(sample_rate * frame_ms / 1000.0)))
-        hop = max(1, int(round(sample_rate * hop_ms / 1000.0)))
-        return cls(frame_len=frame, hop=min(hop, frame))
-
-    def window_array(self) -> np.ndarray:
-        if self.window == "hann":
-            return np.hanning(self.frame_len)
-        if self.window == "hamming":
-            return np.hamming(self.frame_len)
-        return np.ones(self.frame_len)
-
-
-@dataclass(frozen=True, eq=False)
-class BandSpectrogram:
-    """Log-magnitude dB matrix, shape (n_bands, n_frames), over linear FFT
-    bins or Mel bands; frames are frame_step seconds apart."""
-
-    values: np.ndarray
-    frame_step: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise RevtimeError("spectrogram values must be 2-D (bands x frames)")
-        if not np.all(np.isfinite(values)):
-            raise RevtimeError("spectrogram contains non-finite values")
-        if not self.frame_step > 0:
-            raise RevtimeError("frame_step must be positive")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
-
-
-def hz_to_mel(f):
-    """Mel scale: 2595*log10(1 + f/700)."""
-    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
-@lru_cache(maxsize=8)
-def build_mel_filterbank(n_fft_bins: int, n_bands: int, sample_rate: int) -> np.ndarray:
-    """Triangular Mel filter weights, shape (n_bands, n_fft_bins), with
-    centers equally spaced on the Mel scale.
-
-    Covers 0 Hz to sample_rate/2 over n_fft_bins rfft bins; rows are
-    renormalized to sum to 1 so banding is an average, not a sum. The
-    filterbank depends only on the three ints, so it is built once per
-    setting and shared, read-only: rebuilding it per utterance would
-    dominate the Mel variant's runtime.
-    """
-    if n_bands < 2:
-        raise RevtimeError("need at least 2 Mel bands")
-    if n_fft_bins < n_bands:
-        raise RevtimeError(f"{n_bands} bands exceed the {n_fft_bins} available bins")
-    bin_freqs = np.arange(n_fft_bins) * (sample_rate / 2.0) / (n_fft_bins - 1)
-    mel_points = np.linspace(0.0, float(hz_to_mel(sample_rate / 2.0)), n_bands + 2)
-    hz_points = mel_to_hz(mel_points)
-    weights = np.zeros((n_bands, n_fft_bins))
-    for b in range(n_bands):
-        lo, mid, hi = hz_points[b], hz_points[b + 1], hz_points[b + 2]
-        rising = (bin_freqs - lo) / (mid - lo)
-        falling = (hi - bin_freqs) / (hi - mid)
-        weights[b] = np.maximum(0.0, np.minimum(rising, falling))
-    sums = weights.sum(axis=1)
-    if np.any(sums <= 0):
-        raise RevtimeError("too many Mel bands for this FFT resolution")
-    weights /= sums[:, None]
-    weights.setflags(write=False)
-    return weights
 
 
 def _rms(x: np.ndarray) -> float:

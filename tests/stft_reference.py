@@ -5,7 +5,7 @@ are compared against."""
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from revtime.signal_core import LOG_FLOOR, BandSpectrogram
+from revtime.estimator import LOG_FLOOR, BandSpectrogram
 
 
 def reference_stft(buf, cfg):

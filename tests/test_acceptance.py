@@ -11,6 +11,7 @@ from scipy.stats import spearmanr
 from conftest import exponential_rir
 from revtime.cli import main
 from revtime.estimator import (
+    BandSpectrogram,
     EstimatorConfig,
     MappingModel,
     NsvStatistic,
@@ -26,12 +27,7 @@ from revtime.room_acoustics import (
     schroeder_edc,
     t60_from_edc,
 )
-from revtime.signal_core import (
-    BandSpectrogram,
-    active_speech_level,
-    convolve,
-    mix_at_snr,
-)
+from revtime.signal_core import active_speech_level, convolve, mix_at_snr
 from revtime.synth import shaped_noise, synthetic_speech
 from revtime.trainer import RoomSampler
 

@@ -255,9 +255,12 @@ class TestTrainCli:
     (["demo", "--t60-list="], "--t60-list"),
     (["demo", "--snr-list="], "--snr-list"),
     (["evaluate", "--jobs", "0"], "--jobs"),
+    (["simulate-rir", "--t60", "0.4", "--sample-rate", "0"], "--sample-rate"),
+    (["simulate-rir", "--t60", "0.4", "--sample-rate", "-5"], "--sample-rate"),
 ], ids=["rir_rooms", "train_rooms", "train_order", "train_grid", "demo_talkers",
         "demo_utterances", "demo_train_rooms", "demo_train_utterances", "demo_order",
-        "demo_jobs", "demo_t60_list", "demo_snr_list", "evaluate_jobs"])
+        "demo_jobs", "demo_t60_list", "demo_snr_list", "evaluate_jobs",
+        "rir_sample_rate_zero", "rir_sample_rate_negative"])
 def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file,
                                                 monkeypatch, capsys, command, option):
     """A count below its minimum or an empty list exits 1 with a usage line
@@ -469,6 +472,28 @@ class TestEvaluateAndRtf:
         assert (out / "records.csv").exists()
         assert (out / "report.csv").exists()
         assert (out / "boxplot.dat").exists()
+
+    def test_item_no_model_estimates_still_writes_records(self, tmp_path, capsys):
+        # 0.2 s of speech through a 0.5 s RIR is under the 1 s minimum.
+        from conftest import exponential_rir
+
+        save_wav(synthetic_speech(0.2, SR, seed=62), tmp_path / "s.wav")
+        save_wav(exponential_rir(0.4, seed=61), tmp_path / "rir.wav", fmt="float32")
+        (tmp_path / "m.csv").write_text("speech,rir,noise,snr_db,noise_type\n"
+                                        "s.wav,rir.wav,,inf,none\n")
+        assert main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
+                     "--out", str(tmp_path / "corpus"), "--quiet"]) == 0
+        models = self._models(tmp_path)
+        out = tmp_path / "results"
+        code = main(["evaluate", "--corpus", str(tmp_path / "corpus"),
+                     "--model", models[0], "--model", models[1], "--out", str(out)])
+        assert code == 0
+        text = capsys.readouterr().out
+        assert "full_band: 1 items failed" in text and "mel_band: 1 items failed" in text
+        for name, header in (("records.csv", "item_id,variant,"),
+                             ("report.csv", "variant,noise_type,")):
+            lines = (out / name).read_text().splitlines()
+            assert len(lines) == 1 and lines[0].startswith(header), name
 
     def test_rtf_subcommand_one_row_per_variant(self, tiny_corpus, tmp_path, capsys):
         models = self._models(tmp_path)

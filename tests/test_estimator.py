@@ -11,25 +11,23 @@ from hypothesis import strategies as st
 
 from revtime.errors import EstimationError, RevtimeError
 from revtime.estimator import (
+    BandSpectrogram,
     EstimatorConfig,
     GradientMatrix,
     MappingModel,
     NsvStatistic,
+    StftConfig,
     band_spectrogram,
     decay_gradients,
     estimate_band_snr,
     estimate_t60,
     map_nsv_to_t60,
+    mel_weights,
     nsv,
     nsv_from_audio,
     select_bins,
 )
-from revtime.signal_core import (
-    AudioBuffer,
-    BandSpectrogram,
-    StftConfig,
-    build_mel_filterbank,
-)
+from revtime.signal_core import AudioBuffer
 from revtime.synth import synthetic_speech
 from stft_reference import reference_log_spectrogram, reference_mel, reference_slopes
 
@@ -283,7 +281,7 @@ class TestFrontEnd:
         normalized = AudioBuffer(speech.samples / peak, SR)
         composed = reference_mel(
             reference_log_spectrogram(normalized, cfg.stft),
-            build_mel_filterbank(cfg.stft.fft_len // 2 + 1, cfg.n_mel_bands, SR),
+            mel_weights(cfg, SR),
         ).values
         composed = np.maximum(composed, composed.max() - cfg.dynamic_range_db)
         assert np.allclose(fast.values, composed, atol=1e-9)

@@ -17,6 +17,7 @@ from revtime.eval_harness import (
     EvalRecord,
     box_stats,
     build_corpus,
+    evaluate_to_dir,
     load_items,
     read_manifest,
     read_records,
@@ -337,7 +338,8 @@ class TestBuildCorpusReuse:
             ("s0.wav", "r0.wav", "", "inf", "none"),
             ("silent.wav", "r0.wav", "", "inf", "none"),
         ])
-        with pytest.raises(RevtimeError, match="row 1: mix is silent"):
+        with pytest.raises(RevtimeError,
+                           match=r"row 1: speech .*silent\.wav: no active frames"):
             build_corpus(manifest, assets / "built_silent")
 
     def test_silent_speech_on_noisy_row_names_row_and_speech(self, assets):
@@ -452,6 +454,27 @@ class TestPairedEval:
         _, _, items = corpus
         with pytest.raises(RevtimeError, match="distinct variant tags"):
             run_eval_paired(items, [constant_model(), constant_model()])
+
+
+class TestEvaluateToDir:
+    def test_variant_without_records_keeps_the_others(self, corpus, tmp_path):
+        _, _, items = corpus
+        mel = constant_model(0.5, "mel_band")
+        too_short = MappingModel(  # every item is shorter than its minimum
+            coefficients=np.array([0.5]), t60_train_max=0.95,
+            config=dataclasses.replace(EstimatorConfig.default("full_band"),
+                                       min_duration_s=100.0))
+        results = evaluate_to_dir(items, [too_short, mel], tmp_path / "both")
+        records, failures = results["mel_band"]
+        assert len(records) == len(items) and failures == []
+        assert results["full_band"][0] == []
+        assert [f[0] for f in results["full_band"][1]] == [it.item_id for it in items]
+        assert read_records(tmp_path / "both" / "records.csv") == records
+        # The report is the one the working model gives on its own.
+        evaluate_to_dir(items, [mel], tmp_path / "alone")
+        for name in ("report.csv", "boxplot.dat"):
+            assert ((tmp_path / "both" / name).read_bytes()
+                    == (tmp_path / "alone" / name).read_bytes()), name
 
 
 class TestBoxStats:

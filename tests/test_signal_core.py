@@ -11,19 +11,23 @@ from scipy.signal import fftconvolve
 
 from revtime.cli import main
 from revtime.errors import EstimationError, RevtimeError
-from revtime.estimator import EstimatorConfig, MappingModel, band_spectrogram
-from revtime.signal_core import (
+from revtime.estimator import (
     LOG_FLOOR,
-    AudioBuffer,
     BandSpectrogram,
+    EstimatorConfig,
+    MappingModel,
     StftConfig,
+    band_spectrogram,
+    hz_to_mel,
+    mel_to_hz,
+    mel_weights,
+)
+from revtime.signal_core import (
+    AudioBuffer,
     _next_fast_len,
     active_speech_level,
-    build_mel_filterbank,
     convolve,
-    hz_to_mel,
     load_wav,
-    mel_to_hz,
     mix_at_snr,
     noise_gain_for_snr,
     save_wav,
@@ -348,8 +352,13 @@ class TestStft:
             assert full == pytest.approx(expected, rel=1e-6)
 
 
+def mel_config(n_bands, **stft):
+    """A mel_band config of these STFT settings and band count."""
+    return EstimatorConfig(variant="mel_band", stft=StftConfig(**stft), n_mel_bands=n_bands)
+
+
 def mel_centers(n_bands, sample_rate):
-    """Center frequencies of build_mel_filterbank's triangles, in Hz."""
+    """Center frequencies of mel_weights' triangles, in Hz."""
     mel_top = float(hz_to_mel(sample_rate / 2.0))
     return mel_to_hz(np.linspace(0.0, mel_top, n_bands + 2))[1:-1]
 
@@ -360,17 +369,17 @@ class TestMel:
         assert float(hz_to_mel(700.0)) == pytest.approx(781.17, abs=0.01)
 
     def test_two_band_toy_rows_sum_to_one(self):
-        weights = build_mel_filterbank(9, 2, SR)
+        weights = mel_weights(mel_config(2, frame_len=16, hop=8), SR)
         assert weights.shape == (2, 9)
         assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
     def test_rows_sum_to_one_default(self):
-        weights = build_mel_filterbank(257, 23, SR)
+        weights = mel_weights(mel_config(23, frame_len=512, hop=256), SR)
         assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(np.diff(mel_centers(23, SR)) > 0)
 
     def test_coverage_between_first_and_last_center(self):
-        weights = build_mel_filterbank(257, 23, SR)
+        weights = mel_weights(mel_config(23, frame_len=512, hop=256), SR)
         centers = mel_centers(23, SR)
         freqs = np.arange(257) * (SR / 2) / 256
         inside = (freqs >= centers[0]) & (freqs <= centers[-1])
@@ -378,11 +387,11 @@ class TestMel:
 
     def test_too_many_bands(self):
         with pytest.raises(RevtimeError):
-            build_mel_filterbank(4, 5, SR)
+            mel_weights(mel_config(5, frame_len=6, hop=3, fft_len=6), SR)
 
     def test_built_once_and_read_only(self):
-        weights = build_mel_filterbank(257, 23, SR)
-        assert build_mel_filterbank(257, 23, SR) is weights
+        weights = mel_weights(mel_config(23, frame_len=512, hop=256), SR)
+        assert mel_weights(mel_config(23, frame_len=512, hop=256), SR) is weights
         with pytest.raises(ValueError, match="read-only"):
             weights[0] = 0.0
 
@@ -401,7 +410,7 @@ class TestMel:
         rng = np.random.default_rng(8)
         values = rng.uniform(-80, 0, size=(257, 6))
         spec = BandSpectrogram(values, 256 / SR)
-        weights = build_mel_filterbank(257, 23, SR)
+        weights = mel_weights(mel_config(23, frame_len=512, hop=256), SR)
         banded = reference_mel(spec, weights)
         for b in range(23):
             for f in range(6):
