@@ -44,7 +44,6 @@ from .signal_core import (
     active_speech_level,
     convolve,
     load_wav,
-    mix_at_snr,
     save_wav,
 )
 from .trainer import (
@@ -66,7 +65,7 @@ __all__ = [
     "band_spectrogram", "box_stats", "build_corpus",
     "build_training_set", "convolve", "decay_gradients", "default_t60_grid",
     "estimate_band_snr", "estimate_t60", "fit_mapping", "image_method_rir",
-    "load_items", "load_wav", "map_nsv_to_t60", "mix_at_snr", "nsv",
+    "load_items", "load_wav", "map_nsv_to_t60", "nsv",
     "nsv_from_audio", "rtf", "run_eval_paired",
     "sabine_absorption", "save_wav",
     "schroeder_edc", "select_bins", "t60_from_edc",

@@ -155,8 +155,12 @@ class EstimatorConfig:
             raise RevtimeError("window_frames must be at least 2")
         if self.n_mel_bands < 2:
             raise RevtimeError("need at least 2 Mel bands")
-        if self.dynamic_range_db <= 0:
-            raise RevtimeError("dynamic_range_db must be positive")
+        if not math.isfinite(self.snr_margin):
+            raise RevtimeError("snr_margin must be finite")
+        if not 0 <= self.min_duration_s < math.inf:
+            raise RevtimeError("min_duration_s must be finite and non-negative")
+        if not 0 < self.dynamic_range_db < math.inf:
+            raise RevtimeError("dynamic_range_db must be finite and positive")
 
     @classmethod
     def default(cls, variant: str, sample_rate: int = 16000) -> "EstimatorConfig":
@@ -181,8 +185,8 @@ class MappingModel:
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
         if coeffs.ndim != 1 or coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
             raise RevtimeError("coefficients must be a non-empty finite vector")
-        if self.t60_train_max <= 0:
-            raise RevtimeError("t60_train_max must be positive")
+        if not 0 < self.t60_train_max < math.inf:
+            raise RevtimeError("t60_train_max must be finite and positive")
         if self.target not in TARGETS:
             raise RevtimeError(f"target must be one of {TARGETS}")
         object.__setattr__(self, "coefficients", coeffs)
@@ -288,7 +292,7 @@ def decay_gradients(spec: BandSpectrogram, window_frames: int) -> GradientMatrix
         raise RevtimeError("window_frames must be at least 2")
     n_bands, n_frames = spec.values.shape
     if n_frames < w:
-        raise RevtimeError(f"spectrogram has {n_frames} frames, need at least {w}")
+        raise EstimationError(f"spectrogram has {n_frames} frames, need at least {w}")
     row = _slope_row(w, float(spec.frame_step))
     n_windows = n_frames - w + 1
     if n_windows == 1:
@@ -325,7 +329,7 @@ def estimate_band_snr(spec: BandSpectrogram) -> np.ndarray:
     """
     n = spec.n_frames
     if n < 10:
-        raise RevtimeError("need at least 10 frames to estimate band noise floors")
+        raise EstimationError("need at least 10 frames to estimate band noise floors")
     pos = NOISE_FLOOR_PERCENTILE / 100.0 * (n - 1)
     lo = int(pos)
     frac = pos - lo

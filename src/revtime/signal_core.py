@@ -1,6 +1,7 @@
 """Shared audio substrate: WAV, JSON and CSV I/O, active speech levels,
-SNR-controlled noise mixing and FFT convolution. The estimator's STFT and
-Mel front-end lives in ``estimator``.
+the noise gain for a target SNR and FFT convolution. The estimator's STFT
+and Mel front-end lives in ``estimator``; ``eval_harness.build_corpus``
+mixes the noise in.
 
 The runtime needs numpy only. WAV files are read and written by a small RIFF
 codec on ``struct`` and ``numpy``: it reads PCM (8-bit unsigned, 16-, 24- and
@@ -273,12 +274,18 @@ def _from_fields(cls, data, where: str):
     for f in fields(cls):
         # Annotations are strings under ``from __future__ import annotations``.
         parse = types.get(getattr(f.type, "__name__", f.type))
-        if parse is not None and f.name in values:
-            try:
-                values[f.name] = parse(values[f.name])
-            except (TypeError, ValueError, OverflowError):
-                raise RevtimeError(f"{where}: {f.name} {values[f.name]!r} cannot be "
-                                   f"read as {parse.__name__}") from None
+        if parse is None or f.name not in values:
+            continue
+        value = values[f.name]
+        try:
+            parsed = parse(value)
+        except (TypeError, ValueError, OverflowError):
+            parsed = None
+        # int() truncates a float; only a whole number reads as an int.
+        if parsed is None or (parse is int and isinstance(value, float) and parsed != value):
+            raise RevtimeError(f"{where}: {f.name} {value!r} cannot be "
+                               f"read as {parse.__name__}")
+        values[f.name] = parsed
     try:
         return cls(**values)
     except (TypeError, ValueError, RevtimeError) as exc:
@@ -358,17 +365,6 @@ def noise_gain_for_snr(speech: AudioBuffer, noise: AudioBuffer, snr_db: float, *
         speech_level_db = active_speech_level(speech)
     noise_level = 20.0 * np.log10(noise_rms)
     return float(10.0 ** ((speech_level_db - noise_level - snr_db) / 20.0))
-
-
-def mix_at_snr(speech: AudioBuffer, noise: AudioBuffer, snr_db: float) -> AudioBuffer:
-    """Add noise to speech at the requested SNR.
-
-    Noise is truncated to the speech length and scaled; the sum is not
-    renormalized, so the speech component is returned untouched.
-    """
-    gain = noise_gain_for_snr(speech, noise, snr_db)
-    mixed = speech.samples + gain * noise.samples[:len(speech)]
-    return AudioBuffer(mixed, speech.sample_rate)
 
 
 def _next_fast_len(n: int) -> int:

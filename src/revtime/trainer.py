@@ -10,7 +10,13 @@ import numpy as np
 
 from .errors import EstimationError, RevtimeError
 from .estimator import EstimatorConfig, MappingModel, mel_weights, nsv_from_audio
-from .room_acoustics import RoomSpec, image_method_rir, measure_t60, sabine_absorption
+from .room_acoustics import (
+    SABINE_CONSTANT,
+    RoomSpec,
+    image_method_rir,
+    measure_t60,
+    sabine_absorption,
+)
 from .signal_core import _write_rows, convolve, load_wav
 
 
@@ -59,7 +65,7 @@ class RoomSampler:
         alpha = rng.uniform(*self.alpha_range)
         vol = shape.prod()
         surf = 2.0 * (shape[0] * shape[1] + shape[1] * shape[2] + shape[0] * shape[2])
-        scale = alpha * target_t60 * surf / (0.161 * vol)
+        scale = alpha * target_t60 * surf / (SABINE_CONSTANT * vol)
         scale = max(scale, self.min_dim / shape.min())
         scale = min(scale, self.max_dim / shape.max())
         dims = scale * shape

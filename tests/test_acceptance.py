@@ -20,14 +20,20 @@ from revtime.estimator import (
     nsv,
     nsv_from_audio,
 )
-from revtime.eval_harness import read_records, rtf
+from revtime.eval_harness import build_corpus, read_records, rtf
 from revtime.room_acoustics import (
     RoomSpec,
     image_method_rir,
     schroeder_edc,
     t60_from_edc,
 )
-from revtime.signal_core import active_speech_level, convolve, mix_at_snr
+from revtime.signal_core import (
+    active_speech_level,
+    convolve,
+    load_json,
+    load_wav,
+    save_wav,
+)
 from revtime.synth import shaped_noise, synthetic_speech
 from revtime.trainer import RoomSampler
 
@@ -106,19 +112,28 @@ def test_criterion_04_image_method_closed_loop():
           f"worst deviation {max(deviations):.2%} <= 20%)")
 
 
-def test_criterion_05_mixing_calibration():
-    speech = synthetic_speech(2.5, SR, seed=45)
-    noise = shaped_noise(3.5, SR, seed=46)
+def test_criterion_05_mixing_calibration(tmp_path):
+    save_wav(synthetic_speech(2.5, SR, seed=45), tmp_path / "speech.wav")
+    save_wav(exponential_rir(0.4, seed=21), tmp_path / "rir.wav", fmt="float32")
+    save_wav(shaped_noise(3.5, SR, seed=46), tmp_path / "noise.wav")
+    targets = (-1.0, 12.0, 18.0)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("speech,rir,noise,snr_db,noise_type\n" + "".join(
+        f"speech.wav,rir.wav,noise.wav,{snr:g},synthetic_white\n" for snr in targets))
+    items = build_corpus(manifest, tmp_path / "built")
+    reverberant = convolve(load_wav(tmp_path / "speech.wav"),
+                           load_wav(tmp_path / "rir.wav"))
     worst = 0.0
-    for target in (-1.0, 12.0, 18.0):
-        mixed = mix_at_snr(speech, noise, target)
-        extracted = mixed.samples - speech.samples
-        realized = (active_speech_level(speech)
+    for item, target in zip(items, targets, strict=True):
+        sidecar = load_json(tmp_path / "built" / f"{item.item_id}.json")
+        mixed = load_wav(item.mix_path)
+        extracted = mixed.samples / sidecar["output_gain"] - reverberant.samples
+        realized = (active_speech_level(reverberant)
                     - 20 * np.log10(np.sqrt(np.mean(extracted ** 2))))
         worst = max(worst, abs(realized - target))
         assert realized == pytest.approx(target, abs=0.1)
-    print(f"criterion 05 mixing calibration: PASS (targets -1/12/18 dB, "
-          f"worst error {worst:.4f} dB <= 0.1)")
+    print(f"criterion 05 corpus mixing calibration: PASS (build_corpus at "
+          f"-1/12/18 dB, worst error {worst:.4f} dB <= 0.1)")
 
 
 def test_criterion_06_monotone_trend():

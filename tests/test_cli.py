@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import revtime
 from revtime import cli, trainer
 from revtime.cli import main
-from revtime.estimator import EstimatorConfig, MappingModel
+from revtime.estimator import EstimatorConfig, MappingModel, StftConfig
 from revtime.signal_core import AudioBuffer, save_wav
 from revtime.synth import synthetic_speech
 
@@ -103,6 +104,27 @@ class TestEstimate:
         code = main(["estimate", str(too_short), "--model", str(model_file)])
         assert code == 2
         assert "estimation failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant, overrides, seconds, expected", [
+        ("full_band", {"window_frames": 100}, 1.2, "74 frames, need at least 100"),
+        ("mel_band", {"stft": StftConfig.for_sample_rate(SR, 200.0, 200.0)}, 1.5,
+         "need at least 10 frames"),
+    ], ids=["slope_window", "noise_floor"])
+    def test_input_too_short_for_model_exits_two(self, tmp_path, capsys, variant,
+                                                 overrides, seconds, expected):
+        """Audio over min_duration_s but too short for the model's slope
+        window or noise-floor estimate is an estimation failure."""
+        model = tmp_path / "model.json"
+        MappingModel(
+            coefficients=np.array([0.5]), t60_train_max=0.95,
+            config=replace(EstimatorConfig.default(variant), **overrides),
+        ).save(model)
+        audio = tmp_path / "utt.wav"
+        save_wav(synthetic_speech(seconds, SR, seed=33), audio)
+        code = main(["estimate", str(audio), "--model", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "estimation failed" in err and expected in err, err
 
 
 class TestSimulateRir:
@@ -495,6 +517,32 @@ class TestEvaluateAndRtf:
             lines = (out / name).read_text().splitlines()
             assert len(lines) == 1 and lines[0].startswith(header), name
 
+    def test_item_shorter_than_slope_window_is_one_failure(self, tmp_path, capsys):
+        # 0.7 s of speech through a 0.5 s RIR passes the 1 s minimum but
+        # has 74 frames, under the model's 100-frame slope window.
+        from conftest import exponential_rir
+
+        save_wav(synthetic_speech(0.7, SR, seed=63), tmp_path / "short.wav")
+        save_wav(synthetic_speech(2.5, SR, seed=64), tmp_path / "long.wav")
+        save_wav(exponential_rir(0.4, seed=61), tmp_path / "rir.wav", fmt="float32")
+        (tmp_path / "m.csv").write_text("speech,rir,noise,snr_db,noise_type\n"
+                                        "short.wav,rir.wav,,inf,none\n"
+                                        "long.wav,rir.wav,,inf,none\n")
+        assert main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
+                     "--out", str(tmp_path / "corpus"), "--quiet"]) == 0
+        model = tmp_path / "full_band.json"
+        MappingModel(
+            coefficients=np.array([0.5]), t60_train_max=0.95,
+            config=replace(EstimatorConfig.default("full_band"), window_frames=100),
+        ).save(model)
+        out = tmp_path / "results"
+        code = main(["evaluate", "--corpus", str(tmp_path / "corpus"),
+                     "--model", str(model), "--out", str(out)])
+        assert code == 0
+        assert "full_band: 1 items failed" in capsys.readouterr().out
+        lines = (out / "records.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("item0001,full_band,")
+
     def test_rtf_subcommand_one_row_per_variant(self, tiny_corpus, tmp_path, capsys):
         models = self._models(tmp_path)
         out = tmp_path / "results2"
@@ -584,7 +632,12 @@ def _without(key):
     (lambda model: {**model, "n_mel_bands": "many"}, ["n_mel_bands 'many'"]),
     (lambda model: {**model, "stft": {**model["stft"], "hop_ms": 16.0}},
      ["stft has unknown key(s) hop_ms"]),
-], ids=["not_json", "no_stft", "no_coefficients", "bad_n_mel_bands", "unknown_stft_key"])
+    (lambda model: {**model, "snr_margin": float("nan")}, ["snr_margin"]),
+    (lambda model: {**model, "t60_train_max": float("nan")}, ["t60_train_max"]),
+    (lambda model: {**model, "stft": {**model["stft"], "frame_len": 512.9}},
+     ["frame_len 512.9"]),
+], ids=["not_json", "no_stft", "no_coefficients", "bad_n_mel_bands", "unknown_stft_key",
+        "nan_snr_margin", "nan_t60_train_max", "fractional_frame_len"])
 def test_estimate_malformed_model_exits_one(tmp_path, audio_file, model_file, capsys,
                                             corrupt, expected):
     """A malformed model file is an `error:` line naming the file, and exit 1."""

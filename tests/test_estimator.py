@@ -1,4 +1,5 @@
 import json
+import math
 import statistics
 import sys
 import threading
@@ -74,7 +75,7 @@ class TestDecayGradients:
         assert np.allclose(grads.slopes, expected, rtol=1e-9, atol=1e-9)
 
     def test_too_few_frames(self):
-        with pytest.raises(RevtimeError, match="frames"):
+        with pytest.raises(EstimationError, match="frames"):
             decay_gradients(make_spec(np.zeros((2, 4))), 7)
 
     @pytest.mark.parametrize("shape, w", [
@@ -129,7 +130,7 @@ class TestEstimateBandSnr:
         assert np.allclose(snr, values - floor, atol=1e-9)
 
     def test_needs_ten_frames(self):
-        with pytest.raises(RevtimeError):
+        with pytest.raises(EstimationError, match="10 frames"):
             estimate_band_snr(make_spec(np.zeros((2, 9))))
 
 
@@ -447,6 +448,26 @@ class TestModelSerialization:
         assert model.coefficients.tolist() == coefficients
         assert (model.variant_tag, model.t60_train_max, model.target) == (
             variant, 0.95, "t60")
+
+    @pytest.mark.parametrize("key, value", [
+        ("dynamic_range_db", math.nan), ("dynamic_range_db", math.inf),
+        ("snr_margin", math.nan), ("snr_margin", -math.inf),
+        ("min_duration_s", math.nan), ("min_duration_s", -1.0),
+        ("t60_train_max", math.nan), ("t60_train_max", math.inf),
+        ("window_frames", 7.9), ("n_mel_bands", 23.5),
+        ("stft.frame_len", 512.9), ("stft.hop", 255.5), ("stft.fft_len", 1024.25),
+    ])
+    def test_rejects_nonsense_numbers(self, key, value):
+        data = model_with([0.5]).to_dict()
+        name = key.removeprefix("stft.")
+        (data if name == key else data["stft"])[name] = value
+        with pytest.raises(RevtimeError, match=name):
+            MappingModel.from_dict(data)
+
+    def test_whole_float_reads_as_int(self):
+        data = model_with([0.5]).to_dict()
+        data.update(window_frames=7.0, stft={**data["stft"], "frame_len": 512.0})
+        assert MappingModel.from_dict(data).config == model_with([0.5]).config
 
     def test_rejects_bad_variant(self):
         with pytest.raises(RevtimeError):
