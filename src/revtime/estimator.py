@@ -256,8 +256,11 @@ def _work_array(name: str, shape: tuple, dtype) -> np.ndarray:
 
     Each name holds one flat buffer per thread, grown when a call needs more
     and kept for later calls, so repeated estimates do not allocate (and
-    page-fault) megabytes of temporaries each time. The view starts at the
-    buffer's first element, with the alignment of a fresh array.
+    page-fault) megabytes of temporaries each time. Most callers ask for
+    block-sized arrays, which stop growing at a fixed size; the mel_band
+    power matrix and nsv's gathered slopes still grow with the longest
+    input a thread has seen. The view starts at the buffer's first element,
+    with the alignment of a fresh array.
     """
     size = math.prod(shape)
     flat = getattr(_work, name, None)
@@ -270,6 +273,11 @@ def _work_array(name: str, shape: tuple, dtype) -> np.ndarray:
 # Elements per block of decay_gradients' shifted sum (about 512 KB of
 # float64): the block and its running sum stay in cache.
 _SLOPE_BLOCK = 1 << 16
+
+# Frames per block of band_spectrogram's STFT: the block's scaled samples,
+# windowed frames, spectrum and magnitudes take about 1.6 MB at 16 kHz,
+# whatever the input length.
+_STFT_BLOCK = 128
 
 
 def decay_gradients(spec: BandSpectrogram, window_frames: int) -> GradientMatrix:
@@ -435,6 +443,14 @@ def mel_weights(cfg: EstimatorConfig, sample_rate: int):
     return weights
 
 
+@lru_cache(maxsize=8)
+def _window(stft: StftConfig) -> np.ndarray:
+    """stft's analysis window, built once per config and shared, read-only."""
+    window = stft.window_array()
+    window.setflags(write=False)
+    return window
+
+
 def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:
     """Estimator front-end: peak-normalized banded log-magnitude spectrogram
     clamped to the configured dynamic range below its maximum.
@@ -445,10 +461,17 @@ def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:
     averaging in ``tests/stft_reference.py`` to within rounding while
     avoiding the full-resolution log.
 
-    The scaled signal, windowed frames, spectrum and magnitudes live in
-    per-thread work arrays (about 48 bytes per input sample at 16 kHz, kept
-    at the size of the longest input seen); the returned values are a fresh
-    array.
+    The STFT walks the signal in blocks of _STFT_BLOCK frames, through
+    fixed-size per-thread work arrays for a block's scaled samples, windowed
+    frames, spectrum and (full_band) magnitudes, about 1.6 MB at 16 kHz.
+    Every step is elementwise or per frame, so the values do not depend on
+    the block size. full_band writes each block's dB values straight into
+    the band-major output. mel_band writes each block's squared magnitudes
+    into the rows of one per-thread power matrix (about 8 bytes per input
+    sample, kept at the size of the longest input seen) and bands it with a
+    single matrix product, because BLAS over shorter row blocks sums in
+    another order. The peak and the clamp are taken over the whole input;
+    the returned values are a fresh array.
     """
     if buf.duration < cfg.min_duration_s:
         raise EstimationError(
@@ -463,27 +486,42 @@ def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:
         raise EstimationError(
             f"audio of {len(buf)} samples is shorter than one analysis frame"
         )
-    scaled = _work_array("scaled", buf.samples.shape, np.float64)
-    np.divide(buf.samples, peak, out=scaled)
-    frames = sliding_window_view(scaled, stft.frame_len)[::stft.hop]
-    n_frames = frames.shape[0]
+    n_frames = (len(buf) - stft.frame_len) // stft.hop + 1
     n_bins = stft.fft_len // 2 + 1
+    block = min(_STFT_BLOCK, n_frames)
+    # One view of a block's frames; a shorter last block uses its first rows,
+    # which read only the samples scaled for that block.
+    scaled = _work_array("scaled", ((block - 1) * stft.hop + stft.frame_len,), np.float64)
+    frames = sliding_window_view(scaled, stft.frame_len)[::stft.hop]
     # Frame-major keeps abs and the Mel banding on contiguous arrays.
     windowed = _work_array("windowed", frames.shape, np.float64)
-    np.multiply(frames, stft.window_array(), out=windowed)
-    spectrum = _work_array("spectrum", (n_frames, n_bins), np.complex128)
-    np.fft.rfft(windowed, n=stft.fft_len, axis=1, out=spectrum)
-    mag = _work_array("mag", (n_frames, n_bins), np.float64)
-    np.abs(spectrum, out=mag)
-    mag += LOG_FLOOR
+    spectrum = _work_array("spectrum", (block, n_bins), np.complex128)
+    window = _window(stft)
     weights = mel_weights(cfg, buf.sample_rate)
     if weights is None:
-        np.log10(mag, out=mag)
-        mag *= 20.0
-        values = mag.T.copy()
+        mag = _work_array("mag", (block, n_bins), np.float64)
+        values = np.empty((n_bins, n_frames))
     else:
-        np.square(mag, out=mag)
-        banded = mag @ weights.T
+        power = _work_array("power", (n_frames, n_bins), np.float64)
+    for f0 in range(0, n_frames, block):
+        nf = min(block, n_frames - f0)
+        span = (nf - 1) * stft.hop + stft.frame_len
+        np.divide(buf.samples[f0 * stft.hop:][:span], peak, out=scaled[:span])
+        np.multiply(frames[:nf], window, out=windowed[:nf])
+        np.fft.rfft(windowed[:nf], n=stft.fft_len, axis=1, out=spectrum[:nf])
+        rows = mag[:nf] if weights is None else power[f0:f0 + nf]
+        np.abs(spectrum[:nf], out=rows)
+        rows += LOG_FLOOR
+        if weights is None:
+            np.log10(rows, out=rows)
+            # Scaling the block in cache and then copying it transposed is
+            # faster than one multiply that writes transposed.
+            rows *= 20.0
+            values[:, f0:f0 + nf] = rows.T
+        else:
+            np.square(rows, out=rows)
+    if weights is not None:
+        banded = power @ weights.T
         np.log10(banded, out=banded)
         banded *= 10.0
         values = np.ascontiguousarray(banded.T)

@@ -281,8 +281,10 @@ def _from_fields(cls, data, where: str):
             parsed = parse(value)
         except (TypeError, ValueError, OverflowError):
             parsed = None
-        # int() truncates a float; only a whole number reads as an int.
-        if parsed is None or (parse is int and isinstance(value, float) and parsed != value):
+        # int() truncates a float; only a whole number reads as an int. A
+        # JSON boolean is no number, though int() and float() take it.
+        if (parsed is None or (parse is not str and isinstance(value, bool))
+                or (parse is int and isinstance(value, float) and parsed != value)):
             raise RevtimeError(f"{where}: {f.name} {value!r} cannot be "
                                f"read as {parse.__name__}")
         values[f.name] = parsed

@@ -636,8 +636,9 @@ def _without(key):
     (lambda model: {**model, "t60_train_max": float("nan")}, ["t60_train_max"]),
     (lambda model: {**model, "stft": {**model["stft"], "frame_len": 512.9}},
      ["frame_len 512.9"]),
+    (lambda model: {**model, "stft": {**model["stft"], "hop": True}}, ["hop True"]),
 ], ids=["not_json", "no_stft", "no_coefficients", "bad_n_mel_bands", "unknown_stft_key",
-        "nan_snr_margin", "nan_t60_train_max", "fractional_frame_len"])
+        "nan_snr_margin", "nan_t60_train_max", "fractional_frame_len", "boolean_hop"])
 def test_estimate_malformed_model_exits_one(tmp_path, audio_file, model_file, capsys,
                                             corrupt, expected):
     """A malformed model file is an `error:` line naming the file, and exit 1."""

@@ -3,6 +3,8 @@ import math
 import statistics
 import sys
 import threading
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revtime import estimator
 from revtime.errors import EstimationError, RevtimeError
 from revtime.estimator import (
     BandSpectrogram,
@@ -387,6 +390,59 @@ class TestWorkArrays:
                 assert got == expected[i]
 
 
+def excess_allocation(buf, cfg):
+    """Peak bytes allocated by band_spectrogram in a fresh thread, beyond
+    the values it returns."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        spec = in_new_thread(band_spectrogram, buf, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - before - spec.values.nbytes
+
+
+class TestStftBlocks:
+    """band_spectrogram's STFT walks fixed blocks of frames: the block size
+    changes no value, and the work memory does not grow with the input."""
+
+    @pytest.mark.parametrize("rate", [SR, 48000])
+    @pytest.mark.parametrize("blocks", ["one_frame", "one_block", "block_plus_frame",
+                                        "thirty_blocks"])
+    @pytest.mark.parametrize("variant", ["full_band", "mel_band"])
+    def test_block_size_changes_no_value(self, monkeypatch, variant, blocks, rate):
+        block = estimator._STFT_BLOCK
+        n_frames = {"one_frame": 1, "one_block": block, "block_plus_frame": block + 1,
+                    "thirty_blocks": 30 * block + 3}[blocks]
+        # 48 kHz frames (1536) are shorter than their FFT (2048).
+        cfg = replace(EstimatorConfig.default(variant, rate), min_duration_s=0.0)
+        n = (n_frames - 1) * cfg.stft.hop + cfg.stft.frame_len
+        # A 100 dB rising envelope puts the peak near the end and the
+        # dynamic-range clamp on the early frames.
+        rng = np.random.default_rng(n_frames)
+        buf = AudioBuffer(rng.standard_normal(n) * np.geomspace(1e-5, 1.0, n), rate)
+        monkeypatch.setattr(estimator, "_STFT_BLOCK", n_frames + 1)
+        whole = in_new_thread(band_spectrogram, buf, cfg).values
+        assert whole.shape[1] == n_frames
+        for size in (1, 7, block):
+            monkeypatch.setattr(estimator, "_STFT_BLOCK", size)
+            assert np.array_equal(in_new_thread(band_spectrogram, buf, cfg).values, whole)
+
+    @pytest.mark.parametrize("variant, bytes_per_sample", [("full_band", 2.0),
+                                                           ("mel_band", 10.0)])
+    def test_work_memory_does_not_grow_with_input(self, variant, bytes_per_sample):
+        """Per added input sample, a call allocates beyond its result about
+        1 byte for full_band (the finiteness check of the output) and 9 for
+        mel_band (the power matrix and the banded product); whole-signal
+        STFT work arrays took about 49."""
+        cfg = EstimatorConfig.default(variant)
+        excess = {seconds: excess_allocation(synthetic_speech(seconds, SR, seed=5), cfg)
+                  for seconds in (30.0, 60.0)}
+        assert (excess[60.0] - excess[30.0]) / (30.0 * SR) <= bytes_per_sample
+
+
 class TestEstimateT60:
     def test_deterministic(self, speech):
         model = model_with([1.2, -0.2])
@@ -456,6 +512,7 @@ class TestModelSerialization:
         ("t60_train_max", math.nan), ("t60_train_max", math.inf),
         ("window_frames", 7.9), ("n_mel_bands", 23.5),
         ("stft.frame_len", 512.9), ("stft.hop", 255.5), ("stft.fft_len", 1024.25),
+        ("snr_margin", True), ("stft.hop", True), ("window_frames", False),
     ])
     def test_rejects_nonsense_numbers(self, key, value):
         data = model_with([0.5]).to_dict()
