@@ -37,9 +37,9 @@ from .room_acoustics import image_method_rir, save_rir  # noqa: F401
 from .signal_core import _from_fields, load_wav, read_lines, save_json
 from .trainer import (
     default_t60_grid,
-    list_speech_files,
     pairs_to_csv,
     simulate_rooms,
+    speech_files,
     train_model,
 )
 
@@ -63,14 +63,16 @@ def _list_of(item):
     return parse
 
 
-def _float_where(ok, rule: str):
-    """argparse type: a float for which ok holds."""
-    def parse(text: str) -> float:
-        value = float(text)
+def _number(kind, ok, rule: str):
+    """argparse type: a kind (int or float) value for which ok holds. A
+    value that fails is quoted as typed for a float, as read for an int."""
+    def parse(text: str):
+        value = kind(text)
         if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text.strip()}")
+            got = text.strip() if kind is float else value
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {got}")
         return value
-    parse.__name__ = "float"
+    parse.__name__ = kind.__name__  # argparse reports "invalid int value" and so on
     return parse
 
 
@@ -82,22 +84,10 @@ def _snr(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-_positive = _float_where(lambda v: 0 < v < math.inf, "finite and > 0")
-_finite = _float_where(math.isfinite, "finite")
-
-
-def _int_from(low: int):
-    """argparse type: an int no smaller than low."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-    parse.__name__ = "int"  # argparse reports a non-number as "invalid int value"
-    return parse
-
-
-_count, _order = _int_from(1), _int_from(0)
+_positive = _number(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_finite = _number(float, math.isfinite, "finite")
+_count = _number(int, lambda v: v >= 1, "at least 1")
+_order = _number(int, lambda v: v >= 0, "at least 0")
 
 
 def _say(args, message: str) -> None:
@@ -268,7 +258,7 @@ def cmd_train(args) -> int:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     seed = 0 if args.seed is None else args.seed
     grid = args.grid if args.grid else default_t60_grid(args.t60_max)
-    sample_rate = load_wav(list_speech_files(args.speech_dir)[0]).sample_rate
+    _, sample_rate = speech_files(args.speech_dir)
     # --variant, --n-mel-bands, --window-frames and --snr-margin set the
     # EstimatorConfig fields they are named after.
     stft = StftConfig.for_sample_rate(sample_rate, args.frame_ms, args.hop_ms)

@@ -4,6 +4,7 @@ and report."""
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from .eval_harness import (
     evaluate_to_dir,
     rtf_table,
     run_eval_paired,
+    write_manifest,
     write_records,
 )
 from .room_acoustics import save_rir
@@ -76,20 +78,14 @@ def _make_assets(root: Path, seed: int, talkers: int, utterances: int,
     heldout_rirs = write_rirs(HELDOUT_T60S, "heldout")
 
     manifest = root / "corpus_manifest.csv"
-    with open(manifest, "w") as fh:
-        fh.write("speech,rir,noise,snr_db,noise_type\n")
-        for speech in eval_speech:
-            for rir in eval_rirs:
-                for noise_type, noise in noises.items():
-                    for snr in snr_list:
-                        fh.write(f"{speech},{rir},{noise},{snr:g},{noise_type}\n")
-
+    write_manifest([(speech, rir, noise, snr, noise_type)
+                    for speech in eval_speech for rir in eval_rirs
+                    for noise_type, noise in noises.items() for snr in snr_list],
+                   manifest)
     heldout_manifest = root / "heldout_manifest.csv"
-    with open(heldout_manifest, "w") as fh:
-        fh.write("speech,rir,noise,snr_db,noise_type\n")
-        for speech in heldout_speech:
-            for rir in heldout_rirs:
-                fh.write(f"{speech},{rir},,inf,none\n")
+    write_manifest([(speech, rir, "", math.inf, "none")
+                    for speech in heldout_speech for rir in heldout_rirs],
+                   heldout_manifest)
 
     return {"train_speech": train_dir, "manifest": manifest,
             "heldout_manifest": heldout_manifest}

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as npoly
 
 from .errors import EstimationError, RevtimeError
-from .signal_core import AudioBuffer, _from_fields, load_json, save_json
+from .signal_core import AudioBuffer, _all_finite, _from_fields, load_json, save_json
 
 VARIANTS = ("full_band", "mel_band")
 TARGETS = ("t60", "log_t60")  # a mapping fits T60 in seconds, or log10 of it
@@ -35,7 +35,9 @@ NOISE_FLOOR_PERCENTILE = 10.0
 # stays finite.
 LOG_FLOOR = 1e-10
 
-WINDOW_KINDS = ("hann", "hamming", "rect")
+# Analysis windows by name, as numpy builds them for a frame length.
+_WINDOWS = {"hann": np.hanning, "hamming": np.hamming, "rect": np.ones}
+WINDOW_KINDS = tuple(_WINDOWS)
 FRAME_MS, HOP_MS = 32.0, 16.0  # default STFT frame and hop
 
 
@@ -67,13 +69,6 @@ class StftConfig:
         hop = max(1, int(round(sample_rate * hop_ms / 1000.0)))
         return cls(frame_len=frame, hop=min(hop, frame))
 
-    def window_array(self) -> np.ndarray:
-        if self.window == "hann":
-            return np.hanning(self.frame_len)
-        if self.window == "hamming":
-            return np.hamming(self.frame_len)
-        return np.ones(self.frame_len)
-
 
 @dataclass(frozen=True, eq=False)
 class BandSpectrogram:
@@ -87,7 +82,7 @@ class BandSpectrogram:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise RevtimeError("spectrogram values must be 2-D (bands x frames)")
-        if not np.all(np.isfinite(values)):
+        if not _all_finite(values):
             raise RevtimeError("spectrogram contains non-finite values")
         if not self.frame_step > 0:
             raise RevtimeError("frame_step must be positive")
@@ -108,7 +103,7 @@ class GradientMatrix:
         slopes = np.asarray(self.slopes, dtype=np.float64)
         if slopes.ndim != 2:
             raise RevtimeError("slopes must be a (bands, windows) matrix")
-        if not np.all(np.isfinite(slopes)):
+        if not _all_finite(slopes):
             raise RevtimeError("slopes contain non-finite values")
         object.__setattr__(self, "slopes", slopes)
 
@@ -183,7 +178,7 @@ class MappingModel:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        if coeffs.ndim != 1 or coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
+        if coeffs.ndim != 1 or coeffs.size == 0 or not _all_finite(coeffs):
             raise RevtimeError("coefficients must be a non-empty finite vector")
         if not 0 < self.t60_train_max < math.inf:
             raise RevtimeError("t60_train_max must be finite and positive")
@@ -446,7 +441,7 @@ def mel_weights(cfg: EstimatorConfig, sample_rate: int):
 @lru_cache(maxsize=8)
 def _window(stft: StftConfig) -> np.ndarray:
     """stft's analysis window, built once per config and shared, read-only."""
-    window = stft.window_array()
+    window = _WINDOWS[stft.window](stft.frame_len)
     window.setflags(write=False)
     return window
 

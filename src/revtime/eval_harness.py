@@ -163,6 +163,18 @@ def read_manifest(path):
     return rows
 
 
+def write_manifest(rows, path) -> None:
+    """Write (speech, rir, noise, snr_db, noise_type) rows as the corpus
+    manifest CSV that read_manifest reads. Paths are written as given (a
+    relative one is read relative to the manifest); the SNR in "g" format,
+    six significant digits, so a clean row is inf with an empty noise."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(MANIFEST_FIELDS)
+        for speech, rir, noise, snr, noise_type in rows:
+            writer.writerow([speech, rir, noise, f"{snr:g}", noise_type])
+
+
 def _check_files(rows) -> dict:
     """Check the manifest's files from their WAV headers, each distinct path
     read once. Every file must load; then, row by row, an RIR must be at
@@ -241,6 +253,8 @@ def build_corpus(manifest, out_dir) -> list:
                 level = active_speech_level(reverberant)
             except RevtimeError as exc:
                 raise RevtimeError(f"row {idx}: speech {row['speech']}: {exc}") from exc
+        # The mix is built and scaled in place in one array; a clean row copies
+        # the reverberant speech, which later rows may reuse.
         if math.isfinite(row["snr_db"]):
             if row["noise"] not in noises:
                 noises[row["noise"]] = load_wav(row["noise"])
@@ -250,15 +264,17 @@ def build_corpus(manifest, out_dir) -> list:
                                           speech_level_db=level)
             except RevtimeError as exc:
                 raise RevtimeError(f"row {idx}: noise {row['noise']}: {exc}") from exc
-            mix = reverberant.samples + gain * noise.samples[:len(reverberant)]
+            mix = noise.samples[:len(reverberant)] * gain
+            mix += reverberant.samples
         else:
             gain = 0.0
-            mix = reverberant.samples
-        peak = float(np.max(np.abs(mix)))
+            mix = reverberant.samples.copy()
+        peak = float(max(mix.max(), -mix.min()))
         if peak == 0.0:
             raise RevtimeError(f"row {idx}: mix is silent")
         output_gain = PEAK_TARGET / peak
-        mix_buf = AudioBuffer(output_gain * mix, reverberant.sample_rate)
+        mix *= output_gain
+        mix_buf = AudioBuffer(mix, reverberant.sample_rate)
 
         item_id = f"item{idx:04d}"
         mix_path = out / f"{item_id}.wav"

@@ -34,6 +34,13 @@ ACTIVITY_FRAME_S = 0.010
 ACTIVITY_THRESHOLD_DB = -35.0
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every value of x is finite (true for an empty array). A NaN
+    or an infinity reaches the minimum or the maximum, so two reductions
+    answer without a boolean array the size of x."""
+    return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
+
+
 @dataclass(frozen=True, eq=False)
 class AudioBuffer:
     """Mono sampled signal, float64, nominally within [-1, 1]."""
@@ -45,7 +52,7 @@ class AudioBuffer:
         samples = np.array(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size < 1:
             raise RevtimeError("audio must be a non-empty 1-D sample array")
-        if not np.all(np.isfinite(samples)):
+        if not _all_finite(samples):
             raise RevtimeError("audio contains NaN or Inf samples")
         rate = int(self.sample_rate)
         if rate <= 0:
@@ -220,11 +227,13 @@ def save_wav(buf: AudioBuffer, path, fmt: str = "pcm16") -> None:
     """
     if fmt == "pcm16":
         x = buf.samples
-        if np.max(np.abs(x)) > 1.0:
+        if max(x.max(), -x.min()) > 1.0:
             warnings.warn(f"{path}: samples exceed full scale, clipping")
-            x = np.clip(x, -1.0, 1.0)
-        pcm = np.clip(np.rint(x * PCM16_SCALE), -32768, 32767).astype("<i2")
-        _write_wav(path, pcm, buf.sample_rate)
+        # Clipping the scaled samples to the int16 range clips at full scale.
+        pcm = np.multiply(x, PCM16_SCALE)
+        np.rint(pcm, out=pcm)
+        np.clip(pcm, -32768, 32767, out=pcm)
+        _write_wav(path, pcm.astype("<i2"), buf.sample_rate)
     elif fmt == "float32":
         _write_wav(path, buf.samples.astype("<f4"), buf.sample_rate)
     else:
@@ -402,5 +411,7 @@ def convolve(signal: AudioBuffer, kernel: AudioBuffer) -> AudioBuffer:
     else:
         full = x.size + h.size - 1
         n_fft = _next_fast_len(full)
-        out = np.fft.irfft(np.fft.rfft(x, n_fft) * np.fft.rfft(h, n_fft), n_fft)[:full]
+        spectrum = np.fft.rfft(x, n_fft)
+        spectrum *= np.fft.rfft(h, n_fft)
+        out = np.fft.irfft(spectrum, n_fft)[:full]
     return AudioBuffer(out, signal.sample_rate)

@@ -17,7 +17,7 @@ from .room_acoustics import (
     measure_t60,
     sabine_absorption,
 )
-from .signal_core import _write_rows, convolve, load_wav
+from .signal_core import _write_rows, convolve, load_wav, wav_info
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,17 @@ def default_t60_grid(t60_max: float) -> list:
     return grid
 
 
-def list_speech_files(speech_dir) -> list:
+def speech_files(speech_dir):
+    """(paths, sample_rate) of a training speech directory: its WAV files in
+    name order and their one sample rate, read from the headers. No file or
+    more than one rate raises RevtimeError."""
     paths = sorted(Path(speech_dir).glob("*.wav"))
     if not paths:
         raise RevtimeError(f"no WAV files found in {speech_dir}")
-    return paths
+    rates = {wav_info(p)[0] for p in paths}
+    if len(rates) != 1:
+        raise RevtimeError(f"speech files have mixed sample rates: {sorted(rates)}")
+    return paths, rates.pop()
 
 
 def build_training_set(speech_dir, t60_grid, rooms_per_t60: int,
@@ -138,14 +144,10 @@ def build_training_set(speech_dir, t60_grid, rooms_per_t60: int,
     """
     if not t60_grid:
         raise RevtimeError("t60_grid must not be empty")
-    paths = list_speech_files(speech_dir)
-    utts = [load_wav(p) for p in paths]
-    rates = {u.sample_rate for u in utts}
-    if len(rates) != 1:
-        raise RevtimeError(f"speech files have mixed sample rates: {sorted(rates)}")
-    fs = rates.pop()
+    paths, fs = speech_files(speech_dir)
     mel_weights(cfg, fs)  # too many bands for the FFT fails here, not per room
 
+    utts = [load_wav(p) for p in paths]
     pairs = []
     skipped = 0
     for t60, r, rir in simulate_rooms(np.random.default_rng(seed), t60_grid,
@@ -203,7 +205,7 @@ def train_model(speech_dir, cfg: EstimatorConfig, t60_grid, rooms_per_t60: int,
     Returns (model, pairs, report); report is the training report that
     train and demo write as JSON.
     """
-    _check_pair_count(len(t60_grid) * rooms_per_t60 * len(list_speech_files(speech_dir)),
+    _check_pair_count(len(t60_grid) * rooms_per_t60 * len(speech_files(speech_dir)[0]),
                       order)
     pairs, skipped = build_training_set(speech_dir, t60_grid, rooms_per_t60, cfg, seed)
     model, rms = fit_mapping(pairs, cfg, max(t60_grid), order=order, target=target)

@@ -254,6 +254,20 @@ class TestTrainCli:
         assert code == 0, capsys.readouterr().err
         assert pairs_csv.read_text().startswith("nsv,t60_true,")
 
+    def test_mixed_sample_rates_fail_before_any_room(self, tmp_path, monkeypatch, capsys):
+        no_rooms(monkeypatch)
+        speech_dir = tmp_path / "speech"
+        speech_dir.mkdir()
+        for u, rate in enumerate((16000, 8000)):
+            save_wav(synthetic_speech(1.6, rate, seed=40 + u), speech_dir / f"u{u}.wav")
+        model_path = tmp_path / "model.json"
+        code = main(["train", "--speech-dir", str(speech_dir), "--out", str(model_path),
+                     "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "mixed sample rates: [8000, 16000]" in err and "Traceback" not in err
+        assert not model_path.exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("bogus_key=1\n")
@@ -320,6 +334,8 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
      "argument --snr-margin: must be finite, got nan"),
     (["train", "--frame-ms", "0"], "argument --frame-ms: must be finite and > 0, got 0"),
     (["train", "--hop-ms", "-4"], "argument --hop-ms: must be finite and > 0, got -4"),
+    (["train", "--rooms-per-t60", "-0"], "argument --rooms-per-t60: must be at least 1, got 0"),
+    (["demo", "--order", " -2"], "argument --order: must be at least 0, got -2"),
     (["train", "--t60-max", "0.05", "--rooms-per-t60", "4"],
      "error: need at least 30 pairs to fit order 2, got 8"),
     (["train", "--n-mel-bands", "500"], "error: 500 bands exceed the 257 available bins"),
@@ -330,7 +346,8 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
      "error: need at least 30 pairs to fit order 2, got 1"),
 ], ids=["grid_nan", "grid_negative", "t60_max_inf", "t60_max_nan", "rir_t60_inf",
         "demo_t60_nan", "demo_train_t60_max_zero", "demo_snr_nan", "demo_snr_minus_inf",
-        "snr_margin_nan", "frame_ms_zero", "hop_ms_negative", "too_few_pairs",
+        "snr_margin_nan", "frame_ms_zero", "hop_ms_negative", "rooms_minus_zero",
+        "demo_order_negative", "too_few_pairs",
         "too_many_bands", "frame_too_short", "demo_too_few_pairs", "demo_one_pair"])
 def test_bad_value_fails_before_any_room(tmp_path, speech_dir, monkeypatch, capsys,
                                          command, expected):

@@ -430,13 +430,13 @@ class TestStftBlocks:
             monkeypatch.setattr(estimator, "_STFT_BLOCK", size)
             assert np.array_equal(in_new_thread(band_spectrogram, buf, cfg).values, whole)
 
-    @pytest.mark.parametrize("variant, bytes_per_sample", [("full_band", 2.0),
+    @pytest.mark.parametrize("variant, bytes_per_sample", [("full_band", 0.25),
                                                            ("mel_band", 10.0)])
     def test_work_memory_does_not_grow_with_input(self, variant, bytes_per_sample):
         """Per added input sample, a call allocates beyond its result about
-        1 byte for full_band (the finiteness check of the output) and 9 for
-        mel_band (the power matrix and the banded product); whole-signal
-        STFT work arrays took about 49."""
+        0 bytes for full_band and 9 for mel_band (the power matrix and the
+        banded product); whole-signal STFT work arrays took about 49, and a
+        boolean finiteness mask of the output 1."""
         cfg = EstimatorConfig.default(variant)
         excess = {seconds: excess_allocation(synthetic_speech(seconds, SR, seed=5), cfg)
                   for seconds in (30.0, 60.0)}

@@ -23,6 +23,7 @@ from revtime.eval_harness import (
     read_records,
     rtf,
     run_eval_paired,
+    write_manifest,
     write_records,
     write_report,
 )
@@ -124,7 +125,8 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def write_manifest(path, rows):
+def write_manifest_text(path, rows):
+    """A manifest of rows of text as given, malformed ones included."""
     path.write_text("speech,rir,noise,snr_db,noise_type\n"
                     + "".join(",".join(row) + "\n" for row in rows))
     return path
@@ -157,6 +159,36 @@ def corpus(tmp_path_factory):
 
 
 class TestManifest:
+    def test_write_read_round_trip(self, tmp_path):
+        speech, rir, noise = (str(tmp_path / name) for name in ("a,b.wav", "r.wav", "n.wav"))
+        rows = [(speech, rir, noise, -1.5, "fan"),
+                (speech, rir, noise, 12.25, "synthetic_babble"),
+                (speech, rir, "", math.inf, "none")]
+        path = tmp_path / "m.csv"
+        write_manifest(rows, path)
+        text = path.read_bytes()
+        assert text.startswith(b"speech,rir,noise,snr_db,noise_type\n") and b"\r" not in text
+        assert [tuple(row.values()) for row in read_manifest(path)] == rows
+
+    def test_demo_manifests_keep_their_text(self, demo_run):
+        # The text demo's manifests had when demo wrote the CSV by hand.
+        assets = demo_run[0] / "assets"
+        eval_rirs = sorted(f"rirs/{p.name}" for p in (assets / "rirs").glob("eval_*.wav"))
+        heldout_rirs = sorted(f"rirs/{p.name}"
+                              for p in (assets / "rirs").glob("heldout_*.wav"))
+        assert len(eval_rirs) == len(heldout_rirs) == 5
+        noises = {"synthetic_white": "noise/white.wav",
+                  "synthetic_babble": "noise/babble.wav"}
+        header = "speech,rir,noise,snr_db,noise_type\n"
+        corpus = header + "".join(
+            f"speech/eval_t{t}_u{u}.wav,{rir},{noise},{snr:g},{noise_type}\n"
+            for t in range(2) for u in range(3) for rir in eval_rirs
+            for noise_type, noise in noises.items() for snr in (-1.0, 12.0, 18.0))
+        heldout = header + "".join(f"speech/heldout_u{u}.wav,{rir},,inf,none\n"
+                                   for u in range(2) for rir in heldout_rirs)
+        assert (assets / "corpus_manifest.csv").read_bytes() == corpus.encode()
+        assert (assets / "heldout_manifest.csv").read_bytes() == heldout.encode()
+
     def test_missing_columns(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("speech,rir\na,b\n")
@@ -180,7 +212,7 @@ class TestManifest:
     def test_rejects_snr_that_is_not_finite_or_clean(self, tmp_path, snr):
         # A -inf row used to be built as a clean mix (noise gain 0) and
         # reported as snr_db = inf under its noise type.
-        path = write_manifest(tmp_path / "m.csv", [
+        path = write_manifest_text(tmp_path / "m.csv", [
             ("a.wav", "b.wav", "n.wav", "12", "fan"),
             ("a.wav", "b.wav", "n.wav", snr, "fan"),
         ])
@@ -300,7 +332,7 @@ class TestBuildCorpusReuse:
         return files
 
     def test_files_identical_to_reference(self, assets, monkeypatch):
-        manifest = write_manifest(assets / "m.csv", self.ROWS)
+        manifest = write_manifest_text(assets / "m.csv", self.ROWS)
         # Both builders write to the same directory: paths are in the files.
         out = assets / "built"
         ref_items = reference_build_corpus(manifest, out)
@@ -316,7 +348,7 @@ class TestBuildCorpusReuse:
         assert len(convolved) == self.N_PAIR_RUNS
 
     def test_loads_each_input_once_per_run(self, assets, monkeypatch):
-        manifest = write_manifest(assets / "m_loads.csv", self.ROWS)
+        manifest = write_manifest_text(assets / "m_loads.csv", self.ROWS)
         loaded = count_calls(monkeypatch, "load_wav")
         levels = count_calls(monkeypatch, "active_speech_level")
         remeasured = []
@@ -334,7 +366,7 @@ class TestBuildCorpusReuse:
 
     def test_silent_clean_row_still_reported(self, assets):
         save_wav(AudioBuffer(np.zeros(SR), SR), assets / "silent.wav")
-        manifest = write_manifest(assets / "m_silent.csv", [
+        manifest = write_manifest_text(assets / "m_silent.csv", [
             ("s0.wav", "r0.wav", "", "inf", "none"),
             ("silent.wav", "r0.wav", "", "inf", "none"),
         ])
@@ -344,7 +376,7 @@ class TestBuildCorpusReuse:
 
     def test_silent_speech_on_noisy_row_names_row_and_speech(self, assets):
         save_wav(AudioBuffer(np.zeros(SR), SR), assets / "silent.wav")
-        manifest = write_manifest(assets / "m_silent_noisy.csv", [
+        manifest = write_manifest_text(assets / "m_silent_noisy.csv", [
             ("s0.wav", "r0.wav", "", "inf", "none"),
             ("silent.wav", "r0.wav", "fan.wav", "12", "fan"),
         ])
@@ -355,7 +387,7 @@ class TestBuildCorpusReuse:
     def test_unlabelable_rir_fails_before_output(self, assets):
         impulse = AudioBuffer(np.concatenate([[1.0], np.zeros(50)]), SR)
         save_wav(impulse, assets / "impulse.wav", fmt="float32")
-        manifest = write_manifest(assets / "m_impulse.csv", [
+        manifest = write_manifest_text(assets / "m_impulse.csv", [
             ("s0.wav", "r0.wav", "", "inf", "none"),
             ("s1.wav", "r1.wav", "fan.wav", "12", "fan"),
             ("s0.wav", "impulse.wav", "", "inf", "none"),
@@ -366,7 +398,7 @@ class TestBuildCorpusReuse:
 
     def test_sample_rate_mismatch_before_convolution(self, assets, monkeypatch):
         save_wav(synthetic_speech(1.0, 8000, seed=86), assets / "s8k.wav")
-        manifest = write_manifest(assets / "m_rate.csv", [
+        manifest = write_manifest_text(assets / "m_rate.csv", [
             ("s8k.wav", "r0.wav", "", "inf", "none"),
         ])
         convolved = count_calls(monkeypatch, "convolve")
