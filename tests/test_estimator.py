@@ -430,17 +430,24 @@ class TestStftBlocks:
             monkeypatch.setattr(estimator, "_STFT_BLOCK", size)
             assert np.array_equal(in_new_thread(band_spectrogram, buf, cfg).values, whole)
 
-    @pytest.mark.parametrize("variant, bytes_per_sample", [("full_band", 0.25),
+    @pytest.mark.parametrize("variant, bytes_per_sample", [("full_band", 2.0),
                                                            ("mel_band", 10.0)])
     def test_work_memory_does_not_grow_with_input(self, variant, bytes_per_sample):
         """Per added input sample, a call allocates beyond its result about
         0 bytes for full_band and 9 for mel_band (the power matrix and the
-        banded product); whole-signal STFT work arrays took about 49, and a
-        boolean finiteness mask of the output 1."""
+        banded product); whole-signal STFT work arrays took about 49."""
         cfg = EstimatorConfig.default(variant)
         excess = {seconds: excess_allocation(synthetic_speech(seconds, SR, seed=5), cfg)
                   for seconds in (30.0, 60.0)}
         assert (excess[60.0] - excess[30.0]) / (30.0 * SR) <= bytes_per_sample
+
+    def test_full_band_checks_finiteness_without_a_mask(self):
+        """A boolean finiteness mask of the output would add 1 byte per
+        input sample; the full_band call adds none."""
+        cfg = EstimatorConfig.default("full_band")
+        excess = {seconds: excess_allocation(synthetic_speech(seconds, SR, seed=5), cfg)
+                  for seconds in (30.0, 60.0)}
+        assert (excess[60.0] - excess[30.0]) / (30.0 * SR) <= 0.25
 
 
 class TestEstimateT60:
