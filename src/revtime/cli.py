@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .eval_harness import (
 # Unused: cli simulates through trainer.simulate_rooms. perfbench's holder
 # check still expects cli to hold the simulator (ROADMAP item 5).
 from .room_acoustics import image_method_rir, save_rir  # noqa: F401
-from .signal_core import _from_fields, load_wav, read_lines, save_json
+from .signal_core import _from_fields, _is_finite, load_wav, read_lines, save_json
 from .trainer import (
     default_t60_grid,
     pairs_to_csv,
@@ -84,8 +83,8 @@ def _snr(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-_positive = _number(float, lambda v: 0 < v < math.inf, "finite and > 0")
-_finite = _number(float, math.isfinite, "finite")
+_positive = _number(float, _is_finite, "finite and > 0")
+_finite = _number(float, lambda v: _is_finite(v, "any"), "finite")
 _count = _number(int, lambda v: v >= 1, "at least 1")
 _order = _number(int, lambda v: v >= 0, "at least 0")
 

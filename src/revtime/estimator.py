@@ -22,7 +22,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as npoly
 
 from .errors import EstimationError, RevtimeError
-from .signal_core import AudioBuffer, _all_finite, _from_fields, load_json, save_json
+from .signal_core import (AudioBuffer, _all_finite, _check_finite, _from_fields,
+                          load_json, save_json)
 
 VARIANTS = ("full_band", "mel_band")
 TARGETS = ("t60", "log_t60")  # a mapping fits T60 in seconds, or log10 of it
@@ -84,8 +85,7 @@ class BandSpectrogram:
             raise RevtimeError("spectrogram values must be 2-D (bands x frames)")
         if not _all_finite(values):
             raise RevtimeError("spectrogram contains non-finite values")
-        if not self.frame_step > 0:
-            raise RevtimeError("frame_step must be positive")
+        _check_finite("frame_step", self.frame_step)
         object.__setattr__(self, "values", values)
 
     @property
@@ -117,8 +117,7 @@ class NsvStatistic:
     n_selected: int
 
     def __post_init__(self):
-        if self.value < 0:
-            raise RevtimeError("variance cannot be negative")
+        _check_finite("NSV value", self.value, "non-negative")
         if self.n_negative > self.n_selected:
             raise RevtimeError("negative count cannot exceed selected count")
 
@@ -150,12 +149,9 @@ class EstimatorConfig:
             raise RevtimeError("window_frames must be at least 2")
         if self.n_mel_bands < 2:
             raise RevtimeError("need at least 2 Mel bands")
-        if not math.isfinite(self.snr_margin):
-            raise RevtimeError("snr_margin must be finite")
-        if not 0 <= self.min_duration_s < math.inf:
-            raise RevtimeError("min_duration_s must be finite and non-negative")
-        if not 0 < self.dynamic_range_db < math.inf:
-            raise RevtimeError("dynamic_range_db must be finite and positive")
+        _check_finite("snr_margin", self.snr_margin, "any")
+        _check_finite("min_duration_s", self.min_duration_s, "non-negative")
+        _check_finite("dynamic_range_db", self.dynamic_range_db)
 
     @classmethod
     def default(cls, variant: str, sample_rate: int = 16000) -> "EstimatorConfig":
@@ -180,8 +176,7 @@ class MappingModel:
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
         if coeffs.ndim != 1 or coeffs.size == 0 or not _all_finite(coeffs):
             raise RevtimeError("coefficients must be a non-empty finite vector")
-        if not 0 < self.t60_train_max < math.inf:
-            raise RevtimeError("t60_train_max must be finite and positive")
+        _check_finite("t60_train_max", self.t60_train_max)
         if self.target not in TARGETS:
             raise RevtimeError(f"target must be one of {TARGETS}")
         object.__setattr__(self, "coefficients", coeffs)

@@ -16,7 +16,9 @@ from .errors import EstimationError, RevtimeError
 from .estimator import MappingModel, estimate_t60
 from .signal_core import (
     AudioBuffer,
+    _check_finite,
     _from_fields,
+    _is_finite,
     _write_csv,
     _write_rows,
     active_speech_level,
@@ -44,6 +46,13 @@ GROUP_BY = ("noise_type", "snr_db")
 PEAK_TARGET = 0.89
 
 
+def _check_snr(snr) -> None:
+    """The SNR rule of corpus items and records: finite dB, or +inf for a
+    clean mix; NaN and -inf raise RevtimeError."""
+    if snr != math.inf and not _is_finite(snr, "any"):
+        raise RevtimeError(f"snr_db must be a number or +inf, got {snr!r}")
+
+
 @dataclass(frozen=True)
 class CorpusItem:
     """One noisy reverberant utterance with its ground-truth label."""
@@ -58,10 +67,8 @@ class CorpusItem:
     mix_path: str
 
     def __post_init__(self):
-        if self.t60_true <= 0:
-            raise RevtimeError("t60_true must be positive")
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise RevtimeError("snr_db must be a number or +inf, not NaN or -inf")
+        _check_finite("t60_true", self.t60_true)
+        _check_snr(self.snr_db)
         if self.noise_type not in NOISE_TYPES:
             raise RevtimeError(f"unknown noise_type {self.noise_type!r}")
 
@@ -87,10 +94,12 @@ class EvalRecord:
     flags: str = ""
 
     def __post_init__(self):
-        if self.audio_duration <= 0:
-            raise RevtimeError("audio_duration must be positive")
-        if self.cpu_time < 0:
-            raise RevtimeError("cpu_time must be non-negative")
+        _check_snr(self.snr_db)
+        _check_finite("t60_true", self.t60_true)
+        _check_finite("t60_est", self.t60_est, "non-negative")
+        _check_finite("error", self.error, "any")
+        _check_finite("cpu_time", self.cpu_time, "non-negative")
+        _check_finite("audio_duration", self.audio_duration)
 
 
 @dataclass(frozen=True)
@@ -120,7 +129,7 @@ def _parse_snr(text: str) -> float:
         snr = float(text)
     except ValueError:
         snr = math.nan
-    if not math.isfinite(snr):
+    if not _is_finite(snr, "any"):
         raise ValueError(f"must be a finite number, inf or clean, got {text!r}")
     return snr
 
@@ -166,13 +175,15 @@ def read_manifest(path):
 def write_manifest(rows, path) -> None:
     """Write (speech, rir, noise, snr_db, noise_type) rows as the corpus
     manifest CSV that read_manifest reads. Paths are written as given (a
-    relative one is read relative to the manifest); the SNR in "g" format,
-    six significant digits, so a clean row is inf with an empty noise."""
+    relative one is read relative to the manifest). A whole-number SNR is
+    written as an integer and any other by repr, a clean row's as inf, so
+    every SNR reads back as the same float."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(MANIFEST_FIELDS)
         for speech, rir, noise, snr, noise_type in rows:
-            writer.writerow([speech, rir, noise, f"{snr:g}", noise_type])
+            text = str(int(snr)) if float(snr).is_integer() else repr(float(snr))
+            writer.writerow([speech, rir, noise, text, noise_type])
 
 
 def _check_files(rows) -> dict:
@@ -431,10 +442,7 @@ def rtf(records) -> float:
     """Real-time factor: total CPU time over total audio duration."""
     if not records:
         raise RevtimeError("no records to compute an RTF from")
-    total_audio = sum(r.audio_duration for r in records)
-    if total_audio <= 0:
-        raise RevtimeError("zero total audio duration")
-    return sum(r.cpu_time for r in records) / total_audio
+    return sum(r.cpu_time for r in records) / sum(r.audio_duration for r in records)
 
 
 def rtf_table(records) -> str:

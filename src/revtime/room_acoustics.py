@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import RevtimeError
-from .signal_core import AudioBuffer, save_json, save_wav
+from .signal_core import AudioBuffer, _check_finite, _whole_rate, save_json, save_wav
 
 SPEED_OF_SOUND = 343.0
 SABINE_CONSTANT = 0.161
@@ -35,28 +35,25 @@ class RoomSpec:
     rir_length: float
 
     def __post_init__(self):
-        dims = tuple(float(v) for v in self.dims)
+        dims = tuple(_check_finite("dims", float(v)) for v in self.dims)
         source = tuple(float(v) for v in self.source)
         mic = tuple(float(v) for v in self.mic)
         if len(dims) != 3 or len(source) != 3 or len(mic) != 3:
             raise RevtimeError("dims, source and mic must each have 3 components")
-        if any(d <= 0 for d in dims):
-            raise RevtimeError("room dimensions must be positive")
+        _check_finite("target_t60", self.target_t60)
+        _check_finite("rir_length", self.rir_length)
+        rate = _whole_rate(self.sample_rate)
         for name, point in (("source", source), ("mic", mic)):
             if not all(0.0 < p < d for p, d in zip(point, dims)):
                 raise RevtimeError(f"{name} must lie strictly inside the room")
         if source == mic:
             raise RevtimeError("source and mic must not coincide")
-        if self.target_t60 <= 0:
-            raise RevtimeError("target_t60 must be positive")
         if self.rir_length < self.target_t60:
             raise RevtimeError("rir_length must be at least target_t60")
-        if int(self.sample_rate) <= 0:
-            raise RevtimeError("sample_rate must be positive")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "mic", mic)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate", rate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,9 +88,8 @@ class Edc:
 def sabine_absorption(dims, t60: float) -> float:
     """Uniform surface absorption that yields t60 under the Sabine relation
     alpha = 0.161 * V / (S * t60)."""
-    lx, ly, lz = (float(v) for v in dims)
-    if min(lx, ly, lz) <= 0 or t60 <= 0:
-        raise RevtimeError("dimensions and t60 must be positive")
+    lx, ly, lz = (_check_finite("dims", float(v)) for v in dims)
+    _check_finite("t60", t60)
     volume = lx * ly * lz
     surface = 2.0 * (lx * ly + ly * lz + lx * lz)
     alpha = SABINE_CONSTANT * volume / (surface * t60)

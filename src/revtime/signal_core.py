@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 import warnings
@@ -41,6 +42,28 @@ def _all_finite(x: np.ndarray) -> bool:
     return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
 
 
+def _is_finite(value, rule: str = "positive") -> bool:
+    """Whether the scalar value is finite and, by rule, "positive" (> 0),
+    "non-negative" (>= 0) or of "any" sign. NaN fails every comparison, so
+    it passes no rule. The one test of a physical quantity's range."""
+    sign_ok = {"positive": value > 0, "non-negative": value >= 0, "any": True}[rule]
+    return sign_ok and abs(value) < math.inf
+
+
+def _check_finite(what: str, value, rule: str = "positive"):
+    """value, if _is_finite(value, rule); otherwise RevtimeError naming what."""
+    if not _is_finite(value, rule):
+        must = "finite" if rule == "any" else f"finite and {rule}"
+        raise RevtimeError(f"{what} must be {must}, got {value!r}")
+    return value
+
+
+def _whole_rate(rate) -> int:
+    """A sample rate as whole hertz, checked before int(), which raises on
+    NaN and inf, and after it, which truncates a rate below 1 Hz to 0."""
+    return _check_finite("sample_rate", int(_check_finite("sample_rate", rate)))
+
+
 @dataclass(frozen=True, eq=False)
 class AudioBuffer:
     """Mono sampled signal, float64, nominally within [-1, 1]."""
@@ -54,9 +77,7 @@ class AudioBuffer:
             raise RevtimeError("audio must be a non-empty 1-D sample array")
         if not _all_finite(samples):
             raise RevtimeError("audio contains NaN or Inf samples")
-        rate = int(self.sample_rate)
-        if rate <= 0:
-            raise RevtimeError("sample_rate must be a positive integer")
+        rate = _whole_rate(self.sample_rate)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", rate)

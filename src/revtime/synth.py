@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RevtimeError
-from .signal_core import AudioBuffer
+from .signal_core import AudioBuffer, _check_finite
 
 # Burst/pause structure, in seconds. Dense on/off alternation gives every
 # utterance many decay endpoints, which keeps the NSV statistic tight.
@@ -40,8 +40,7 @@ def _tilted_noise(rng: np.random.Generator, n: int, sample_rate: int,
 
 def synthetic_speech(duration_s: float, sample_rate: int, seed: int) -> AudioBuffer:
     """Speech-like test signal: tilted-noise bursts with sharp releases."""
-    if duration_s <= 0:
-        raise RevtimeError("duration must be positive")
+    _check_finite("duration_s", duration_s)
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * sample_rate))
     out = np.zeros(n)
@@ -72,6 +71,7 @@ def synthetic_speech(duration_s: float, sample_rate: int, seed: int) -> AudioBuf
 
 def shaped_noise(duration_s: float, sample_rate: int, seed: int) -> AudioBuffer:
     """Stationary Gaussian noise shaped to -6 dB/octave above 50 Hz."""
+    _check_finite("duration_s", duration_s)
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * sample_rate))
     x = _tilted_noise(rng, n, sample_rate, -6.0, 50.0)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from .room_acoustics import (
     measure_t60,
     sabine_absorption,
 )
-from .signal_core import _write_rows, convolve, load_wav, wav_info
+from .signal_core import _check_finite, _write_rows, convolve, load_wav, wav_info
 
 
 @dataclass(frozen=True)
@@ -30,8 +29,8 @@ class TrainingPair:
     utt_id: str
 
     def __post_init__(self):
-        if self.nsv <= 0 or self.t60_true <= 0:
-            raise RevtimeError("training pairs need positive NSV and T60")
+        _check_finite("nsv", self.nsv)
+        _check_finite("t60_true", self.t60_true)
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class RoomSampler:
 
     def sample(self, rng: np.random.Generator, target_t60: float,
                sample_rate: int) -> RoomSpec:
-        _check_t60(target_t60)
+        _check_finite("T60", target_t60)
         shape = np.array([
             1.0,
             rng.uniform(*self.width_ratio),
@@ -88,11 +87,6 @@ class RoomSampler:
         )
 
 
-def _check_t60(t60: float) -> None:
-    if not 0 < t60 < math.inf:  # NaN fails the comparison too
-        raise RevtimeError(f"T60 must be finite and positive, got {t60!r}")
-
-
 def _check_pair_count(n: int, order: int) -> None:
     """A polynomial fit of this order needs ten pairs per coefficient."""
     if n < 10 * (order + 1):
@@ -113,7 +107,7 @@ def simulate_rooms(rng: np.random.Generator, t60s, rooms_per_t60: int, sample_ra
 
 def default_t60_grid(t60_max: float) -> list:
     """0.1 s steps from 0.1 up to (and always including) t60_max."""
-    _check_t60(t60_max)
+    _check_finite("T60", t60_max)
     grid = [round(0.1 * k, 10) for k in range(1, int(t60_max / 0.1) + 1)]
     if not grid or grid[-1] < t60_max:
         grid.append(float(t60_max))
@@ -161,7 +155,7 @@ def build_training_set(speech_dir, t60_grid, rooms_per_t60: int,
             except EstimationError:
                 skipped += 1
                 continue
-            if stat.value <= 0:
+            if stat.value == 0.0:
                 skipped += 1
                 continue
             pairs.append(TrainingPair(stat.value, t60_true, room_id, path.stem))

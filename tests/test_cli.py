@@ -601,8 +601,14 @@ _GOOD_ITEM = {"item_id": "x", "speech_path": "s.wav", "rir_path": "r.wav",
     ('{"item_id": "x"}', ["JSON list"]),
     ("[1]", ["entry 0 is not a JSON object"]),
     (json.dumps([_GOOD_ITEM, {**_GOOD_ITEM, "t60_true": -1.0}]),
-     ["entry 1", "t60_true must be positive"]),
-], ids=["missing_key", "not_json", "not_a_list", "not_an_object", "bad_value"])
+     ["entry 1", "t60_true must be finite and positive, got -1.0"]),
+    # Python's json reads the NaN and Infinity tokens as floats.
+    (json.dumps([_GOOD_ITEM, {**_GOOD_ITEM, "t60_true": float("nan")}]),
+     ["items.json: entry 1", "t60_true must be finite and positive, got nan"]),
+    (json.dumps([{**_GOOD_ITEM, "t60_true": float("inf")}]),
+     ["items.json: entry 0", "t60_true must be finite and positive, got inf"]),
+], ids=["missing_key", "not_json", "not_a_list", "not_an_object", "bad_value",
+        "nan_t60_true", "inf_t60_true"])
 def test_evaluate_malformed_items_json_exits_one(tmp_path, model_file, capsys,
                                                  text, expected):
     """A malformed items.json is an `error:` line and exit 1, not a traceback."""
@@ -611,8 +617,9 @@ def test_evaluate_malformed_items_json_exits_one(tmp_path, model_file, capsys,
                  str(model_file), "--out", str(tmp_path / "out"), "--quiet"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "Traceback" not in err
     assert all(part in err for part in expected), err
+    assert not (tmp_path / "out").exists()
 
 
 _RECORDS_HEADER = ("item_id,variant,noise_type,snr_db,t60_true,t60_est,error,"
@@ -625,17 +632,22 @@ _GOOD_ROW = "x,mel_band,none,inf,0.4,0.5,0.1,0.001,2.0,\n"
      ["row 0 is missing key(s) noise_type"]),
     (_RECORDS_HEADER + _GOOD_ROW.replace("0.5", "abc"), ["row 0", "t60_est 'abc'"]),
     (_RECORDS_HEADER + _GOOD_ROW + "y,mel_band,none\n", ["row 1", "t60_true"]),
-], ids=["missing_column", "bad_float", "short_row"])
+    (_RECORDS_HEADER + _GOOD_ROW + _GOOD_ROW.replace("0.001", "nan"),
+     ["row 1", "cpu_time must be finite and non-negative, got nan"]),
+    (_RECORDS_HEADER + _GOOD_ROW.replace("none,inf", "none,nan"),
+     ["row 0", "snr_db must be a number or +inf, got nan"]),
+], ids=["missing_column", "bad_float", "short_row", "nan_cpu_time", "nan_snr_db"])
 def test_rtf_malformed_records_exits_one(tmp_path, capsys, text, expected):
     """A malformed records file is an `error:` line naming the row and the
     key, and exit 1."""
     path = tmp_path / "records.csv"
     path.write_text(text)
     code = main(["rtf", "--records", str(path)])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 1
-    assert err.startswith(f"error: {path}")
-    assert all(part in err for part in expected), err
+    assert captured.err.startswith(f"error: {path}") and "Traceback" not in captured.err
+    assert all(part in captured.err for part in expected), captured.err
+    assert captured.out == ""
 
 
 def _without(key):

@@ -235,7 +235,7 @@ class TestNsvStatistic:
     sees a negative NSV."""
 
     def test_negative_value_rejected(self):
-        with pytest.raises(RevtimeError, match="variance cannot be negative"):
+        with pytest.raises(RevtimeError, match="NSV value must be finite and non-negative"):
             NsvStatistic(-1e-12, 5, 9)
 
     def test_more_negatives_than_selected_rejected(self):

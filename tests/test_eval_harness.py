@@ -163,6 +163,8 @@ class TestManifest:
         speech, rir, noise = (str(tmp_path / name) for name in ("a,b.wav", "r.wav", "n.wav"))
         rows = [(speech, rir, noise, -1.5, "fan"),
                 (speech, rir, noise, 12.25, "synthetic_babble"),
+                (speech, rir, noise, 12.3456789, "fan"),
+                (speech, rir, noise, 1234567.0, "fan"),
                 (speech, rir, "", math.inf, "none")]
         path = tmp_path / "m.csv"
         write_manifest(rows, path)
@@ -514,8 +516,8 @@ class TestBoxStats:
         return [
             EvalRecord(item_id=f"i{i}", variant="mel_band",
                        noise_type=kw.get("noise_type", "fan"),
-                       snr_db=kw.get("snr_db", 12.0), t60_true=0.5,
-                       t60_est=0.5 + e, error=e, cpu_time=0.01,
+                       snr_db=kw.get("snr_db", 12.0), t60_true=5.0,
+                       t60_est=5.0 + e, error=e, cpu_time=0.01,
                        audio_duration=2.0)
             for i, e in enumerate(errors)
         ]

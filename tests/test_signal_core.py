@@ -1,5 +1,8 @@
+import math
+import re
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +19,15 @@ from revtime.estimator import (
     BandSpectrogram,
     EstimatorConfig,
     MappingModel,
+    NsvStatistic,
     StftConfig,
     band_spectrogram,
     hz_to_mel,
     mel_to_hz,
     mel_weights,
 )
+from revtime.eval_harness import CorpusItem, EvalRecord
+from revtime.room_acoustics import RoomSpec, sabine_absorption
 from revtime.signal_core import (
     AudioBuffer,
     _next_fast_len,
@@ -31,6 +37,8 @@ from revtime.signal_core import (
     noise_gain_for_snr,
     save_wav,
 )
+from revtime.synth import shaped_noise, synthetic_speech
+from revtime.trainer import RoomSampler, TrainingPair, default_t60_grid
 from stft_reference import reference_mel, reference_stft
 
 SR = 16000
@@ -567,3 +575,98 @@ class TestConvolve:
         sizes = list(range(1, 5001)) + list(range(5001, 200_001, 37)) + [200_000]
         assert [_next_fast_len(n) for n in sizes] == [
             next_fast_len(n, real=True) for n in sizes]
+
+
+_ROOM = {"dims": (5.0, 4.0, 3.0), "source": (1.0, 1.0, 1.0), "mic": (2.0, 2.0, 1.5),
+         "target_t60": 0.5, "sample_rate": SR, "rir_length": 0.8}
+_ITEM = {"item_id": "x", "speech_path": "s.wav", "rir_path": "r.wav", "noise_path": "",
+         "snr_db": math.inf, "noise_type": "none", "t60_true": 0.4, "mix_path": "x.wav"}
+_RECORD = {"item_id": "x", "variant": "mel_band", "noise_type": "none", "snr_db": math.inf,
+           "t60_true": 0.4, "t60_est": 0.5, "error": 0.1, "cpu_time": 0.001,
+           "audio_duration": 2.0}
+_CFG = EstimatorConfig.default("mel_band")
+
+
+def _model(t60_train_max):
+    return MappingModel([0.1, 0.2], t60_train_max, _CFG)
+
+
+# (what the error names, the rule, a build that puts the value in that place)
+# for every place signal_core._check_finite guards.
+_GUARDED = {
+    "RoomSpec.dims": ("dims", "positive",
+                      lambda v: RoomSpec(**{**_ROOM, "dims": (5.0, v, 3.0)})),
+    "RoomSpec.target_t60": ("target_t60", "positive",
+                            lambda v: RoomSpec(**{**_ROOM, "target_t60": v})),
+    "RoomSpec.rir_length": ("rir_length", "positive",
+                            lambda v: RoomSpec(**{**_ROOM, "rir_length": v})),
+    "RoomSpec.sample_rate": ("sample_rate", "positive",
+                             lambda v: RoomSpec(**{**_ROOM, "sample_rate": v})),
+    "sabine_absorption.dims": ("dims", "positive",
+                               lambda v: sabine_absorption((5.0, 4.0, v), 0.5)),
+    "sabine_absorption.t60": ("t60", "positive",
+                              lambda v: sabine_absorption((5.0, 4.0, 3.0), v)),
+    "AudioBuffer.sample_rate": ("sample_rate", "positive",
+                                lambda v: AudioBuffer([0.1, 0.2], v)),
+    "synthetic_speech.duration_s": ("duration_s", "positive",
+                                    lambda v: synthetic_speech(v, SR, seed=1)),
+    "shaped_noise.duration_s": ("duration_s", "positive",
+                                lambda v: shaped_noise(v, SR, seed=1)),
+    "RoomSampler.sample.target_t60": (
+        "T60", "positive", lambda v: RoomSampler().sample(np.random.default_rng(0), v, SR)),
+    "default_t60_grid.t60_max": ("T60", "positive", default_t60_grid),
+    "TrainingPair.nsv": ("nsv", "positive", lambda v: TrainingPair(v, 0.4, "r", "u")),
+    "TrainingPair.t60_true": ("t60_true", "positive",
+                              lambda v: TrainingPair(10.0, v, "r", "u")),
+    "CorpusItem.t60_true": ("t60_true", "positive",
+                            lambda v: CorpusItem(**{**_ITEM, "t60_true": v})),
+    **{f"EvalRecord.{field}": (field, rule,
+                               lambda v, field=field: EvalRecord(**{**_RECORD, field: v}))
+       for field, rule in (("t60_true", "positive"), ("t60_est", "non-negative"),
+                           ("error", "any"), ("cpu_time", "non-negative"),
+                           ("audio_duration", "positive"))},
+    "MappingModel.t60_train_max": ("t60_train_max", "positive", _model),
+    **{f"EstimatorConfig.{field}": (field, rule,
+                                    lambda v, field=field: replace(_CFG, **{field: v}))
+       for field, rule in (("dynamic_range_db", "positive"),
+                           ("min_duration_s", "non-negative"), ("snr_margin", "any"))},
+    "BandSpectrogram.frame_step": ("frame_step", "positive",
+                                   lambda v: BandSpectrogram(np.zeros((2, 3)), v)),
+    "NsvStatistic.value": ("NSV value", "non-negative", lambda v: NsvStatistic(v, 5, 9)),
+}
+
+
+class TestFiniteQuantities:
+    """One rule for every physical quantity: NaN and both infinities raise
+    everywhere, zero only where the rule is "positive", a negative value
+    unless the rule is "any"; the error names the field and the value."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("place", list(_GUARDED))
+    def test_rule(self, place, value):
+        name, rule, build = _GUARDED[place]
+        legal = math.isfinite(value) and (rule == "any" or (rule == "non-negative"
+                                                            and value == 0.0))
+        if legal:
+            build(value)
+            return
+        with pytest.raises(RevtimeError, match=re.escape(f"{name} must be finite")
+                           + f".*, got {re.escape(repr(value))}$"):
+            build(value)
+
+    @pytest.mark.parametrize("build", [
+        lambda snr: CorpusItem(**{**_ITEM, "snr_db": snr}),
+        lambda snr: EvalRecord(**{**_RECORD, "snr_db": snr}),
+    ], ids=["CorpusItem", "EvalRecord"])
+    def test_snr_is_a_number_or_clean(self, build):
+        for snr in (math.inf, 0.0, -5.0, 18.0):
+            build(snr)
+        for snr in (math.nan, -math.inf):
+            with pytest.raises(RevtimeError, match=f"snr_db must be a number or \\+inf, "
+                                                   f"got {snr!r}"):
+                build(snr)
+
+    def test_sample_rate_below_one_hertz_raises(self):
+        # int() would truncate it to a rate of 0.
+        with pytest.raises(RevtimeError, match="sample_rate must be finite and positive"):
+            AudioBuffer([0.1, 0.2], 0.5)
