@@ -377,16 +377,23 @@ def map_nsv_to_t60(stat: NsvStatistic, model: MappingModel):
 
     An NSV of exactly 0 saturates to t60_train_max (indistinguishable from
     an arbitrarily long decay). Negative polynomial output clamps to 0.0;
-    there is no upper clamp.
+    there is no upper clamp. A mapping that overflows to an infinite T60
+    raises EstimationError.
     """
     if stat.value == 0.0:
         return float(model.t60_train_max), ("saturated",)
-    pred = float(npoly.polyval(np.log10(stat.value), model.coefficients))
-    if model.target == "log_t60":
-        return float(10.0 ** pred), ()
-    if pred < 0.0:
+    with np.errstate(over="ignore"):  # an overflow is the inf checked below
+        pred = float(npoly.polyval(np.log10(stat.value), model.coefficients))
+    try:
+        t60 = 10.0 ** pred if model.target == "log_t60" else pred
+    except OverflowError:
+        t60 = math.inf
+    if t60 < 0.0:
         return 0.0, ("clamped",)
-    return pred, ()
+    if not math.isfinite(t60):
+        raise EstimationError(f"the mapping gives {t60!r} at NSV {stat.value!r}, "
+                              "not a finite T60")
+    return t60, ()
 
 
 def hz_to_mel(f):

@@ -33,6 +33,15 @@ def speech_dir(tmp_path_factory):
     return path
 
 
+def fresh_process_env(**extra) -> dict:
+    """The environment for a fresh Python process that imports this
+    checkout's revtime, plus the extra variables given."""
+    src = str(Path(revtime.__file__).resolve().parents[1])
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def no_rooms(monkeypatch):
     """Make every room simulation fail the test: train, simulate-rir and
     demo all simulate through trainer.simulate_rooms."""
@@ -70,6 +79,26 @@ class TestHelp:
             main(["estimate", str(audio_file), "--model", str(model_file),
                   "--frobnicate"])
         assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["estimate", "{audio}", "--model", "{model}"], 0),
+    (["simulate-rir", "--t60", "inf", "--out", "{out}"], 1),
+    (["simulate-rir", "--t60", "0.5", "--t60", "0.5", "--out", "{out}"], 1),
+    (["estimate", "{short}", "--model", "{model}"], 2),
+], ids=["ok", "usage_error", "revtime_error", "estimation_error"])
+def test_console_entry_exit_code(tmp_path, monkeypatch, capsys, audio_file, model_file,
+                                 argv, expected):
+    """The `revtime` console script, cli.entry, exits with main's code."""
+    save_wav(synthetic_speech(0.4, SR, seed=32), tmp_path / "short.wav")
+    paths = {"audio": audio_file, "model": model_file, "out": tmp_path / "out",
+             "short": tmp_path / "short.wav"}
+    monkeypatch.setattr(sys, "argv", ["revtime", *(a.format(**paths) for a in argv)])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == expected
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestEstimate:
@@ -126,6 +155,26 @@ class TestEstimate:
         assert code == 2
         assert "estimation failed" in err and expected in err, err
 
+    @pytest.mark.parametrize("coefficients, target", [
+        ([400.0], "log_t60"), ([1e308, 1e308], "t60"),
+    ], ids=["log_t60", "t60"])
+    def test_overflowing_mapping_fails_each_estimate(self, tmp_path, audio_file, tiny_corpus,
+                                                     capsys, coefficients, target):
+        """A mapping that overflows is an estimation failure: estimate exits
+        2 and evaluate records one failure per item."""
+        model = tmp_path / "model.json"
+        MappingModel(coefficients=np.array(coefficients), t60_train_max=0.95,
+                     config=EstimatorConfig.default("mel_band"), target=target).save(model)
+        code = main(["estimate", str(audio_file), "--model", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("estimation failed: ") and "not a finite T60" in err, err
+        out = tmp_path / "results"
+        assert main(["evaluate", "--corpus", str(tiny_corpus), "--model", str(model),
+                     "--out", str(out)]) == 0
+        assert "mel_band: 2 items failed" in capsys.readouterr().out
+        assert len((out / "records.csv").read_text().splitlines()) == 1
+
 
 class TestSimulateRir:
     def test_writes_wav_and_sidecar(self, tmp_path, capsys):
@@ -135,9 +184,11 @@ class TestSimulateRir:
         assert code == 0
         wavs = sorted(out.glob("*.wav"))
         assert len(wavs) == 1
-        sidecar = json.loads(wavs[0].with_suffix(".json").read_text())
+        text = wavs[0].with_suffix(".json").read_text()
+        sidecar = json.loads(text)
         assert sidecar["measured_t60"] == pytest.approx(0.4, rel=0.2)
         assert sidecar["room"]["target_t60"] == 0.4
+        assert "max_image_order" not in text
 
     @pytest.mark.parametrize("targets", [("0.5", "0.5"), ("0.3001", "0.3004")],
                              ids=["equal", "same_stem"])
@@ -153,7 +204,7 @@ class TestSimulateRir:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --t60 ") and targets[0] in err
-        assert not list(out.glob("*.wav"))
+        assert not out.exists()
 
 
 class TestTrainCli:
@@ -353,7 +404,8 @@ def test_bad_value_fails_before_any_room(tmp_path, speech_dir, monkeypatch, caps
                                          command, expected):
     """A bad number on the command line, too few possible training pairs or
     more Mel bands than FFT bins exits 1 with one message and no traceback
-    before any room is simulated (demo: before any file is written)."""
+    before any room is simulated (demo and simulate-rir: before the output
+    directory is made; train makes its model's directory first)."""
     no_rooms(monkeypatch)
     out = tmp_path / "out"
     required = {"simulate-rir": ["--out", str(out)],
@@ -368,6 +420,7 @@ def test_bad_value_fails_before_any_room(tmp_path, speech_dir, monkeypatch, caps
     assert expected in err
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.wav")) and not list(tmp_path.rglob("*.json"))
+    assert command[0] == "train" or not out.exists()
 
 
 @pytest.mark.parametrize("text", ["inf", "+inf", "clean"])
@@ -684,12 +737,9 @@ def test_estimate_malformed_model_exits_one(tmp_path, audio_file, model_file, ca
 def test_cli_import_leaves_scipy_signal_unloaded():
     """Importing the CLI loads scipy only for WAV I/O: scipy.signal and
     the stats stack behind it stay out of a fresh process."""
-    src = str(Path(revtime.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = ("import sys, revtime.cli; "
              "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    result = subprocess.run([sys.executable, "-c", probe], env=fresh_process_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
@@ -698,15 +748,34 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 def test_cli_import_loads_no_scipy():
     """The runtime needs numpy only: a fresh `import revtime.cli` leaves no
     scipy module in sys.modules."""
-    src = str(Path(revtime.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = ("import sys, revtime.cli; print(sorted(m for m in sys.modules "
              "if m == 'scipy' or m.startswith('scipy.')))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    result = subprocess.run([sys.executable, "-c", probe], env=fresh_process_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_estimates_independent_of_blas_thread_count(tmp_path, demo_run):
+    """`estimate --json` prints the same bytes with one or two OpenBLAS
+    threads, on a demo item and on 60 s of speech, which spans hundreds of
+    the front-end's frame blocks."""
+    out, _ = demo_run
+    long_wav = tmp_path / "long60.wav"
+    save_wav(synthetic_speech(60.0, SR, seed=1), long_wav)
+    for wav in (out / "heldout_corpus" / "item0000.wav", long_wav):
+        for variant in ("full_band", "mel_band"):
+            stdout = []
+            for threads in ("1", "2"):
+                result = subprocess.run(
+                    [sys.executable, "-m", "revtime.cli", "estimate", str(wav),
+                     "--model", str(out / "models" / f"{variant}.json"), "--json"],
+                    env=fresh_process_env(OPENBLAS_NUM_THREADS=threads),
+                    capture_output=True, text=True, timeout=120)
+                assert result.returncode == 0, result.stderr
+                stdout.append(result.stdout)
+            assert json.loads(stdout[0])["t60_seconds"] > 0.0
+            assert stdout[0] == stdout[1], (wav.name, variant)
 
 
 class TestBuildCorpusCli:

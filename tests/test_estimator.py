@@ -4,6 +4,7 @@ import statistics
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -275,6 +276,17 @@ class TestMapNsvToT60:
         # t60 = 2 - 0.5 * log10(nsv) at nsv = 100 -> 1.0
         t60, _ = map_nsv_to_t60(NsvStatistic(100.0, 5, 9), model_with([2.0, -0.5]))
         assert t60 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("coeffs, target", [
+        ([400.0], "log_t60"),          # 10**400 overflows a float
+        ([1e308, 1e308], "t60"),       # 1e308 + 1e308 * log10(100) overflows
+    ], ids=["log_overflow", "t60_overflow"])
+    def test_non_finite_t60_is_an_estimation_failure(self, coeffs, target):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy RuntimeWarning
+            with pytest.raises(EstimationError, match="not a finite T60"):
+                map_nsv_to_t60(NsvStatistic(100.0, 5, 9),
+                               model_with(coeffs, target=target))
 
 
 class TestFrontEnd:

@@ -191,6 +191,23 @@ class TestManifest:
         assert (assets / "corpus_manifest.csv").read_bytes() == corpus.encode()
         assert (assets / "heldout_manifest.csv").read_bytes() == heldout.encode()
 
+    @pytest.mark.parametrize("manifest, corpus", [
+        ("corpus_manifest.csv", "corpus"), ("heldout_manifest.csv", "heldout_corpus"),
+    ], ids=["corpus", "heldout"])
+    def test_demo_manifests_rebuild_their_corpora(self, demo_run, tmp_path, manifest,
+                                                  corpus):
+        """Each manifest demo writes rebuilds its corpus WAV for WAV, with the
+        same labels; only the mix paths differ."""
+        made = demo_run[0] / corpus
+        rebuilt = tmp_path / corpus
+        build_corpus(demo_run[0] / "assets" / manifest, rebuilt)
+        wavs = sorted(p.name for p in made.glob("*.wav"))
+        assert wavs and sorted(p.name for p in rebuilt.glob("*.wav")) == wavs
+        for name in wavs:
+            assert (rebuilt / name).read_bytes() == (made / name).read_bytes(), name
+        assert ([dataclasses.replace(item, mix_path="") for item in load_items(rebuilt)]
+                == [dataclasses.replace(item, mix_path="") for item in load_items(made)])
+
     def test_missing_columns(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("speech,rir\na,b\n")
