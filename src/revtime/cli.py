@@ -31,7 +31,7 @@ from .eval_harness import (
     rtf_table,
 )
 # Unused: cli simulates through trainer.simulate_rooms. perfbench's holder
-# check still expects cli to hold the simulator (ROADMAP item 5).
+# check still expects cli to hold the simulator (ROADMAP item 12).
 from .room_acoustics import image_method_rir, save_rir  # noqa: F401
 from .signal_core import _from_fields, _is_finite, load_wav, read_lines, save_json
 from .trainer import (

@@ -68,7 +68,7 @@ class StftConfig:
                         hop_ms: float = HOP_MS) -> "StftConfig":
         frame = max(2, int(round(sample_rate * frame_ms / 1000.0)))
         hop = max(1, int(round(sample_rate * hop_ms / 1000.0)))
-        return cls(frame_len=frame, hop=min(hop, frame))
+        return cls(frame_len=frame, hop=hop)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,6 +203,10 @@ class MappingModel:
         """Inverse of to_dict. Keys that are not fields are ignored, except
         inside stft; fields with defaults may be absent (legacy models)."""
         config = _from_fields(EstimatorConfig, data, "model")
+        # A JSON boolean is no number, though numpy reads it as one.
+        coefficients = data.get("coefficients")
+        if isinstance(coefficients, list) and any(isinstance(c, bool) for c in coefficients):
+            raise RevtimeError(f"model: coefficients {coefficients!r} cannot be read as float")
         config = replace(config, stft=_from_fields(StftConfig, config.stft, "model stft"))
         unknown = sorted(set(data["stft"]) - {f.name for f in fields(StftConfig)})
         if unknown:

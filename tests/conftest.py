@@ -1,9 +1,17 @@
+"""Shared test inputs. A test takes its models, training speech and corpus
+input files from the builders here, passing its own durations, seeds and
+settings, rather than writing them by hand."""
+
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from revtime.signal_core import AudioBuffer
+from revtime import trainer
+from revtime.estimator import VARIANTS, EstimatorConfig, MappingModel
+from revtime.eval_harness import run_eval_paired
+from revtime.signal_core import AudioBuffer, save_wav
 from revtime.synth import synthetic_speech
 
 SR = 16000
@@ -43,6 +51,73 @@ def exponential_rir(t60: float, sample_rate: int = SR, length_factor: float = 1.
     if seed is not None:
         env = env * np.random.default_rng(seed).standard_normal(n)
     return AudioBuffer(env, sample_rate)
+
+
+def make_model(coefficients=(0.5,), variant="mel_band", target="t60",
+               t60_train_max=0.95, **config) -> MappingModel:
+    """A mapping of these coefficients (by default the constant 0.5 s) under
+    the default EstimatorConfig of variant with the fields in config
+    replaced."""
+    return MappingModel(coefficients=np.asarray(coefficients, dtype=float),
+                        t60_train_max=t60_train_max, target=target,
+                        config=replace(EstimatorConfig.default(variant), **config))
+
+
+@pytest.fixture(scope="session")
+def model_files(tmp_path_factory):
+    """make_model() of each variant saved as <variant>.json."""
+    root = tmp_path_factory.mktemp("models")
+    paths = {variant: root / f"{variant}.json" for variant in VARIANTS}
+    for variant, path in paths.items():
+        make_model(variant=variant).save(path)
+    return paths
+
+
+@pytest.fixture(scope="session")
+def model_file(model_files):
+    """The constant 0.5 s mel_band model file."""
+    return model_files["mel_band"]
+
+
+def write_speech(directory, utterances):
+    """Training speech: synthetic speech as u0.wav, u1.wav, ... in directory
+    (made if missing), one per (seconds, seed) or (seconds, seed,
+    sample_rate) in utterances; the rate defaults to SR."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for u, utterance in enumerate(utterances):
+        seconds, seed, rate = (*utterance, SR)[:3]
+        save_wav(synthetic_speech(seconds, rate, seed=seed), directory / f"u{u}.wav")
+    return directory
+
+
+def write_corpus_inputs(directory, speech=(), rirs=(), noises=()):
+    """The input files of a build-corpus run, written into directory (made if
+    missing): s0.wav, s1.wav, ... synthetic speech of each (seconds, seed)
+    in speech; r0.wav, ... a float32 exponential_rir of each (t60, seed) in
+    rirs; n0.wav, ... each AudioBuffer in noises."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for i, (seconds, seed) in enumerate(speech):
+        save_wav(synthetic_speech(seconds, SR, seed=seed), directory / f"s{i}.wav")
+    for i, (t60, seed) in enumerate(rirs):
+        save_wav(exponential_rir(t60, seed=seed), directory / f"r{i}.wav", fmt="float32")
+    for i, noise in enumerate(noises):
+        save_wav(noise, directory / f"n{i}.wav")
+    return directory
+
+
+@pytest.fixture
+def no_rooms(monkeypatch):
+    """Make every room simulation fail the test: train, simulate-rir and
+    demo all simulate through trainer.simulate_rooms."""
+    def no_room(room):
+        raise AssertionError("a room was simulated")
+
+    monkeypatch.setattr(trainer, "image_method_rir", no_room)
+
+
+def run_one(items, model, jobs=1):
+    """run_eval_paired with a single model: (records, failures)."""
+    return run_eval_paired(items, [model], jobs=jobs)[model.variant_tag]
 
 
 @pytest.fixture(scope="session")

@@ -8,19 +8,18 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from conftest import exponential_rir
+from conftest import SR, exponential_rir, make_model, write_corpus_inputs
 from revtime.cli import main
 from revtime.estimator import (
     BandSpectrogram,
     EstimatorConfig,
-    MappingModel,
     NsvStatistic,
     decay_gradients,
     map_nsv_to_t60,
     nsv,
     nsv_from_audio,
 )
-from revtime.eval_harness import build_corpus, read_records, rtf
+from revtime.eval_harness import build_corpus, read_records, rtf, write_manifest
 from revtime.room_acoustics import (
     RoomSpec,
     image_method_rir,
@@ -32,12 +31,9 @@ from revtime.signal_core import (
     convolve,
     load_json,
     load_wav,
-    save_wav,
 )
 from revtime.synth import shaped_noise, synthetic_speech
 from revtime.trainer import RoomSampler
-
-SR = 16000
 
 
 def _records_by_variant(path):
@@ -113,16 +109,13 @@ def test_criterion_04_image_method_closed_loop():
 
 
 def test_criterion_05_mixing_calibration(tmp_path):
-    save_wav(synthetic_speech(2.5, SR, seed=45), tmp_path / "speech.wav")
-    save_wav(exponential_rir(0.4, seed=21), tmp_path / "rir.wav", fmt="float32")
-    save_wav(shaped_noise(3.5, SR, seed=46), tmp_path / "noise.wav")
+    write_corpus_inputs(tmp_path, [(2.5, 45)], [(0.4, 21)], [shaped_noise(3.5, SR, seed=46)])
     targets = (-1.0, 12.0, 18.0)
     manifest = tmp_path / "manifest.csv"
-    manifest.write_text("speech,rir,noise,snr_db,noise_type\n" + "".join(
-        f"speech.wav,rir.wav,noise.wav,{snr:g},synthetic_white\n" for snr in targets))
+    write_manifest([("s0.wav", "r0.wav", "n0.wav", snr, "synthetic_white") for snr in targets],
+                   manifest)
     items = build_corpus(manifest, tmp_path / "built")
-    reverberant = convolve(load_wav(tmp_path / "speech.wav"),
-                           load_wav(tmp_path / "rir.wav"))
+    reverberant = convolve(load_wav(tmp_path / "s0.wav"), load_wav(tmp_path / "r0.wav"))
     worst = 0.0
     for item, target in zip(items, targets, strict=True):
         sidecar = load_json(tmp_path / "built" / f"{item.item_id}.json")
@@ -185,11 +178,7 @@ def test_criterion_08_noise_bias_direction(demo_run):
 
 
 def test_criterion_09_clamp_behavior():
-    model = MappingModel(
-        coefficients=np.array([-0.75, 0.0]),  # constant negative output
-        t60_train_max=0.95,
-        config=EstimatorConfig.default("mel_band"),
-    )
+    model = make_model([-0.75, 0.0])  # constant negative output
     t60, flags = map_nsv_to_t60(NsvStatistic(250.0, 10, 20), model)
     assert t60 == 0.0
     assert flags == ("clamped",)

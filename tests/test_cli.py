@@ -1,21 +1,26 @@
 import json
+import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import revtime
-from revtime import cli, trainer
+from conftest import (SR, TRAINING_REPORT_KEYS, exponential_rir, make_model,
+                      write_corpus_inputs, write_speech)
+from revtime import cli
 from revtime.cli import main
-from revtime.estimator import EstimatorConfig, MappingModel, StftConfig
+from revtime.estimator import MappingModel, StftConfig
+from revtime.eval_harness import write_manifest
 from revtime.signal_core import AudioBuffer, save_wav
 from revtime.synth import synthetic_speech
 
-SR = 16000
+# Manifest rows over the files write_corpus_inputs names.
+CLEAN = ("s0.wav", "r0.wav", "", math.inf, "none")
+NOISY = ("s0.wav", "r0.wav", "n0.wav", 12, "fan")
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +32,7 @@ def audio_file(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def speech_dir(tmp_path_factory):
-    path = tmp_path_factory.mktemp("speech")
-    for u in range(2):
-        save_wav(synthetic_speech(1.6, SR, seed=40 + u), path / f"u{u}.wav")
-    return path
+    return write_speech(tmp_path_factory.mktemp("speech"), [(1.6, 40), (1.6, 41)])
 
 
 def fresh_process_env(**extra) -> dict:
@@ -42,24 +44,11 @@ def fresh_process_env(**extra) -> dict:
     return env
 
 
-def no_rooms(monkeypatch):
-    """Make every room simulation fail the test: train, simulate-rir and
-    demo all simulate through trainer.simulate_rooms."""
-    def no_room(room):
-        raise AssertionError("a room was simulated")
-
-    monkeypatch.setattr(trainer, "image_method_rir", no_room)
-
-
-@pytest.fixture(scope="module")
-def model_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("models") / "const.json"
-    MappingModel(
-        coefficients=np.array([0.5]),
-        t60_train_max=0.95,
-        config=EstimatorConfig.default("mel_band"),
-    ).save(path)
-    return path
+def run_build_corpus(directory, rows) -> int:
+    """build-corpus of rows, written as directory/m.csv, into directory/corpus."""
+    write_manifest(rows, directory / "m.csv")
+    return main(["build-corpus", "--manifest", str(directory / "m.csv"),
+                 "--out", str(directory / "corpus"), "--quiet"])
 
 
 class TestHelp:
@@ -144,10 +133,7 @@ class TestEstimate:
         """Audio over min_duration_s but too short for the model's slope
         window or noise-floor estimate is an estimation failure."""
         model = tmp_path / "model.json"
-        MappingModel(
-            coefficients=np.array([0.5]), t60_train_max=0.95,
-            config=replace(EstimatorConfig.default(variant), **overrides),
-        ).save(model)
+        make_model(variant=variant, **overrides).save(model)
         audio = tmp_path / "utt.wav"
         save_wav(synthetic_speech(seconds, SR, seed=33), audio)
         code = main(["estimate", str(audio), "--model", str(model)])
@@ -163,8 +149,7 @@ class TestEstimate:
         """A mapping that overflows is an estimation failure: estimate exits
         2 and evaluate records one failure per item."""
         model = tmp_path / "model.json"
-        MappingModel(coefficients=np.array(coefficients), t60_train_max=0.95,
-                     config=EstimatorConfig.default("mel_band"), target=target).save(model)
+        make_model(coefficients, target=target).save(model)
         code = main(["estimate", str(audio_file), "--model", str(model)])
         err = capsys.readouterr().err
         assert code == 2
@@ -192,12 +177,8 @@ class TestSimulateRir:
 
     @pytest.mark.parametrize("targets", [("0.5", "0.5"), ("0.3001", "0.3004")],
                              ids=["equal", "same_stem"])
-    def test_repeated_target_fails_before_any_room(self, tmp_path, monkeypatch,
-                                                   capsys, targets):
-        def no_room(room):
-            raise AssertionError("a room was simulated")
-
-        monkeypatch.setattr(trainer, "image_method_rir", no_room)
+    def test_repeated_target_fails_before_any_room(self, tmp_path, no_rooms, capsys,
+                                                   targets):
         out = tmp_path / "rirs"
         code = main(["simulate-rir", "--out", str(out), "--t60", targets[0],
                      "--t60", targets[1], "--quiet"])
@@ -212,12 +193,7 @@ class TestTrainCli:
         (0.95, "0.2,0.4,0.6,0.8,0.95"),
         (1.85, "0.5,0.9,1.3,1.6,1.85"),
     ])
-    def test_train_stamps_t60_max(self, tmp_path, capsys, t60_max, grid):
-        speech_dir = tmp_path / "speech"
-        speech_dir.mkdir()
-        for u in range(2):
-            save_wav(synthetic_speech(1.6, SR, seed=40 + u),
-                     speech_dir / f"u{u}.wav")
+    def test_train_stamps_t60_max(self, tmp_path, speech_dir, capsys, t60_max, grid):
         model_path = tmp_path / "model.json"
         code = main([
             "train", "--speech-dir", str(speech_dir),
@@ -233,8 +209,6 @@ class TestTrainCli:
         assert report["t60_train_max"] == t60_max
 
     def test_grid_top_is_stamped(self, tmp_path, speech_dir, capsys):
-        from conftest import TRAINING_REPORT_KEYS
-
         model_path = tmp_path / "model.json"
         code = main(["train", "--speech-dir", str(speech_dir), "--out", str(model_path),
                      "--grid", "0.3,0.6,1.2", "--rooms-per-t60", "2", "--order", "0",
@@ -246,9 +220,8 @@ class TestTrainCli:
         assert report["t60_train_max"] == 1.2
         assert report["grid"] == [0.3, 0.6, 1.2]
 
-    def test_t60_max_with_grid_fails_before_any_room(self, tmp_path, speech_dir,
-                                                     monkeypatch, capsys):
-        no_rooms(monkeypatch)
+    def test_t60_max_with_grid_fails_before_any_room(self, tmp_path, speech_dir, no_rooms,
+                                                     capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--speech-dir", str(speech_dir),
                   "--out", str(tmp_path / "m.json"), "--t60-max", "1.2",
@@ -257,12 +230,7 @@ class TestTrainCli:
         assert "not allowed with argument" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
-    def test_train_creates_parent_of_out(self, tmp_path, capsys):
-        speech_dir = tmp_path / "speech"
-        speech_dir.mkdir()
-        for u in range(2):
-            save_wav(synthetic_speech(1.6, SR, seed=40 + u),
-                     speech_dir / f"u{u}.wav")
+    def test_train_creates_parent_of_out(self, tmp_path, speech_dir, capsys):
         model_path = tmp_path / "new" / "nested" / "model.json"
         code = main([
             "train", "--speech-dir", str(speech_dir), "--out", str(model_path),
@@ -289,12 +257,7 @@ class TestTrainCli:
         b = next((tmp_path / "r2").glob("*.json")).read_text()
         assert a != b  # different seeds produce different rooms
 
-    def test_train_creates_parent_of_pairs_csv(self, tmp_path, capsys):
-        speech_dir = tmp_path / "speech"
-        speech_dir.mkdir()
-        for u in range(2):
-            save_wav(synthetic_speech(1.6, SR, seed=40 + u),
-                     speech_dir / f"u{u}.wav")
+    def test_train_creates_parent_of_pairs_csv(self, tmp_path, speech_dir, capsys):
         pairs_csv = tmp_path / "new" / "p.csv"
         code = main([
             "train", "--speech-dir", str(speech_dir),
@@ -305,12 +268,8 @@ class TestTrainCli:
         assert code == 0, capsys.readouterr().err
         assert pairs_csv.read_text().startswith("nsv,t60_true,")
 
-    def test_mixed_sample_rates_fail_before_any_room(self, tmp_path, monkeypatch, capsys):
-        no_rooms(monkeypatch)
-        speech_dir = tmp_path / "speech"
-        speech_dir.mkdir()
-        for u, rate in enumerate((16000, 8000)):
-            save_wav(synthetic_speech(1.6, rate, seed=40 + u), speech_dir / f"u{u}.wav")
+    def test_mixed_sample_rates_fail_before_any_room(self, tmp_path, no_rooms, capsys):
+        speech_dir = write_speech(tmp_path / "speech", [(1.6, 40, 16000), (1.6, 41, 8000)])
         model_path = tmp_path / "model.json"
         code = main(["train", "--speech-dir", str(speech_dir), "--out", str(model_path),
                      "--quiet"])
@@ -348,11 +307,10 @@ class TestTrainCli:
         "demo_utterances", "demo_train_rooms", "demo_train_utterances", "demo_order",
         "demo_jobs", "demo_t60_list", "demo_snr_list", "evaluate_jobs",
         "rir_sample_rate_zero", "rir_sample_rate_negative"])
-def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file,
-                                                monkeypatch, capsys, command, option):
+def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file, no_rooms,
+                                                capsys, command, option):
     """A count below its minimum or an empty list exits 1 with a usage line
     before any room is simulated or any file is written."""
-    no_rooms(monkeypatch)
     out = tmp_path / "out"
     required = {"simulate-rir": ["--out", str(out)],
                 "train": ["--speech-dir", str(speech_dir), "--out", str(out / "m.json")],
@@ -385,28 +343,31 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
      "argument --snr-margin: must be finite, got nan"),
     (["train", "--frame-ms", "0"], "argument --frame-ms: must be finite and > 0, got 0"),
     (["train", "--hop-ms", "-4"], "argument --hop-ms: must be finite and > 0, got -4"),
+    (["train", "--hop-ms", "100"],
+     "error: need 0 < hop <= frame_len <= fft_len, got hop=1600 frame_len=512"),
     (["train", "--rooms-per-t60", "-0"], "argument --rooms-per-t60: must be at least 1, got 0"),
     (["demo", "--order", " -2"], "argument --order: must be at least 0, got -2"),
     (["train", "--t60-max", "0.05", "--rooms-per-t60", "4"],
      "error: need at least 30 pairs to fit order 2, got 8"),
     (["train", "--n-mel-bands", "500"], "error: 500 bands exceed the 257 available bins"),
-    (["train", "--frame-ms", "1"], "error: 23 bands exceed the 9 available bins"),
+    (["train", "--frame-ms", "1", "--hop-ms", "1"],
+     "error: 23 bands exceed the 9 available bins"),
     (["demo", "--train-t60-max", "0.01"],
      "error: need at least 30 pairs to fit order 2, got 9"),
     (["demo", "--train-t60-max", "0.1", "--train-rooms", "1", "--train-utterances", "1"],
      "error: need at least 30 pairs to fit order 2, got 1"),
 ], ids=["grid_nan", "grid_negative", "t60_max_inf", "t60_max_nan", "rir_t60_inf",
         "demo_t60_nan", "demo_train_t60_max_zero", "demo_snr_nan", "demo_snr_minus_inf",
-        "snr_margin_nan", "frame_ms_zero", "hop_ms_negative", "rooms_minus_zero",
-        "demo_order_negative", "too_few_pairs",
-        "too_many_bands", "frame_too_short", "demo_too_few_pairs", "demo_one_pair"])
-def test_bad_value_fails_before_any_room(tmp_path, speech_dir, monkeypatch, capsys,
+        "snr_margin_nan", "frame_ms_zero", "hop_ms_negative", "hop_longer_than_frame",
+        "rooms_minus_zero", "demo_order_negative", "too_few_pairs", "too_many_bands",
+        "frame_too_short", "demo_too_few_pairs", "demo_one_pair"])
+def test_bad_value_fails_before_any_room(tmp_path, speech_dir, no_rooms, capsys,
                                          command, expected):
-    """A bad number on the command line, too few possible training pairs or
-    more Mel bands than FFT bins exits 1 with one message and no traceback
-    before any room is simulated (demo and simulate-rir: before the output
-    directory is made; train makes its model's directory first)."""
-    no_rooms(monkeypatch)
+    """A bad number on the command line, a hop longer than the frame, too few
+    possible training pairs or more Mel bands than FFT bins exits 1 with one
+    message and no traceback before any room is simulated (demo and
+    simulate-rir: before the output directory is made; train makes its
+    model's directory first)."""
     out = tmp_path / "out"
     required = {"simulate-rir": ["--out", str(out)],
                 "train": ["--speech-dir", str(speech_dir), "--out", str(out / "m.json")],
@@ -463,17 +424,8 @@ class TestConfigFile:
         assert code == 1
         assert "unknown config key: help" in capsys.readouterr().err
 
-    def test_bad_choice_fails_before_any_room(self, tmp_path, monkeypatch, capsys):
-        speech_dir = tmp_path / "speech"
-        speech_dir.mkdir()
-        save_wav(synthetic_speech(1.6, SR, seed=40), speech_dir / "u0.wav")
-        rooms = []
-
-        def no_room(room):
-            rooms.append(room)
-            raise AssertionError("a room was simulated")
-
-        monkeypatch.setattr(trainer, "image_method_rir", no_room)
+    def test_bad_choice_fails_before_any_room(self, tmp_path, no_rooms, capsys):
+        speech_dir = write_speech(tmp_path / "speech", [(1.6, 40)])
         cfg = tmp_path / "c.conf"
         cfg.write_text("target=seconds\n")
         with pytest.raises(SystemExit) as exc:
@@ -481,7 +433,6 @@ class TestConfigFile:
                   "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
         assert exc.value.code == 1
         assert "argument --target: invalid choice: 'seconds'" in capsys.readouterr().err
-        assert rooms == []
 
     @pytest.mark.parametrize("value, quiet", [
         ("true", True), ("YES", True), ("on", True), ("1", True),
@@ -524,36 +475,18 @@ class TestConfigFile:
 
 @pytest.fixture(scope="module")
 def tiny_corpus(tmp_path_factory):
-    from conftest import exponential_rir
-
-    root = tmp_path_factory.mktemp("cli_corpus")
-    for u in range(2):
-        save_wav(synthetic_speech(1.6, SR, seed=60 + u), root / f"s{u}.wav")
-    save_wav(exponential_rir(0.4, seed=61), root / "rir.wav", fmt="float32")
-    (root / "m.csv").write_text(
-        "speech,rir,noise,snr_db,noise_type\n"
-        "s0.wav,rir.wav,,inf,none\ns1.wav,rir.wav,,inf,none\n")
-    out = root / "corpus"
-    assert main(["build-corpus", "--manifest", str(root / "m.csv"),
-                 "--out", str(out), "--quiet"]) == 0
-    return out
+    root = write_corpus_inputs(tmp_path_factory.mktemp("cli_corpus"), [(1.6, 60), (1.6, 61)],
+                               [(0.4, 61)])
+    assert run_build_corpus(root, [CLEAN, ("s1.wav", *CLEAN[1:])]) == 0
+    return root / "corpus"
 
 
 class TestEvaluateAndRtf:
-    def _models(self, tmp_path):
-        paths = []
-        for variant in ("full_band", "mel_band"):
-            path = tmp_path / f"{variant}.json"
-            MappingModel(
-                coefficients=np.array([0.5]),
-                t60_train_max=0.95,
-                config=EstimatorConfig.default(variant),
-            ).save(path)
-            paths.append(str(path))
-        return paths
+    @pytest.fixture
+    def models(self, model_files):
+        return [str(model_files["full_band"]), str(model_files["mel_band"])]
 
-    def test_two_model_comparison_table(self, tiny_corpus, tmp_path, capsys):
-        models = self._models(tmp_path)
+    def test_two_model_comparison_table(self, tiny_corpus, models, tmp_path, capsys):
         out = tmp_path / "results"
         code = main(["evaluate", "--corpus", str(tiny_corpus),
                      "--model", models[0], "--model", models[1],
@@ -565,17 +498,10 @@ class TestEvaluateAndRtf:
         assert (out / "report.csv").exists()
         assert (out / "boxplot.dat").exists()
 
-    def test_item_no_model_estimates_still_writes_records(self, tmp_path, capsys):
+    def test_item_no_model_estimates_still_writes_records(self, tmp_path, models, capsys):
         # 0.2 s of speech through a 0.5 s RIR is under the 1 s minimum.
-        from conftest import exponential_rir
-
-        save_wav(synthetic_speech(0.2, SR, seed=62), tmp_path / "s.wav")
-        save_wav(exponential_rir(0.4, seed=61), tmp_path / "rir.wav", fmt="float32")
-        (tmp_path / "m.csv").write_text("speech,rir,noise,snr_db,noise_type\n"
-                                        "s.wav,rir.wav,,inf,none\n")
-        assert main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
-                     "--out", str(tmp_path / "corpus"), "--quiet"]) == 0
-        models = self._models(tmp_path)
+        write_corpus_inputs(tmp_path, [(0.2, 62)], [(0.4, 61)])
+        assert run_build_corpus(tmp_path, [CLEAN]) == 0
         out = tmp_path / "results"
         code = main(["evaluate", "--corpus", str(tmp_path / "corpus"),
                      "--model", models[0], "--model", models[1], "--out", str(out)])
@@ -590,21 +516,10 @@ class TestEvaluateAndRtf:
     def test_item_shorter_than_slope_window_is_one_failure(self, tmp_path, capsys):
         # 0.7 s of speech through a 0.5 s RIR passes the 1 s minimum but
         # has 74 frames, under the model's 100-frame slope window.
-        from conftest import exponential_rir
-
-        save_wav(synthetic_speech(0.7, SR, seed=63), tmp_path / "short.wav")
-        save_wav(synthetic_speech(2.5, SR, seed=64), tmp_path / "long.wav")
-        save_wav(exponential_rir(0.4, seed=61), tmp_path / "rir.wav", fmt="float32")
-        (tmp_path / "m.csv").write_text("speech,rir,noise,snr_db,noise_type\n"
-                                        "short.wav,rir.wav,,inf,none\n"
-                                        "long.wav,rir.wav,,inf,none\n")
-        assert main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
-                     "--out", str(tmp_path / "corpus"), "--quiet"]) == 0
+        write_corpus_inputs(tmp_path, [(0.7, 63), (2.5, 64)], [(0.4, 61)])
+        assert run_build_corpus(tmp_path, [CLEAN, ("s1.wav", *CLEAN[1:])]) == 0
         model = tmp_path / "full_band.json"
-        MappingModel(
-            coefficients=np.array([0.5]), t60_train_max=0.95,
-            config=replace(EstimatorConfig.default("full_band"), window_frames=100),
-        ).save(model)
+        make_model(variant="full_band", window_frames=100).save(model)
         out = tmp_path / "results"
         code = main(["evaluate", "--corpus", str(tmp_path / "corpus"),
                      "--model", str(model), "--out", str(out)])
@@ -613,8 +528,7 @@ class TestEvaluateAndRtf:
         lines = (out / "records.csv").read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("item0001,full_band,")
 
-    def test_rtf_subcommand_one_row_per_variant(self, tiny_corpus, tmp_path, capsys):
-        models = self._models(tmp_path)
+    def test_rtf_subcommand_one_row_per_variant(self, tiny_corpus, models, tmp_path, capsys):
         out = tmp_path / "results2"
         main(["evaluate", "--corpus", str(tiny_corpus), "--model", models[0],
               "--model", models[1], "--out", str(out), "--quiet"])
@@ -719,8 +633,10 @@ def _without(key):
     (lambda model: {**model, "stft": {**model["stft"], "frame_len": 512.9}},
      ["frame_len 512.9"]),
     (lambda model: {**model, "stft": {**model["stft"], "hop": True}}, ["hop True"]),
+    (lambda model: {**model, "coefficients": [True, 0.1]}, ["coefficients [True, 0.1]"]),
 ], ids=["not_json", "no_stft", "no_coefficients", "bad_n_mel_bands", "unknown_stft_key",
-        "nan_snr_margin", "nan_t60_train_max", "fractional_frame_len", "boolean_hop"])
+        "nan_snr_margin", "nan_t60_train_max", "fractional_frame_len", "boolean_hop",
+        "boolean_coefficient"])
 def test_estimate_malformed_model_exits_one(tmp_path, audio_file, model_file, capsys,
                                             corrupt, expected):
     """A malformed model file is an `error:` line naming the file, and exit 1."""
@@ -732,17 +648,6 @@ def test_estimate_malformed_model_exits_one(tmp_path, audio_file, model_file, ca
     assert code == 1
     assert err.startswith(f"error: {path}")
     assert all(part in err for part in expected), err
-
-
-def test_cli_import_leaves_scipy_signal_unloaded():
-    """Importing the CLI loads scipy only for WAV I/O: scipy.signal and
-    the stats stack behind it stay out of a fresh process."""
-    probe = ("import sys, revtime.cli; "
-             "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-c", probe], env=fresh_process_env(),
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
 
 
 def test_cli_import_loads_no_scipy():
@@ -779,105 +684,60 @@ def test_estimates_independent_of_blas_thread_count(tmp_path, demo_run):
 
 
 class TestBuildCorpusCli:
-    def test_missing_noise_file_exits_one(self, tmp_path, capsys):
-        from conftest import exponential_rir
+    NOISE = synthetic_speech(2.0, SR, seed=64)
 
-        save_wav(synthetic_speech(1.6, SR, seed=62), tmp_path / "s.wav")
-        save_wav(exponential_rir(0.4, seed=63), tmp_path / "rir.wav", fmt="float32")
-        (tmp_path / "m.csv").write_text(
-            "speech,rir,noise,snr_db,noise_type\n"
-            "s.wav,rir.wav,,inf,none\ns.wav,rir.wav,gone.wav,12,fan\n")
-        out = tmp_path / "corpus"
-        code = main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
-                     "--out", str(out), "--quiet"])
+    def test_missing_noise_file_exits_one(self, tmp_path, capsys):
+        write_corpus_inputs(tmp_path, [(1.6, 62)], [(0.4, 63)])
+        code = run_build_corpus(tmp_path, [CLEAN, ("s0.wav", "r0.wav", "gone.wav", 12, "fan")])
         assert code == 1
         err = capsys.readouterr().err
         assert "row 1" in err and "gone.wav" in err
-        assert not list(out.glob("item*"))
+        assert not list((tmp_path / "corpus").glob("item*"))
 
     def test_unlabelable_rir_names_row_before_writing(self, tmp_path, capsys):
-        save_wav(synthetic_speech(1.6, SR, seed=62), tmp_path / "s.wav")
+        write_corpus_inputs(tmp_path, [(1.6, 62)])
         impulse = AudioBuffer(np.concatenate([[1.0], np.zeros(50)]), SR)
         save_wav(impulse, tmp_path / "impulse.wav", fmt="float32")
-        (tmp_path / "m.csv").write_text(
-            "speech,rir,noise,snr_db,noise_type\ns.wav,impulse.wav,,inf,none\n")
-        out = tmp_path / "corpus"
-        code = main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
-                     "--out", str(out), "--quiet"])
+        code = run_build_corpus(tmp_path, [("s0.wav", "impulse.wav", "", math.inf, "none")])
         assert code == 1
         err = capsys.readouterr().err
         assert "row 0" in err and "impulse.wav" in err and "Traceback" not in err
-        assert not out.exists()
+        assert not (tmp_path / "corpus").exists()
 
     @pytest.mark.parametrize("column", ["speech", "rir"])
     def test_missing_file_names_row_before_writing(self, tmp_path, capsys, column):
-        from conftest import exponential_rir
-
-        save_wav(synthetic_speech(1.6, SR, seed=62), tmp_path / "s.wav")
-        save_wav(exponential_rir(0.4, seed=63), tmp_path / "rir.wav", fmt="float32")
-        save_wav(synthetic_speech(2.0, SR, seed=64), tmp_path / "n.wav")
-        row = {"speech": "s.wav", "rir": "rir.wav", "noise": "n.wav", column: "gone.wav"}
-        (tmp_path / "m.csv").write_text(
-            "speech,rir,noise,snr_db,noise_type\n"
-            "s.wav,rir.wav,n.wav,12,fan\n"
-            f"{row['speech']},{row['rir']},{row['noise']},12,fan\n")
-        out = tmp_path / "corpus"
-        code = main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
-                     "--out", str(out), "--quiet"])
+        write_corpus_inputs(tmp_path, [(1.6, 62)], [(0.4, 63)], [self.NOISE])
+        row = {"speech": "s0.wav", "rir": "r0.wav", "noise": "n0.wav", column: "gone.wav"}
+        code = run_build_corpus(tmp_path, [NOISY, (*row.values(), 12, "fan")])
         assert code == 1
         err = capsys.readouterr().err
         assert "row 1" in err and "gone.wav" in err
-        assert not list(out.glob("item*"))
+        assert not list((tmp_path / "corpus").glob("item*"))
 
     def test_minus_inf_snr_row_exits_one(self, tmp_path, capsys):
-        from conftest import exponential_rir
-
-        save_wav(synthetic_speech(1.6, SR, seed=62), tmp_path / "s.wav")
-        save_wav(exponential_rir(0.4, seed=63), tmp_path / "rir.wav", fmt="float32")
-        save_wav(synthetic_speech(2.0, SR, seed=64), tmp_path / "n.wav")
-        (tmp_path / "m.csv").write_text(
-            "speech,rir,noise,snr_db,noise_type\n"
-            "s.wav,rir.wav,n.wav,12,fan\ns.wav,rir.wav,n.wav,-inf,fan\n")
-        code = main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
-                     "--out", str(tmp_path / "corpus"), "--quiet"])
+        write_corpus_inputs(tmp_path, [(1.6, 62)], [(0.4, 63)], [self.NOISE])
+        code = run_build_corpus(tmp_path, [NOISY, (*NOISY[:3], -math.inf, "fan")])
         assert code == 1
         assert "row 1: snr_db" in capsys.readouterr().err
         assert not list((tmp_path / "corpus").glob("*.wav"))
 
     def test_unknown_noise_type_names_row_before_writing(self, tmp_path, capsys):
-        from conftest import exponential_rir
-
-        save_wav(synthetic_speech(1.6, SR, seed=62), tmp_path / "s.wav")
-        save_wav(exponential_rir(0.4, seed=63), tmp_path / "rir.wav", fmt="float32")
-        save_wav(synthetic_speech(2.0, SR, seed=64), tmp_path / "n.wav")
-        (tmp_path / "m.csv").write_text(
-            "speech,rir,noise,snr_db,noise_type\n"
-            "s.wav,rir.wav,n.wav,12,fan\ns.wav,rir.wav,n.wav,12,fann\n")
-        out = tmp_path / "corpus"
-        code = main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
-                     "--out", str(out), "--quiet"])
+        write_corpus_inputs(tmp_path, [(1.6, 62)], [(0.4, 63)], [self.NOISE])
+        code = run_build_corpus(tmp_path, [NOISY, (*NOISY[:4], "fann")])
         assert code == 1
         assert "row 1: unknown noise_type 'fann'" in capsys.readouterr().err
-        assert not list(out.glob("item*"))
+        assert not list((tmp_path / "corpus").glob("item*"))
 
     @pytest.mark.parametrize("noise, expected", [
         (synthetic_speech(0.5, SR, seed=64), "is shorter than speech"),
         (synthetic_speech(2.0, SR // 2, seed=64), "sample-rate mismatch"),
     ], ids=["short", "rate"])
     def test_noise_error_names_row_and_file(self, tmp_path, capsys, noise, expected):
-        from conftest import exponential_rir
-
-        save_wav(synthetic_speech(1.6, SR, seed=62), tmp_path / "s.wav")
-        save_wav(exponential_rir(0.4, seed=63), tmp_path / "rir.wav", fmt="float32")
-        save_wav(noise, tmp_path / "n.wav")
-        (tmp_path / "m.csv").write_text(
-            "speech,rir,noise,snr_db,noise_type\n"
-            "s.wav,rir.wav,,inf,none\ns.wav,rir.wav,n.wav,12,fan\n")
-        code = main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
-                     "--out", str(tmp_path / "corpus"), "--quiet"])
+        write_corpus_inputs(tmp_path, [(1.6, 62)], [(0.4, 63)], [noise])
+        code = run_build_corpus(tmp_path, [CLEAN, NOISY])
         assert code == 1
         err = capsys.readouterr().err
-        assert f"error: row 1: noise {tmp_path / 'n.wav'}: " in err
+        assert f"error: row 1: noise {tmp_path / 'n0.wav'}: " in err
         assert expected in err
 
     @pytest.mark.parametrize("kind, expected", [
@@ -889,12 +749,9 @@ class TestBuildCorpusCli:
     def test_bad_row_fails_before_any_item(self, tmp_path, capsys, kind, expected):
         """A row whose files cannot make an item stops build-corpus before
         the first item is written, however late in the manifest it comes."""
-        from conftest import exponential_rir
-
-        save_wav(synthetic_speech(1.6, SR, seed=62), tmp_path / "s.wav")
-        save_wav(exponential_rir(0.4, seed=63), tmp_path / "rir.wav", fmt="float32")
-        save_wav(synthetic_speech(3.0, SR, seed=64), tmp_path / "n.wav")
-        rir, noise = "rir.wav", "n.wav"
+        write_corpus_inputs(tmp_path, [(1.6, 62)], [(0.4, 63)],
+                            [synthetic_speech(3.0, SR, seed=64)])
+        rir, noise = "r0.wav", "n0.wav"
         if kind == "short_noise":
             save_wav(synthetic_speech(0.5, SR, seed=64), tmp_path / "bad.wav")
             noise = "bad.wav"
@@ -908,27 +765,16 @@ class TestBuildCorpusCli:
             save_wav(exponential_rir(0.4, SR // 2, seed=63), tmp_path / "bad.wav",
                      fmt="float32")
             rir = "bad.wav"
-        (tmp_path / "m.csv").write_text(
-            "speech,rir,noise,snr_db,noise_type\n"
-            f"s.wav,rir.wav,n.wav,12,fan\ns.wav,{rir},{noise},12,fan\n")
-        out = tmp_path / "corpus"
-        code = main(["build-corpus", "--manifest", str(tmp_path / "m.csv"),
-                     "--out", str(out), "--quiet"])
+        code = run_build_corpus(tmp_path, [NOISY, ("s0.wav", rir, noise, 12, "fan")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: row 1: ") and expected in err, err
-        assert not list(out.glob("item*"))
+        assert not list((tmp_path / "corpus").glob("item*"))
 
     def test_relative_out_evaluates_from_another_directory(self, tmp_path, model_file,
                                                            monkeypatch, capsys):
-        from conftest import exponential_rir
-
-        build = tmp_path / "build"
-        build.mkdir()
-        save_wav(synthetic_speech(1.6, SR, seed=62), build / "s.wav")
-        save_wav(exponential_rir(0.4, seed=63), build / "rir.wav", fmt="float32")
-        (build / "m.csv").write_text(
-            "speech,rir,noise,snr_db,noise_type\ns.wav,rir.wav,,inf,none\n")
+        build = write_corpus_inputs(tmp_path / "build", [(1.6, 62)], [(0.4, 63)])
+        write_manifest([CLEAN], build / "m.csv")
         monkeypatch.chdir(build)
         assert main(["build-corpus", "--manifest", "m.csv", "--out", "d/corpus",
                      "--quiet"]) == 0

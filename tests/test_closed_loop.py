@@ -1,24 +1,18 @@
 """End-to-end behavior of trained models, sharing the session demo run."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import SR, TRAINING_REPORT_KEYS, run_one
 from revtime.estimator import MappingModel, estimate_t60
 from revtime.eval_harness import load_items, run_eval_paired
 from revtime.room_acoustics import image_method_rir, schroeder_edc, t60_from_edc
-from revtime.signal_core import convolve
+from revtime.signal_core import convolve, save_wav
 from revtime.synth import synthetic_speech
 from revtime.trainer import RoomSampler
-
-SR = 16000
-
-
-def run_one(items, model):
-    """run_eval_paired with a single model: (records, failures)."""
-    return run_eval_paired(items, [model])[model.variant_tag]
-
 
 @pytest.fixture(scope="module")
 def demo_models(demo_run):
@@ -36,8 +30,6 @@ def test_training_residual_bound(demo_run):
 
 
 def test_training_report_entries_are_train_reports(demo_run):
-    from conftest import TRAINING_REPORT_KEYS
-
     out, _ = demo_run
     report = json.loads((out / "models" / "training_report.json").read_text())
     assert sorted(report) == ["full_band", "mel_band"]
@@ -90,10 +82,8 @@ def test_failed_items_are_counted_not_dropped(demo_models, tmp_path, demo_run):
     out, _ = demo_run
     items = load_items(out / "heldout_corpus")
     # corrupt one item so its audio is shorter than the estimator minimum
-    from revtime.signal_core import save_wav
     bad_path = tmp_path / "tiny.wav"
     save_wav(synthetic_speech(0.4, SR, seed=5), bad_path)
-    from dataclasses import replace
     broken = [replace(items[0], item_id="broken", mix_path=str(bad_path))]
     records, failures = run_one(items + broken, demo_models["mel_band"])
     assert len(records) + len(failures) == len(items) + 1

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SR, make_model
 from revtime import estimator
 from revtime.errors import EstimationError, RevtimeError
 from revtime.estimator import (
@@ -35,8 +36,6 @@ from revtime.estimator import (
 from revtime.signal_core import AudioBuffer
 from revtime.synth import synthetic_speech
 from stft_reference import reference_log_spectrogram, reference_mel, reference_slopes
-
-SR = 16000
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
@@ -222,15 +221,6 @@ class TestNsv:
             assert stat.n_selected == np.count_nonzero(mask)
 
 
-def model_with(coeffs, target="t60", variant="mel_band", t60_max=0.95):
-    return MappingModel(
-        coefficients=np.asarray(coeffs, dtype=float),
-        t60_train_max=t60_max,
-        config=EstimatorConfig.default(variant),
-        target=target,
-    )
-
-
 class TestNsvStatistic:
     """The statistic enforces its own invariants, so map_nsv_to_t60 never
     sees a negative NSV."""
@@ -246,35 +236,35 @@ class TestNsvStatistic:
 
 class TestMapNsvToT60:
     def test_constant_model(self):
-        t60, flags = map_nsv_to_t60(NsvStatistic(123.0, 5, 9), model_with([0.5]))
+        t60, flags = map_nsv_to_t60(NsvStatistic(123.0, 5, 9), make_model([0.5]))
         assert t60 == 0.5
         assert flags == ()
 
     def test_negative_output_clamps_to_zero(self):
-        t60, flags = map_nsv_to_t60(NsvStatistic(10.0, 5, 9), model_with([-1.0]))
+        t60, flags = map_nsv_to_t60(NsvStatistic(10.0, 5, 9), make_model([-1.0]))
         assert t60 == 0.0
         assert flags == ("clamped",)
 
     def test_no_upper_clamp(self):
-        t60, _ = map_nsv_to_t60(NsvStatistic(10.0, 5, 9), model_with([5.0]))
+        t60, _ = map_nsv_to_t60(NsvStatistic(10.0, 5, 9), make_model([5.0]))
         assert t60 == 5.0
 
     def test_zero_nsv_saturates(self):
         t60, flags = map_nsv_to_t60(NsvStatistic(0.0, 5, 9),
-                                    model_with([0.5], t60_max=1.85))
+                                    make_model([0.5], t60_train_max=1.85))
         assert t60 == 1.85
         assert flags == ("saturated",)
 
     def test_log_target_back_transform(self):
         # log10(t60) = -0.5 constant -> t60 = 10^-0.5
         t60, flags = map_nsv_to_t60(NsvStatistic(10.0, 5, 9),
-                                    model_with([-0.5], target="log_t60"))
+                                    make_model([-0.5], target="log_t60"))
         assert t60 == pytest.approx(10 ** -0.5)
         assert flags == ()
 
     def test_polynomial_evaluation(self):
         # t60 = 2 - 0.5 * log10(nsv) at nsv = 100 -> 1.0
-        t60, _ = map_nsv_to_t60(NsvStatistic(100.0, 5, 9), model_with([2.0, -0.5]))
+        t60, _ = map_nsv_to_t60(NsvStatistic(100.0, 5, 9), make_model([2.0, -0.5]))
         assert t60 == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("coeffs, target", [
@@ -286,7 +276,7 @@ class TestMapNsvToT60:
             warnings.simplefilter("error")  # and no numpy RuntimeWarning
             with pytest.raises(EstimationError, match="not a finite T60"):
                 map_nsv_to_t60(NsvStatistic(100.0, 5, 9),
-                               model_with(coeffs, target=target))
+                               make_model(coeffs, target=target))
 
 
 class TestFrontEnd:
@@ -364,14 +354,14 @@ class TestWorkArrays:
         grads = decay_gradients(spec, cfg.window_frames)
         kept = spec.values.copy(), grads.slopes.copy()
         for buf in (short_speech, synthetic_speech(4.0, SR, seed=5)):
-            estimate_t60(buf, model_with([1.0], variant=variant))
+            estimate_t60(buf, make_model([1.0], variant=variant))
         assert np.array_equal(spec.values, kept[0])
         assert np.array_equal(grads.slopes, kept[1])
 
     def test_concurrent_threads_match_sequential(self):
         utterances = [synthetic_speech(d, SR, seed=20 + i)
                       for i, d in enumerate((1.5, 3.0, 4.5, 6.0))]
-        models = [model_with([1.2, -0.2], variant=v) for v in ("full_band", "mel_band")]
+        models = [make_model([1.2, -0.2], variant=v) for v in ("full_band", "mel_band")]
         jobs = [(buf, m) for buf in utterances for m in models]
         expected = [estimate_t60(buf, m) for buf, m in jobs]
         n_threads, rounds = 4, 3
@@ -464,7 +454,7 @@ class TestStftBlocks:
 
 class TestEstimateT60:
     def test_deterministic(self, speech):
-        model = model_with([1.2, -0.2])
+        model = make_model([1.2, -0.2])
         a = estimate_t60(speech, model)
         b = estimate_t60(speech, model)
         assert a.t60 == b.t60
@@ -482,13 +472,13 @@ class TestEstimateT60:
             assert scaled.n_selected == base.n_selected
 
     def test_estimates_never_negative(self, speech):
-        model = model_with([-10.0, 0.001])  # wildly negative mapping
+        model = make_model([-10.0, 0.001])  # wildly negative mapping
         assert estimate_t60(speech, model).t60 == 0.0
 
 
 class TestModelSerialization:
     def test_roundtrip(self, tmp_path):
-        model = model_with([0.1, -0.2, 0.03], target="log_t60", t60_max=1.85)
+        model = make_model([0.1, -0.2, 0.03], target="log_t60", t60_train_max=1.85)
         path = tmp_path / "model.json"
         model.save(path)
         loaded = MappingModel.load(path)
@@ -499,7 +489,7 @@ class TestModelSerialization:
         assert loaded.config == model.config
 
     def test_legacy_model_loads_with_defaults(self, tmp_path):
-        data = model_with([0.5]).to_dict()
+        data = make_model([0.5]).to_dict()
         for key in ("min_duration_s", "dynamic_range_db", "target"):
             del data[key]
         data["trained_by"] = "keys that are not fields are ignored"
@@ -534,21 +524,21 @@ class TestModelSerialization:
         ("snr_margin", True), ("stft.hop", True), ("window_frames", False),
     ])
     def test_rejects_nonsense_numbers(self, key, value):
-        data = model_with([0.5]).to_dict()
+        data = make_model([0.5]).to_dict()
         name = key.removeprefix("stft.")
         (data if name == key else data["stft"])[name] = value
         with pytest.raises(RevtimeError, match=name):
             MappingModel.from_dict(data)
 
     def test_whole_float_reads_as_int(self):
-        data = model_with([0.5]).to_dict()
+        data = make_model([0.5]).to_dict()
         data.update(window_frames=7.0, stft={**data["stft"], "frame_len": 512.0})
-        assert MappingModel.from_dict(data).config == model_with([0.5]).config
+        assert MappingModel.from_dict(data).config == make_model([0.5]).config
 
     def test_rejects_bad_variant(self):
         with pytest.raises(RevtimeError):
-            model_with([0.5], variant="wide_band")
+            make_model([0.5], variant="wide_band")
 
     def test_rejects_empty_coefficients(self):
         with pytest.raises(RevtimeError):
-            model_with([])
+            make_model([])

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import SR, make_model, run_one, write_corpus_inputs
 from revtime import eval_harness, signal_core
 from revtime.errors import RevtimeError
-from revtime.estimator import EstimatorConfig, MappingModel
+from revtime.estimator import VARIANTS
 from revtime.eval_harness import (
     PEAK_TARGET,
     BoxStats,
@@ -37,16 +38,6 @@ from revtime.signal_core import (
     save_wav,
 )
 from revtime.synth import shaped_noise, synthetic_speech
-
-SR = 16000
-
-
-def constant_model(value=0.5, variant="mel_band"):
-    return MappingModel(
-        coefficients=np.array([value]),
-        t60_train_max=0.95,
-        config=EstimatorConfig.default(variant),
-    )
 
 
 def reference_build_corpus(manifest, out_dir) -> list:
@@ -135,26 +126,15 @@ def write_manifest_text(path, rows):
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     """Small real corpus: 2 utterances x 1 impulse-like RIR x {clean, noisy}."""
-    from conftest import exponential_rir
-
-    root = tmp_path_factory.mktemp("corpus_assets")
-    speech_names = []
-    for u in range(2):
-        name = f"s{u}.wav"
-        save_wav(synthetic_speech(1.6 + 0.3 * u, SR, seed=70 + u), root / name)
-        speech_names.append(name)
-    rir = exponential_rir(0.4, seed=21)
-    save_wav(rir, root / "rir.wav", fmt="float32")
-    save_wav(shaped_noise(4.0, SR, seed=77), root / "noise.wav")
-
-    manifest = root / "manifest.csv"
-    with open(manifest, "w") as fh:
-        fh.write("speech,rir,noise,snr_db,noise_type\n")
-        for name in speech_names:
-            fh.write(f"{name},rir.wav,noise.wav,12,synthetic_white\n")
-            fh.write(f"{name},rir.wav,,inf,none\n")
+    root = write_corpus_inputs(tmp_path_factory.mktemp("corpus_assets"),
+                               [(1.6, 70), (1.9, 71)], [(0.4, 21)],
+                               [shaped_noise(4.0, SR, seed=77)])
+    write_manifest([row for speech in ("s0.wav", "s1.wav")
+                    for row in ((speech, "r0.wav", "n0.wav", 12, "synthetic_white"),
+                                (speech, "r0.wav", "", math.inf, "none"))],
+                   root / "manifest.csv")
     out = root / "built"
-    items = build_corpus(manifest, out)
+    items = build_corpus(root / "manifest.csv", out)
     return root, out, items
 
 
@@ -215,15 +195,13 @@ class TestManifest:
             read_manifest(path)
 
     def test_clean_sentinel(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("speech,rir,noise,snr_db,noise_type\na.wav,b.wav,,clean,none\n")
+        path = write_manifest_text(tmp_path / "m.csv", [("a.wav", "b.wav", "", "clean", "none")])
         rows = read_manifest(path)
         assert math.isinf(rows[0]["snr_db"])
         assert rows[0]["noise"] == ""
 
     def test_finite_snr_requires_noise(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("speech,rir,noise,snr_db,noise_type\na.wav,b.wav,,12,fan\n")
+        path = write_manifest_text(tmp_path / "m.csv", [("a.wav", "b.wav", "", "12", "fan")])
         with pytest.raises(RevtimeError, match="noise path"):
             read_manifest(path)
 
@@ -240,8 +218,8 @@ class TestManifest:
 
     @pytest.mark.parametrize("row", ["a.wav,b.wav", "a.wav,b.wav,n.wav,12,fan,extra"])
     def test_rejects_row_with_wrong_column_count(self, tmp_path, row):
-        path = tmp_path / "m.csv"
-        path.write_text(f"speech,rir,noise,snr_db,noise_type\na.wav,b.wav,,inf,none\n{row}\n")
+        path = write_manifest_text(tmp_path / "m.csv",
+                                   [("a.wav", "b.wav", "", "inf", "none"), row.split(",")])
         with pytest.raises(RevtimeError, match="row 1: expected 5 columns"):
             read_manifest(path)
 
@@ -255,12 +233,10 @@ class TestManifest:
 
 class TestBuildCorpus:
     def test_identity_convolution_clean_item(self, tmp_path):
-        speech = synthetic_speech(1.5, SR, seed=90)
-        save_wav(speech, tmp_path / "s.wav")
+        write_corpus_inputs(tmp_path, [(1.5, 90)])
         impulse = AudioBuffer(np.concatenate([[1.0], np.zeros(50)]), SR)
-        save_wav(impulse, tmp_path / "rir.wav", fmt="float32")
-        (tmp_path / "m.csv").write_text(
-            "speech,rir,noise,snr_db,noise_type\ns.wav,rir.wav,,inf,none\n")
+        save_wav(impulse, tmp_path / "impulse.wav", fmt="float32")
+        write_manifest([("s0.wav", "impulse.wav", "", math.inf, "none")], tmp_path / "m.csv")
         # A unit impulse has no decay to fit, so labeling fails loudly.
         with pytest.raises(RevtimeError, match="too few EDC samples"):
             build_corpus(tmp_path / "m.csv", tmp_path / "out")
@@ -317,32 +293,27 @@ class TestBuildCorpusReuse:
 
     # (speech, rir) runs A, B, A, C: one speech with two RIRs, a pair that
     # comes back after another, clean rows and two noises at two SNRs.
+    # n0.wav is the white noise, n1.wav the fan.
     ROWS = [
-        ("s0.wav", "r0.wav", "", "inf", "none"),
-        ("s0.wav", "r0.wav", "white.wav", "12", "synthetic_white"),
-        ("s0.wav", "r0.wav", "fan.wav", "0", "fan"),
-        ("s0.wav", "r1.wav", "fan.wav", "12", "fan"),
-        ("s0.wav", "r1.wav", "", "inf", "none"),
-        ("s0.wav", "r1.wav", "white.wav", "0", "synthetic_white"),
-        ("s0.wav", "r0.wav", "white.wav", "0", "synthetic_white"),
-        ("s0.wav", "r0.wav", "fan.wav", "12", "fan"),
-        ("s1.wav", "r1.wav", "", "inf", "none"),
-        ("s1.wav", "r1.wav", "white.wav", "12", "synthetic_white"),
+        ("s0.wav", "r0.wav", "", math.inf, "none"),
+        ("s0.wav", "r0.wav", "n0.wav", 12, "synthetic_white"),
+        ("s0.wav", "r0.wav", "n1.wav", 0, "fan"),
+        ("s0.wav", "r1.wav", "n1.wav", 12, "fan"),
+        ("s0.wav", "r1.wav", "", math.inf, "none"),
+        ("s0.wav", "r1.wav", "n0.wav", 0, "synthetic_white"),
+        ("s0.wav", "r0.wav", "n0.wav", 0, "synthetic_white"),
+        ("s0.wav", "r0.wav", "n1.wav", 12, "fan"),
+        ("s1.wav", "r1.wav", "", math.inf, "none"),
+        ("s1.wav", "r1.wav", "n0.wav", 12, "synthetic_white"),
     ]
     N_PAIR_RUNS = 4
 
     @pytest.fixture(scope="class")
     def assets(self, tmp_path_factory):
-        from conftest import exponential_rir
-
-        root = tmp_path_factory.mktemp("reuse_assets")
-        save_wav(synthetic_speech(1.6, SR, seed=80), root / "s0.wav")
-        save_wav(synthetic_speech(1.9, SR, seed=81), root / "s1.wav")
-        save_wav(exponential_rir(0.4, seed=82), root / "r0.wav", fmt="float32")
-        save_wav(exponential_rir(0.7, seed=83), root / "r1.wav", fmt="float32")
-        save_wav(shaped_noise(4.0, SR, seed=84), root / "white.wav")
-        save_wav(shaped_noise(4.0, SR, seed=85), root / "fan.wav")
-        return root
+        return write_corpus_inputs(tmp_path_factory.mktemp("reuse_assets"),
+                                   [(1.6, 80), (1.9, 81)], [(0.4, 82), (0.7, 83)],
+                                   [shaped_noise(4.0, SR, seed=84),
+                                    shaped_noise(4.0, SR, seed=85)])
 
     @staticmethod
     def _snapshot(out):
@@ -351,7 +322,8 @@ class TestBuildCorpusReuse:
         return files
 
     def test_files_identical_to_reference(self, assets, monkeypatch):
-        manifest = write_manifest_text(assets / "m.csv", self.ROWS)
+        manifest = assets / "m.csv"
+        write_manifest(self.ROWS, manifest)
         # Both builders write to the same directory: paths are in the files.
         out = assets / "built"
         ref_items = reference_build_corpus(manifest, out)
@@ -367,7 +339,8 @@ class TestBuildCorpusReuse:
         assert len(convolved) == self.N_PAIR_RUNS
 
     def test_loads_each_input_once_per_run(self, assets, monkeypatch):
-        manifest = write_manifest_text(assets / "m_loads.csv", self.ROWS)
+        manifest = assets / "m_loads.csv"
+        write_manifest(self.ROWS, manifest)
         loaded = count_calls(monkeypatch, "load_wav")
         levels = count_calls(monkeypatch, "active_speech_level")
         remeasured = []
@@ -385,20 +358,16 @@ class TestBuildCorpusReuse:
 
     def test_silent_clean_row_still_reported(self, assets):
         save_wav(AudioBuffer(np.zeros(SR), SR), assets / "silent.wav")
-        manifest = write_manifest_text(assets / "m_silent.csv", [
-            ("s0.wav", "r0.wav", "", "inf", "none"),
-            ("silent.wav", "r0.wav", "", "inf", "none"),
-        ])
+        manifest = assets / "m_silent.csv"
+        write_manifest([self.ROWS[0], ("silent.wav", "r0.wav", "", math.inf, "none")], manifest)
         with pytest.raises(RevtimeError,
                            match=r"row 1: speech .*silent\.wav: no active frames"):
             build_corpus(manifest, assets / "built_silent")
 
     def test_silent_speech_on_noisy_row_names_row_and_speech(self, assets):
         save_wav(AudioBuffer(np.zeros(SR), SR), assets / "silent.wav")
-        manifest = write_manifest_text(assets / "m_silent_noisy.csv", [
-            ("s0.wav", "r0.wav", "", "inf", "none"),
-            ("silent.wav", "r0.wav", "fan.wav", "12", "fan"),
-        ])
+        manifest = assets / "m_silent_noisy.csv"
+        write_manifest([self.ROWS[0], ("silent.wav", "r0.wav", "n1.wav", 12, "fan")], manifest)
         with pytest.raises(RevtimeError,
                            match=r"row 1: speech .*silent\.wav: no active frames"):
             build_corpus(manifest, assets / "built_silent_noisy")
@@ -406,47 +375,31 @@ class TestBuildCorpusReuse:
     def test_unlabelable_rir_fails_before_output(self, assets):
         impulse = AudioBuffer(np.concatenate([[1.0], np.zeros(50)]), SR)
         save_wav(impulse, assets / "impulse.wav", fmt="float32")
-        manifest = write_manifest_text(assets / "m_impulse.csv", [
-            ("s0.wav", "r0.wav", "", "inf", "none"),
-            ("s1.wav", "r1.wav", "fan.wav", "12", "fan"),
-            ("s0.wav", "impulse.wav", "", "inf", "none"),
-        ])
+        manifest = assets / "m_impulse.csv"
+        write_manifest([self.ROWS[0], ("s1.wav", "r1.wav", "n1.wav", 12, "fan"),
+                        ("s0.wav", "impulse.wav", "", math.inf, "none")], manifest)
         with pytest.raises(RevtimeError, match=r"row 2: rir .*impulse\.wav: too few"):
             build_corpus(manifest, assets / "built_impulse")
         assert not (assets / "built_impulse").exists()
 
     def test_sample_rate_mismatch_before_convolution(self, assets, monkeypatch):
         save_wav(synthetic_speech(1.0, 8000, seed=86), assets / "s8k.wav")
-        manifest = write_manifest_text(assets / "m_rate.csv", [
-            ("s8k.wav", "r0.wav", "", "inf", "none"),
-        ])
+        manifest = assets / "m_rate.csv"
+        write_manifest([("s8k.wav", "r0.wav", "", math.inf, "none")], manifest)
         convolved = count_calls(monkeypatch, "convolve")
         with pytest.raises(RevtimeError, match="sample-rate mismatch between"):
             build_corpus(manifest, assets / "built_rate")
         assert convolved == []
 
 
-def run_one(items, model, jobs=1):
-    """run_eval_paired with a single model: (records, failures)."""
-    return run_eval_paired(items, [model], jobs=jobs)[model.variant_tag]
-
-
 def timeless(records):
     return [dataclasses.replace(r, cpu_time=0.0) for r in records]
-
-
-def paired_models():
-    return [
-        MappingModel(coefficients=np.array([0.2, 0.05]), t60_train_max=0.95,
-                     config=EstimatorConfig.default(v))
-        for v in ("full_band", "mel_band")
-    ]
 
 
 class TestRunEval:
     def test_constant_estimator_errors(self, corpus):
         _, _, items = corpus
-        model = constant_model(0.5)
+        model = make_model([0.5])
         records, failures = run_one(items, model)
         assert len(records) + len(failures) == len(items)
         for rec in records:
@@ -458,14 +411,14 @@ class TestRunEval:
 
     def test_estimates_deterministic_across_runs(self, corpus):
         _, _, items = corpus
-        model = constant_model()
+        model = make_model()
         r1, _ = run_one(items, model)
         r2, _ = run_one(items, model)
         assert [r.t60_est for r in r1] == [r.t60_est for r in r2]
 
     def test_parallel_matches_sequential(self, corpus):
         _, _, items = corpus
-        model = constant_model()
+        model = make_model()
         seq, _ = run_one(items, model, jobs=1)
         par, _ = run_one(items, model, jobs=2)
         assert [r.item_id for r in seq] == [r.item_id for r in par]
@@ -475,7 +428,7 @@ class TestRunEval:
 class TestPairedEval:
     def test_loads_each_item_once(self, corpus, monkeypatch):
         _, _, items = corpus
-        models = paired_models()
+        models = [make_model([0.2, 0.05], v) for v in VARIANTS]
         single = {m.variant_tag: run_one(items, m) for m in models}
         loaded = count_calls(monkeypatch, "load_wav")
         paired = run_eval_paired(items, models)
@@ -492,8 +445,9 @@ class TestPairedEval:
         save_wav(synthetic_speech(0.4, SR, seed=5), tiny)
         broken = dataclasses.replace(items[0], item_id="broken", mix_path=str(tiny))
         items = [*items[:2], broken, *items[2:]]
-        seq = run_eval_paired(items, paired_models(), jobs=1)
-        par = run_eval_paired(items, paired_models(), jobs=2)
+        models = [make_model([0.2, 0.05], v) for v in VARIANTS]
+        seq = run_eval_paired(items, models, jobs=1)
+        par = run_eval_paired(items, models, jobs=2)
         assert list(par) == list(seq) == ["full_band", "mel_band"]
         for tag, (records, failures) in seq.items():
             assert len(records) == len(items) - 1
@@ -504,17 +458,15 @@ class TestPairedEval:
     def test_duplicate_variants_rejected(self, corpus):
         _, _, items = corpus
         with pytest.raises(RevtimeError, match="distinct variant tags"):
-            run_eval_paired(items, [constant_model(), constant_model()])
+            run_eval_paired(items, [make_model(), make_model()])
 
 
 class TestEvaluateToDir:
     def test_variant_without_records_keeps_the_others(self, corpus, tmp_path):
         _, _, items = corpus
-        mel = constant_model(0.5, "mel_band")
-        too_short = MappingModel(  # every item is shorter than its minimum
-            coefficients=np.array([0.5]), t60_train_max=0.95,
-            config=dataclasses.replace(EstimatorConfig.default("full_band"),
-                                       min_duration_s=100.0))
+        mel = make_model([0.5], "mel_band")
+        # Every item is shorter than its minimum.
+        too_short = make_model(variant="full_band", min_duration_s=100.0)
         results = evaluate_to_dir(items, [too_short, mel], tmp_path / "both")
         records, failures = results["mel_band"]
         assert len(records) == len(items) and failures == []

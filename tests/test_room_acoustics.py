@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exponential_rir
+from conftest import SR, exponential_rir
 from revtime import room_acoustics as ra
 from revtime.errors import RevtimeError
 from revtime.room_acoustics import (
@@ -21,8 +21,7 @@ from revtime.room_acoustics import (
     t60_from_edc,
 )
 from revtime.signal_core import AudioBuffer
-
-SR = 16000
+from revtime.trainer import RoomSampler
 
 
 class TestSabine:
@@ -108,7 +107,6 @@ class TestImageMethod:
 
     @pytest.mark.parametrize("t60", [0.2, 0.6, 1.0, 1.4, 1.85])
     def test_sampler_rooms_within_twenty_percent(self, t60):
-        from revtime.trainer import RoomSampler
         rng = np.random.default_rng(int(t60 * 100))
         spec = RoomSampler().sample(rng, t60, SR)
         measured = t60_from_edc(schroeder_edc(image_method_rir(spec)), SR)
@@ -170,7 +168,6 @@ class TestImageMethodMatchesReference:
 
     @pytest.mark.parametrize("t60", [0.1, 0.4, 0.8, 1.3, 1.9])
     def test_sampler_rooms_across_t60(self, t60):
-        from revtime.trainer import RoomSampler
         spec = RoomSampler().sample(np.random.default_rng(17), t60, SR)
         assert_matches_reference(spec)
 
@@ -190,14 +187,12 @@ class TestImageMethodMatchesReference:
            t60=st.floats(0.1, 1.0),
            rate=st.sampled_from([8000, 16000, 22050]))
     def test_sampler_sweep(self, seed, t60, rate):
-        from revtime.trainer import RoomSampler
         spec = RoomSampler().sample(np.random.default_rng(seed), t60, rate)
         assert_matches_reference(spec)
 
 
 def oracle_rooms():
     """The reference cases above, one pytest.param per room."""
-    from revtime.trainer import RoomSampler
     rooms = [
         pytest.param(RoomSpec((4.0, 3.2, 2.6), (1.0, 1.1, 1.2), (2.8, 2.1, 1.5),
                               0.5, rate, 0.65),

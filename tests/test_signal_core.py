@@ -12,13 +12,13 @@ from scipy.fft import next_fast_len
 from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
+from conftest import SR, make_model
 from revtime.cli import main
 from revtime.errors import EstimationError, RevtimeError
 from revtime.estimator import (
     LOG_FLOOR,
     BandSpectrogram,
     EstimatorConfig,
-    MappingModel,
     NsvStatistic,
     StftConfig,
     band_spectrogram,
@@ -40,8 +40,6 @@ from revtime.signal_core import (
 from revtime.synth import shaped_noise, synthetic_speech
 from revtime.trainer import RoomSampler, TrainingPair, default_t60_grid
 from stft_reference import reference_mel, reference_stft
-
-SR = 16000
 
 
 class TestAudioBuffer:
@@ -242,14 +240,6 @@ class TestWavOracle:
         assert list(load_wav(path).samples) == [-1.0, 0.0, 0.5]
 
 
-@pytest.fixture(scope="module")
-def const_model(tmp_path_factory):
-    path = tmp_path_factory.mktemp("model") / "const.json"
-    MappingModel(coefficients=np.array([0.5]), t60_train_max=0.95,
-                 config=EstimatorConfig.default("mel_band")).save(path)
-    return path
-
-
 def _malformed(kind: str) -> bytes:
     rng = np.random.default_rng(3)
     data = (0.1 * rng.standard_normal(2 * SR) * 32768).astype("<i2").tobytes()
@@ -273,10 +263,10 @@ def _malformed(kind: str) -> bytes:
     ("unsupported_tag", "unsupported format tag 0x0002"),
     ("truncated_data", "data chunk holds 63990 of 64000 bytes"),
 ])
-def test_malformed_wav_exits_one(tmp_path, const_model, capsys, kind, reason):
+def test_malformed_wav_exits_one(tmp_path, model_file, capsys, kind, reason):
     path = tmp_path / f"{kind}.wav"
     path.write_bytes(_malformed(kind))
-    code = main(["estimate", str(path), "--model", str(const_model)])
+    code = main(["estimate", str(path), "--model", str(model_file)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: unreadable WAV file") and reason in err, err
@@ -348,6 +338,16 @@ class TestStft:
 
         for n in range(1, 4097):
             assert StftConfig(frame_len=n, hop=1).fft_len == next_pow2(n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rate=st.integers(8, 192_000), frame_ms=st.floats(0.001, 10_000.0),
+           hop_share=st.floats(0.0, 1.0, exclude_min=True))
+    def test_for_sample_rate_keeps_the_hop_asked(self, rate, frame_ms, hop_share):
+        # A share of at most 1 never makes hop_ms exceed frame_ms.
+        hop_ms = frame_ms * hop_share
+        cfg = StftConfig.for_sample_rate(rate, frame_ms, hop_ms)
+        assert cfg.hop <= cfg.frame_len <= cfg.fft_len
+        assert cfg.hop == 1 or abs(cfg.hop - rate * hop_ms / 1000.0) <= 0.5
 
     def test_parseval_on_white_noise(self):
         # Spectral energy per frame equals windowed time energy * fft_len.
@@ -586,11 +586,6 @@ _RECORD = {"item_id": "x", "variant": "mel_band", "noise_type": "none", "snr_db"
            "audio_duration": 2.0}
 _CFG = EstimatorConfig.default("mel_band")
 
-
-def _model(t60_train_max):
-    return MappingModel([0.1, 0.2], t60_train_max, _CFG)
-
-
 # (what the error names, the rule, a build that puts the value in that place)
 # for every place signal_core._check_finite guards.
 _GUARDED = {
@@ -625,7 +620,8 @@ _GUARDED = {
        for field, rule in (("t60_true", "positive"), ("t60_est", "non-negative"),
                            ("error", "any"), ("cpu_time", "non-negative"),
                            ("audio_duration", "positive"))},
-    "MappingModel.t60_train_max": ("t60_train_max", "positive", _model),
+    "MappingModel.t60_train_max": ("t60_train_max", "positive",
+                                   lambda v: make_model([0.1, 0.2], t60_train_max=v)),
     **{f"EstimatorConfig.{field}": (field, rule,
                                     lambda v, field=field: replace(_CFG, **{field: v}))
        for field, rule in (("dynamic_range_db", "positive"),

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import SR
 from revtime.signal_core import active_speech_level
 from revtime.synth import babble_noise, shaped_noise, synthetic_speech
-
-SR = 16000
 
 
 class TestSyntheticSpeech:

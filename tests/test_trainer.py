@@ -4,10 +4,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import SR, write_speech
 from revtime.errors import RevtimeError
-from revtime.estimator import EstimatorConfig, map_nsv_to_t60
-from revtime.signal_core import _from_fields, save_wav
-from revtime.synth import synthetic_speech
+from revtime.estimator import EstimatorConfig, NsvStatistic, map_nsv_to_t60
+from revtime.signal_core import _from_fields
 from revtime import trainer
 from revtime.trainer import (
     RoomSampler,
@@ -19,15 +19,9 @@ from revtime.trainer import (
     simulate_rooms,
 )
 
-SR = 16000
-
-
 @pytest.fixture(scope="module")
 def speech_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("train_speech")
-    for u in range(2):
-        save_wav(synthetic_speech(1.8 + 0.4 * u, SR, seed=50 + u), d / f"u{u}.wav")
-    return d
+    return write_speech(tmp_path_factory.mktemp("train_speech"), [(1.8, 50), (2.2, 51)])
 
 
 def synthetic_pairs(coeffs, nsv_values, noise=0.0, seed=0):
@@ -143,7 +137,6 @@ class TestFitMapping:
         model, rms = fit_mapping(pairs, CFG, 0.95, order=1)
         residuals = []
         for p in pairs:
-            from revtime.estimator import NsvStatistic
             t60, _ = map_nsv_to_t60(NsvStatistic(p.nsv, 2, 2), model)
             residuals.append(p.t60_true - t60)
         assert np.sqrt(np.mean(np.square(residuals))) <= rms + 1e-12
