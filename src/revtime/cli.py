@@ -260,7 +260,12 @@ def cmd_train(args) -> int:
     _, sample_rate = speech_files(args.speech_dir)
     # --variant, --n-mel-bands, --window-frames and --snr-margin set the
     # EstimatorConfig fields they are named after.
-    stft = StftConfig.for_sample_rate(sample_rate, args.frame_ms, args.hop_ms)
+    try:
+        stft = StftConfig.for_sample_rate(sample_rate, args.frame_ms, args.hop_ms)
+    except RevtimeError as exc:
+        # The one rule for_sample_rate can break: hop <= frame, in samples.
+        raise RevtimeError(f"--hop-ms {args.hop_ms:g} is longer than --frame-ms "
+                           f"{args.frame_ms:g} at {sample_rate} Hz ({exc})") from None
     cfg = _from_fields(EstimatorConfig, {**vars(args), "stft": stft}, "train options")
     model, pairs, report = train_model(args.speech_dir, cfg, grid, args.rooms_per_t60,
                                        seed, order=args.order, target=args.target)

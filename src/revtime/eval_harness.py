@@ -40,7 +40,7 @@ MANIFEST_FIELDS = ("speech", "rir", "noise", "snr_db", "noise_type")
 GROUP_BY = ("noise_type", "snr_db")
 
 # Every mix is scaled to this peak before the 16-bit write (gain recorded in
-# the sidecar). Convolution outputs are small, so writing them unscaled would
+# items.json). Convolution outputs are small, so writing them unscaled would
 # park quantization noise near the signal's own noise floor and estimates
 # from files would drift from estimates computed in memory.
 PEAK_TARGET = 0.89
@@ -134,6 +134,22 @@ def _parse_snr(text: str) -> float:
     return snr
 
 
+def _check_row(idx, snr_text: str, noise: str, noise_type: str) -> float:
+    """The rule every manifest row keeps, read or written: an SNR that
+    _parse_snr takes, a noise path if that SNR is finite, and a known
+    noise_type. Returns the SNR; a broken rule raises RevtimeError naming
+    the row."""
+    try:
+        snr = _parse_snr(snr_text)
+    except ValueError as exc:
+        raise RevtimeError(f"row {idx}: snr_db {exc}") from None
+    if math.isfinite(snr) and not noise:
+        raise RevtimeError(f"row {idx}: a finite SNR needs a noise path")
+    if noise_type not in NOISE_TYPES:
+        raise RevtimeError(f"row {idx}: unknown noise_type {noise_type!r}")
+    return snr
+
+
 def read_manifest(path):
     """Parse a corpus manifest CSV into rows whose paths are absolute (read
     relative to the manifest). A malformed row raises RevtimeError naming it."""
@@ -146,24 +162,12 @@ def read_manifest(path):
     for idx, raw in enumerate(reader):
         if None in raw or None in raw.values():
             raise RevtimeError(f"row {idx}: expected {len(reader.fieldnames)} columns")
-        try:
-            snr = _parse_snr(raw["snr_db"])
-        except ValueError as exc:
-            raise RevtimeError(f"row {idx}: snr_db {exc}") from None
-        noise = raw["noise"].strip()
-        if not math.isfinite(snr) and not noise:
-            noise_path = ""
-        elif not noise:
-            raise RevtimeError(f"row {idx}: a finite SNR needs a noise path")
-        else:
-            noise_path = str(base / noise)
-        noise_type = raw["noise_type"].strip()
-        if noise_type not in NOISE_TYPES:
-            raise RevtimeError(f"row {idx}: unknown noise_type {noise_type!r}")
+        noise, noise_type = raw["noise"].strip(), raw["noise_type"].strip()
+        snr = _check_row(idx, raw["snr_db"], noise, noise_type)
         rows.append({
             "speech": str(base / raw["speech"].strip()),
             "rir": str(base / raw["rir"].strip()),
-            "noise": noise_path,
+            "noise": str(base / noise) if noise else "",
             "snr_db": snr,
             "noise_type": noise_type,
         })
@@ -177,13 +181,16 @@ def write_manifest(rows, path) -> None:
     manifest CSV that read_manifest reads. Paths are written as given (a
     relative one is read relative to the manifest). A whole-number SNR is
     written as an integer and any other by repr, a clean row's as inf, so
-    every SNR reads back as the same float."""
+    every SNR reads back as the same float. Every row is checked by
+    read_manifest's rule before the file is opened, so a row it would
+    reject raises RevtimeError naming the row and nothing is written."""
+    lines = []
+    for idx, (speech, rir, noise, snr, noise_type) in enumerate(rows):
+        text = str(int(snr)) if float(snr).is_integer() else repr(float(snr))
+        _check_row(idx, text, str(noise).strip(), str(noise_type).strip())
+        lines.append([speech, rir, noise, text, noise_type])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_FIELDS)
-        for speech, rir, noise, snr, noise_type in rows:
-            text = str(int(snr)) if float(snr).is_integer() else repr(float(snr))
-            writer.writerow([speech, rir, noise, text, noise_type])
+        csv.writer(fh, lineterminator="\n").writerows([MANIFEST_FIELDS, *lines])
 
 
 def _check_files(rows) -> dict:
@@ -232,8 +239,10 @@ def _check_files(rows) -> dict:
 
 def build_corpus(manifest, out_dir) -> list:
     """Realize every manifest row: convolve speech with its impulse
-    response, mix noise at the target SNR, and write the mix plus a JSON
-    sidecar carrying the Schroeder-measured true T60.
+    response, mix noise at the target SNR, and write the mix as
+    itemNNNN.wav. items.json, written once after the last row, holds one
+    entry per item: its CorpusItem fields (with the Schroeder-measured true
+    T60) plus the speech level, noise gain and output gain of the mix.
 
     A (speech, RIR) pair is loaded, convolved and level-measured once and
     reused while the following rows name the same pair; noise files are
@@ -253,7 +262,7 @@ def build_corpus(manifest, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     noises = {}
     pair = None
-    items = []
+    items, entries = [], []
     for idx, row in enumerate(rows):
         if (row["speech"], row["rir"]) != pair:
             speech = load_wav(row["speech"])
@@ -300,15 +309,10 @@ def build_corpus(manifest, out_dir) -> list:
             t60_true=labels[row["rir"]],
             mix_path=str(mix_path),
         )
-        sidecar = item.to_dict()
-        sidecar.update({
-            "speech_level_db": level,
-            "noise_gain": gain,
-            "output_gain": output_gain,
-        })
-        save_json(sidecar, out / f"{item_id}.json")
         items.append(item)
-    save_json([it.to_dict() for it in items], out / "items.json")
+        entries.append({**item.to_dict(), "speech_level_db": level,
+                        "noise_gain": gain, "output_gain": output_gain})
+    save_json(entries, out / "items.json")
     return items
 
 

@@ -105,6 +105,14 @@ def write_corpus_inputs(directory, speech=(), rirs=(), noises=()):
     return directory
 
 
+def write_manifest_text(path, rows):
+    """A manifest of rows of text as given, malformed ones included (a row
+    eval_harness.write_manifest rejects, or a spelling it does not write)."""
+    path.write_text("speech,rir,noise,snr_db,noise_type\n"
+                    + "".join(",".join(row) + "\n" for row in rows))
+    return path
+
+
 @pytest.fixture
 def no_rooms(monkeypatch):
     """Make every room simulation fail the test: train, simulate-rir and

@@ -117,10 +117,10 @@ def test_criterion_05_mixing_calibration(tmp_path):
     items = build_corpus(manifest, tmp_path / "built")
     reverberant = convolve(load_wav(tmp_path / "s0.wav"), load_wav(tmp_path / "r0.wav"))
     worst = 0.0
-    for item, target in zip(items, targets, strict=True):
-        sidecar = load_json(tmp_path / "built" / f"{item.item_id}.json")
+    entries = load_json(tmp_path / "built" / "items.json")
+    for item, entry, target in zip(items, entries, targets, strict=True):
         mixed = load_wav(item.mix_path)
-        extracted = mixed.samples / sidecar["output_gain"] - reverberant.samples
+        extracted = mixed.samples / entry["output_gain"] - reverberant.samples
         realized = (active_speech_level(reverberant)
                     - 20 * np.log10(np.sqrt(np.mean(extracted ** 2))))
         worst = max(worst, abs(realized - target))

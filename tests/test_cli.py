@@ -10,7 +10,7 @@ import pytest
 
 import revtime
 from conftest import (SR, TRAINING_REPORT_KEYS, exponential_rir, make_model,
-                      write_corpus_inputs, write_speech)
+                      write_corpus_inputs, write_manifest_text, write_speech)
 from revtime import cli
 from revtime.cli import main
 from revtime.estimator import MappingModel, StftConfig
@@ -21,6 +21,7 @@ from revtime.synth import synthetic_speech
 # Manifest rows over the files write_corpus_inputs names.
 CLEAN = ("s0.wav", "r0.wav", "", math.inf, "none")
 NOISY = ("s0.wav", "r0.wav", "n0.wav", 12, "fan")
+NOISY_TEXT = ("s0.wav", "r0.wav", "n0.wav", "12", "fan")
 
 
 @pytest.fixture(scope="module")
@@ -44,9 +45,11 @@ def fresh_process_env(**extra) -> dict:
     return env
 
 
-def run_build_corpus(directory, rows) -> int:
-    """build-corpus of rows, written as directory/m.csv, into directory/corpus."""
-    write_manifest(rows, directory / "m.csv")
+def run_build_corpus(directory, rows=None) -> int:
+    """build-corpus of directory/m.csv into directory/corpus, the manifest
+    written from rows first if they are given."""
+    if rows is not None:
+        write_manifest(rows, directory / "m.csv")
     return main(["build-corpus", "--manifest", str(directory / "m.csv"),
                  "--out", str(directory / "corpus"), "--quiet"])
 
@@ -344,7 +347,7 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
     (["train", "--frame-ms", "0"], "argument --frame-ms: must be finite and > 0, got 0"),
     (["train", "--hop-ms", "-4"], "argument --hop-ms: must be finite and > 0, got -4"),
     (["train", "--hop-ms", "100"],
-     "error: need 0 < hop <= frame_len <= fft_len, got hop=1600 frame_len=512"),
+     "error: --hop-ms 100 is longer than --frame-ms 32 at 16000 Hz (need 0 < hop"),
     (["train", "--rooms-per-t60", "-0"], "argument --rooms-per-t60: must be at least 1, got 0"),
     (["demo", "--order", " -2"], "argument --order: must be at least 0, got -2"),
     (["train", "--t60-max", "0.05", "--rooms-per-t60", "4"],
@@ -716,14 +719,16 @@ class TestBuildCorpusCli:
 
     def test_minus_inf_snr_row_exits_one(self, tmp_path, capsys):
         write_corpus_inputs(tmp_path, [(1.6, 62)], [(0.4, 63)], [self.NOISE])
-        code = run_build_corpus(tmp_path, [NOISY, (*NOISY[:3], -math.inf, "fan")])
+        write_manifest_text(tmp_path / "m.csv", [NOISY_TEXT, (*NOISY_TEXT[:3], "-inf", "fan")])
+        code = run_build_corpus(tmp_path)
         assert code == 1
         assert "row 1: snr_db" in capsys.readouterr().err
         assert not list((tmp_path / "corpus").glob("*.wav"))
 
     def test_unknown_noise_type_names_row_before_writing(self, tmp_path, capsys):
         write_corpus_inputs(tmp_path, [(1.6, 62)], [(0.4, 63)], [self.NOISE])
-        code = run_build_corpus(tmp_path, [NOISY, (*NOISY[:4], "fann")])
+        write_manifest_text(tmp_path / "m.csv", [NOISY_TEXT, (*NOISY_TEXT[:4], "fann")])
+        code = run_build_corpus(tmp_path)
         assert code == 1
         assert "row 1: unknown noise_type 'fann'" in capsys.readouterr().err
         assert not list((tmp_path / "corpus").glob("item*"))

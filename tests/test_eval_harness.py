@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import SR, make_model, run_one, write_corpus_inputs
+from conftest import SR, make_model, run_one, write_corpus_inputs, write_manifest_text
 from revtime import eval_harness, signal_core
 from revtime.errors import RevtimeError
 from revtime.estimator import VARIANTS
@@ -47,7 +48,7 @@ def reference_build_corpus(manifest, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     rows = read_manifest(manifest)
     t60_cache = {}
-    items = []
+    items, entries = [], []
     for idx, row in enumerate(rows):
         speech = load_wav(row["speech"])
         rir = load_wav(row["rir"])
@@ -87,18 +88,16 @@ def reference_build_corpus(manifest, out_dir) -> list:
             t60_true=t60_true,
             mix_path=str(mix_path),
         )
-        sidecar = item.to_dict()
-        sidecar.update({
+        entry = item.to_dict()
+        entry.update({
             "speech_level_db": active_speech_level(reverberant),
             "noise_gain": gain,
             "output_gain": output_gain,
         })
-        with open(out / f"{item_id}.json", "w") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
         items.append(item)
+        entries.append(entry)
     with open(out / "items.json", "w") as fh:
-        json.dump([it.to_dict() for it in items], fh, indent=2)
+        json.dump(entries, fh, indent=2)
         fh.write("\n")
     return items
 
@@ -114,13 +113,6 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(eval_harness, name, counted)
     return calls
-
-
-def write_manifest_text(path, rows):
-    """A manifest of rows of text as given, malformed ones included."""
-    path.write_text("speech,rir,noise,snr_db,noise_type\n"
-                    + "".join(",".join(row) + "\n" for row in rows))
-    return path
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +143,20 @@ class TestManifest:
         text = path.read_bytes()
         assert text.startswith(b"speech,rir,noise,snr_db,noise_type\n") and b"\r" not in text
         assert [tuple(row.values()) for row in read_manifest(path)] == rows
+
+    @pytest.mark.parametrize("row, message", [
+        (("s.wav", "r.wav", "n.wav", -math.inf, "fan"),
+         "row 1: snr_db must be a finite number, inf or clean, got '-inf'"),
+        (("s.wav", "r.wav", "n.wav", math.nan, "fan"),
+         "row 1: snr_db must be a finite number, inf or clean, got 'nan'"),
+        (("s.wav", "r.wav", "", 12, "fan"), "row 1: a finite SNR needs a noise path"),
+        (("s.wav", "r.wav", "n.wav", 12, "traffic"), "row 1: unknown noise_type 'traffic'"),
+    ], ids=["minus_inf", "nan", "no_noise", "unknown_noise_type"])
+    def test_write_rejects_what_read_rejects(self, tmp_path, row, message):
+        path = tmp_path / "m.csv"
+        with pytest.raises(RevtimeError, match=re.escape(message)):
+            write_manifest([("s.wav", "r.wav", "", math.inf, "none"), row], path)
+        assert not path.exists()
 
     def test_demo_manifests_keep_their_text(self, demo_run):
         # The text demo's manifests had when demo wrote the CSV by hand.
@@ -249,12 +255,11 @@ class TestBuildCorpus:
         speech = load_wav(item.speech_path)
         rir = load_wav(item.rir_path)
         expected = convolve(speech, rir)
-        sidecar = json.loads(
-            (out / f"{item.item_id}.json").read_text())
+        entry = json.loads((out / "items.json").read_text())[items.index(item)]
         mixed = load_wav(item.mix_path)
         assert len(mixed) == len(expected)
         assert np.max(np.abs(
-            mixed.samples - sidecar["output_gain"] * expected.samples
+            mixed.samples - entry["output_gain"] * expected.samples
         )) <= 1.0 / 32768
 
     def test_snr_calibration_from_files(self, corpus):
@@ -263,9 +268,9 @@ class TestBuildCorpus:
         speech = load_wav(noisy.speech_path)
         rir = load_wav(noisy.rir_path)
         reverberant = convolve(speech, rir)
-        sidecar = json.loads((out / f"{noisy.item_id}.json").read_text())
+        entry = json.loads((out / "items.json").read_text())[items.index(noisy)]
         mixed = load_wav(noisy.mix_path)
-        extracted = (mixed.samples / sidecar["output_gain"]
+        extracted = (mixed.samples / entry["output_gain"]
                      - reverberant.samples)
         realized = (active_speech_level(reverberant)
                     - 20 * np.log10(np.sqrt(np.mean(extracted ** 2))))
@@ -284,6 +289,12 @@ class TestBuildCorpus:
         entries = json.loads((out / "items.json").read_text())
         (tmp_path / "items.json").write_text(
             json.dumps([{**entry, "room": "lab"} for entry in entries]))
+        assert load_items(tmp_path) == items
+
+    def test_items_json_without_mix_gains_still_loads(self, corpus, tmp_path):
+        # Older corpora's items.json held only the CorpusItem fields.
+        root, out, items = corpus
+        (tmp_path / "items.json").write_text(json.dumps([it.to_dict() for it in items]))
         assert load_items(tmp_path) == items
 
 
@@ -332,7 +343,8 @@ class TestBuildCorpusReuse:
         items = build_corpus(manifest, out)
         new = self._snapshot(out)
         assert items == ref_items
-        assert len(ref) == 2 * len(self.ROWS) + 1
+        assert sorted(new) == sorted([f"item{i:04d}.wav" for i in range(len(self.ROWS))]
+                                     + ["items.json"])
         assert list(new) == list(ref)
         for name in ref:
             assert new[name] == ref[name], name
