@@ -30,14 +30,15 @@ from .eval_harness import (
     read_records,
     rtf_table,
 )
-# Unused: cli simulates through trainer.simulate_rooms. perfbench's holder
+# Unused: cli simulates through trainer.save_rooms. perfbench's holder
 # check still expects cli to hold the simulator (ROADMAP item 12).
-from .room_acoustics import image_method_rir, save_rir  # noqa: F401
-from .signal_core import _from_fields, _is_finite, load_wav, read_lines, save_json
+from .room_acoustics import image_method_rir  # noqa: F401
+from .signal_core import _from_fields, _is_finite, load_wav, read_lines
 from .trainer import (
     default_t60_grid,
     pairs_to_csv,
-    simulate_rooms,
+    save_model,
+    save_rooms,
     speech_files,
     train_model,
 )
@@ -229,19 +230,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate_rir(args) -> int:
-    # File names keep three decimals: two targets sharing them would overwrite.
-    labels = [f"{t60:.3f}" for t60 in args.t60]
-    for t60, label in zip(args.t60, labels):
-        if labels.count(label) > 1:
-            raise RevtimeError(f"--t60 {t60:g} gives the same file names ({label}) as another --t60")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = 0 if args.seed is None else args.seed
-    for t60, r, rir in simulate_rooms(np.random.default_rng(seed), args.t60,
-                                      args.rooms_per_t60, args.sample_rate):
-        stem = f"rir_t60_{t60:.3f}_room{r}"
-        measured = save_rir(rir, out / f"{stem}.wav")
-        _say(args, f"{stem}.wav: target {t60:.3f} s, measured {measured:.3f} s")
+    rng = np.random.default_rng(0 if args.seed is None else args.seed)
+    for path, t60, measured in save_rooms(args.out, "rir", rng, args.t60, args.rooms_per_t60,
+                                          args.sample_rate, "--t60"):
+        _say(args, f"{path.name}: target {t60:.3f} s, measured {measured:.3f} s")
     return 0
 
 
@@ -269,8 +261,7 @@ def cmd_train(args) -> int:
     cfg = _from_fields(EstimatorConfig, {**vars(args), "stft": stft}, "train options")
     model, pairs, report = train_model(args.speech_dir, cfg, grid, args.rooms_per_t60,
                                        seed, order=args.order, target=args.target)
-    model.save(args.out)
-    save_json(report, Path(args.out).with_suffix(".report.json"))
+    save_model(model, report, args.out)
     if args.pairs_csv:
         pairs_to_csv(pairs, args.pairs_csv)
     _say(args, f"trained {args.variant} on {report['n_pairs']} pairs "

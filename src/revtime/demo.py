@@ -18,10 +18,10 @@ from .eval_harness import (
     write_manifest,
     write_records,
 )
-from .room_acoustics import save_rir
-from .signal_core import save_json, save_wav
+from .signal_core import save_wav
 from .synth import babble_noise, shaped_noise, synthetic_speech
-from .trainer import _check_pair_count, default_t60_grid, simulate_rooms, train_model
+from .trainer import (_check_pair_count, check_rir_names, default_t60_grid, save_model,
+                      save_rooms, train_model)
 
 SR = 16000
 HELDOUT_T60S = (0.3, 0.45, 0.6, 0.75, 0.9)
@@ -37,9 +37,8 @@ def _make_assets(root: Path, seed: int, talkers: int, utterances: int,
 
     train_dir = root / "train_speech"
     speech_dir = root / "speech"
-    rir_dir = root / "rirs"
     noise_dir = root / "noise"
-    for d in (train_dir, speech_dir, rir_dir, noise_dir):
+    for d in (train_dir, speech_dir, noise_dir):
         d.mkdir(parents=True, exist_ok=True)
 
     for u in range(train_utterances):
@@ -66,16 +65,10 @@ def _make_assets(root: Path, seed: int, talkers: int, utterances: int,
     noises = {"synthetic_white": "noise/white.wav",
               "synthetic_babble": "noise/babble.wav"}
 
-    def write_rirs(t60s, prefix):
-        rel = []
-        for i, (t60, _, rir) in enumerate(simulate_rooms(rng, t60s, 1, SR)):
-            name = f"{prefix}_t60_{t60:.2f}_r{i}.wav"
-            save_rir(rir, rir_dir / name)
-            rel.append(f"rirs/{name}")
-        return rel
-
-    eval_rirs = write_rirs(t60_list, "eval")
-    heldout_rirs = write_rirs(HELDOUT_T60S, "heldout")
+    eval_rirs = [f"rirs/{path.name}" for path, _, _ in
+                 save_rooms(root / "rirs", "eval", rng, t60_list, 1, SR, "--t60-list")]
+    heldout_rirs = [f"rirs/{path.name}" for path, _, _ in
+                    save_rooms(root / "rirs", "heldout", rng, HELDOUT_T60S, 1, SR, "held-out T60")]
 
     manifest = root / "corpus_manifest.csv"
     write_manifest([(speech, rir, noise, snr, noise_type)
@@ -98,13 +91,15 @@ def run_demo(out, *, seed: int, talkers: int, utterances: int, t60_list,
     heldout_corpus/ and results/ (records.csv, heldout_records.csv,
     report.csv, boxplot.dat). The same arguments give byte-identical files
     apart from the cpu_time column of the records. say receives the
-    progress lines. A bad training grid or too few possible training pairs
-    fails before anything is synthesized or simulated.
+    progress lines. A bad training grid, too few possible training pairs or
+    two --t60-list targets sharing a file name fail before anything is
+    synthesized or simulated.
     """
     out = Path(out)
     results = out / "results"
     grid = default_t60_grid(train_t60_max)
     _check_pair_count(len(grid) * train_rooms * train_utterances, order)
+    check_rir_names(t60_list, "--t60-list")
 
     say("[1/5] synthesizing speech, noise and impulse responses")
     assets = _make_assets(out / "assets", seed, talkers, utterances, t60_list,
@@ -114,17 +109,14 @@ def run_demo(out, *, seed: int, talkers: int, utterances: int, t60_list,
     model_dir = out / "models"
     model_dir.mkdir(parents=True, exist_ok=True)
     models = []
-    training_report = {}
     for variant in VARIANTS:
         model, _, report = train_model(
             assets["train_speech"], EstimatorConfig.default(variant, SR), grid,
             train_rooms, seed, order=order)
-        model.save(model_dir / f"{variant}.json")
+        save_model(model, report, model_dir / f"{variant}.json")
         models.append(model)
-        training_report[variant] = report
         say(f"  {variant}: {report['n_pairs']} pairs ({report['n_skipped']} "
             f"skipped), rms residual {report['rms_residual_s']:.3f} s")
-    save_json(training_report, model_dir / "training_report.json")
 
     say("[3/5] building the corpora")
     items = build_corpus(assets["manifest"], out / "corpus")

@@ -179,15 +179,17 @@ def read_manifest(path):
 def write_manifest(rows, path) -> None:
     """Write (speech, rir, noise, snr_db, noise_type) rows as the corpus
     manifest CSV that read_manifest reads. Paths are written as given (a
-    relative one is read relative to the manifest). A whole-number SNR is
+    relative one is read relative to the manifest). An SNR is a number or
+    any text read_manifest takes ("clean", " 12 "); a whole-number SNR is
     written as an integer and any other by repr, a clean row's as inf, so
     every SNR reads back as the same float. Every row is checked by
     read_manifest's rule before the file is opened, so a row it would
     reject raises RevtimeError naming the row and nothing is written."""
     lines = []
     for idx, (speech, rir, noise, snr, noise_type) in enumerate(rows):
-        text = str(int(snr)) if float(snr).is_integer() else repr(float(snr))
-        _check_row(idx, text, str(noise).strip(), str(noise_type).strip())
+        snr = _check_row(idx, snr if isinstance(snr, str) else repr(float(snr)),
+                         str(noise).strip(), str(noise_type).strip())
+        text = str(int(snr)) if snr.is_integer() else repr(snr)
         lines.append([speech, rir, noise, text, noise_type])
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([MANIFEST_FIELDS, *lines])

@@ -261,10 +261,12 @@ def measure_t60(buf: AudioBuffer) -> float:
 
 def save_rir(rir: Rir, path) -> float:
     """Write a simulated response as a float32 WAV (full range kept) plus a
-    JSON sidecar with the same stem holding its room and its
-    Schroeder-measured T60, which is returned."""
-    measured = measure_t60(rir.buf)
-    save_wav(rir.buf, path, fmt="float32")
+    JSON sidecar with the same stem holding its room and the Schroeder T60
+    of the stored float32 samples, which is returned: the label build-corpus
+    gives the WAV."""
+    stored = AudioBuffer(rir.buf.samples.astype(np.float32), rir.buf.sample_rate)
+    measured = measure_t60(stored)
+    save_wav(stored, path, fmt="float32")
     save_json({"room": asdict(rir.provenance), "measured_t60": measured},
               Path(path).with_suffix(".json"))
     return measured

@@ -9,14 +9,9 @@ import numpy as np
 
 from .errors import EstimationError, RevtimeError
 from .estimator import EstimatorConfig, MappingModel, mel_weights, nsv_from_audio
-from .room_acoustics import (
-    SABINE_CONSTANT,
-    RoomSpec,
-    image_method_rir,
-    measure_t60,
-    sabine_absorption,
-)
-from .signal_core import _check_finite, _write_rows, convolve, load_wav, wav_info
+from .room_acoustics import (SABINE_CONSTANT, RoomSpec, image_method_rir, measure_t60,
+                             sabine_absorption, save_rir)
+from .signal_core import _check_finite, _write_rows, convolve, load_wav, save_json, wav_info
 
 
 @dataclass(frozen=True)
@@ -103,6 +98,27 @@ def simulate_rooms(rng: np.random.Generator, t60s, rooms_per_t60: int, sample_ra
              for t60 in t60s for r in range(rooms_per_t60)]
     for t60, r, spec in specs:
         yield t60, r, image_method_rir(spec)
+
+
+def check_rir_names(t60s, name: str) -> None:
+    """File names keep three decimals: two targets sharing them would
+    overwrite, so they raise RevtimeError, calling the targets name."""
+    for t60 in t60s:
+        if [f"{u:.3f}" for u in t60s].count(f"{t60:.3f}") > 1:
+            raise RevtimeError(f"{name} {t60:g} gives the same file names ({t60:.3f}) "
+                               f"as another {name}")
+
+
+def save_rooms(out, prefix: str, rng, t60s, rooms_per_t60: int, sample_rate: int, name: str):
+    """simulate_rooms, saving each room through save_rir as
+    <prefix>_t60_<t60:.3f>_room<r>.wav in out. Yields (path, t60, label).
+    Targets that share a file name fail check_rir_names before any room is
+    drawn or any file written."""
+    check_rir_names(t60s, name)
+    Path(out).mkdir(parents=True, exist_ok=True)
+    for t60, r, rir in simulate_rooms(rng, t60s, rooms_per_t60, sample_rate):
+        path = Path(out) / f"{prefix}_t60_{t60:.3f}_room{r}.wav"
+        yield path, t60, save_rir(rir, path)
 
 
 def default_t60_grid(t60_max: float) -> list:
@@ -197,7 +213,7 @@ def train_model(speech_dir, cfg: EstimatorConfig, t60_grid, rooms_per_t60: int,
     rooms x utterances) for the fit fails before any room is simulated.
 
     Returns (model, pairs, report); report is the training report that
-    train and demo write as JSON.
+    save_model writes beside the model.
     """
     _check_pair_count(len(t60_grid) * rooms_per_t60 * len(speech_files(speech_dir)[0]),
                       order)
@@ -208,6 +224,13 @@ def train_model(speech_dir, cfg: EstimatorConfig, t60_grid, rooms_per_t60: int,
         "rms_residual_s": rms, "t60_train_max": model.t60_train_max,
         "grid": list(t60_grid), "target": target, "order": order, "seed": seed,
     }
+
+
+def save_model(model: MappingModel, report: dict, path) -> None:
+    """Write a trained model to path and its training report beside it as
+    <stem>.report.json."""
+    model.save(path)
+    save_json(report, Path(path).with_suffix(".report.json"))
 
 
 def pairs_to_csv(pairs, path) -> None:

@@ -13,9 +13,11 @@ from conftest import (SR, TRAINING_REPORT_KEYS, exponential_rir, make_model,
                       write_corpus_inputs, write_manifest_text, write_speech)
 from revtime import cli
 from revtime.cli import main
+from revtime.demo import HELDOUT_T60S
 from revtime.estimator import MappingModel, StftConfig
 from revtime.eval_harness import write_manifest
-from revtime.signal_core import AudioBuffer, save_wav
+from revtime.room_acoustics import measure_t60
+from revtime.signal_core import AudioBuffer, load_wav, save_wav
 from revtime.synth import synthetic_speech
 
 # Manifest rows over the files write_corpus_inputs names.
@@ -191,6 +193,41 @@ class TestSimulateRir:
         assert not out.exists()
 
 
+def test_rir_sidecars_hold_the_build_corpus_label(tmp_path, demo_run, capsys):
+    """Every sidecar's measured_t60 that simulate-rir and demo write is the
+    Schroeder T60 of its stored float32 WAV, bit for bit: the t60_true that
+    build-corpus gives every item of that WAV."""
+    rirs = tmp_path / "rirs"
+    assert main(["simulate-rir", "--out", str(rirs), "--t60", "0.3", "--t60", "0.45",
+                 "--rooms-per-t60", "2", "--seed", "3", "--quiet"]) == 0
+    out, _ = demo_run
+    labels = {}
+    for corpus in ("corpus", "heldout_corpus"):
+        for item in json.loads((out / corpus / "items.json").read_text()):
+            labels.setdefault(item["rir_path"], set()).add(item["t60_true"])
+    demo_wavs = sorted((out / "assets" / "rirs").glob("*.wav"))
+    assert set(labels) == {str(wav) for wav in demo_wavs}
+    wavs = sorted(rirs.glob("*.wav")) + demo_wavs
+    assert len(wavs) == 14
+    for wav in wavs:
+        measured = json.loads(wav.with_suffix(".json").read_text())["measured_t60"]
+        assert measured == measure_t60(load_wav(wav)), wav.name
+        assert labels.get(str(wav), {measured}) == {measured}, wav.name
+
+
+def test_demo_names_its_rirs_and_reports_as_simulate_rir_and_train_do(demo_run):
+    """demo's RIRs are <prefix>_t60_<t60:.3f>_room<r> WAV and sidecar pairs,
+    and each model has its <variant>.report.json beside it."""
+    out, _ = demo_run
+    stems = [f"{prefix}_t60_{t60:.3f}_room0"
+             for prefix, t60s in (("eval", (0.3, 0.5, 0.7, 0.9, 1.1)),
+                                  ("heldout", HELDOUT_T60S)) for t60 in t60s]
+    assert (sorted(p.name for p in (out / "assets" / "rirs").iterdir())
+            == sorted(f"{stem}.{ext}" for stem in stems for ext in ("json", "wav")))
+    assert sorted(p.name for p in (out / "models").iterdir()) == [
+        "full_band.json", "full_band.report.json", "mel_band.json", "mel_band.report.json"]
+
+
 class TestTrainCli:
     @pytest.mark.parametrize("t60_max,grid", [
         (0.95, "0.2,0.4,0.6,0.8,0.95"),
@@ -359,15 +396,21 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
      "error: need at least 30 pairs to fit order 2, got 9"),
     (["demo", "--train-t60-max", "0.1", "--train-rooms", "1", "--train-utterances", "1"],
      "error: need at least 30 pairs to fit order 2, got 1"),
+    (["demo", "--t60-list", "0.3,0.3"],
+     "error: --t60-list 0.3 gives the same file names (0.300) as another --t60-list"),
+    (["demo", "--t60-list", "0.3001,0.3004"],
+     "error: --t60-list 0.3001 gives the same file names (0.300) as another --t60-list"),
 ], ids=["grid_nan", "grid_negative", "t60_max_inf", "t60_max_nan", "rir_t60_inf",
         "demo_t60_nan", "demo_train_t60_max_zero", "demo_snr_nan", "demo_snr_minus_inf",
         "snr_margin_nan", "frame_ms_zero", "hop_ms_negative", "hop_longer_than_frame",
         "rooms_minus_zero", "demo_order_negative", "too_few_pairs", "too_many_bands",
-        "frame_too_short", "demo_too_few_pairs", "demo_one_pair"])
+        "frame_too_short", "demo_too_few_pairs", "demo_one_pair", "demo_t60_repeated",
+        "demo_t60_same_stem"])
 def test_bad_value_fails_before_any_room(tmp_path, speech_dir, no_rooms, capsys,
                                          command, expected):
     """A bad number on the command line, a hop longer than the frame, too few
-    possible training pairs or more Mel bands than FFT bins exits 1 with one
+    possible training pairs, more Mel bands than FFT bins or two demo
+    targets that share a RIR file name exits 1 with one
     message and no traceback before any room is simulated (demo and
     simulate-rir: before the output directory is made; train makes its
     model's directory first)."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import SR, TRAINING_REPORT_KEYS, run_one
-from revtime.estimator import MappingModel, estimate_t60
+from revtime.estimator import VARIANTS, MappingModel, estimate_t60
 from revtime.eval_harness import load_items, run_eval_paired
 from revtime.room_acoustics import image_method_rir, schroeder_edc, t60_from_edc
 from revtime.signal_core import convolve, save_wav
@@ -21,9 +21,15 @@ def demo_models(demo_run):
             for v in ("full_band", "mel_band")}
 
 
+def demo_reports(out) -> dict:
+    """The training report demo writes beside each model, by variant."""
+    return {v: json.loads((out / "models" / f"{v}.report.json").read_text())
+            for v in VARIANTS}
+
+
 def test_training_residual_bound(demo_run):
     out, _ = demo_run
-    report = json.loads((out / "models" / "training_report.json").read_text())
+    report = demo_reports(out)
     for variant, entry in report.items():
         assert entry["rms_residual_s"] <= 0.2, variant
         assert entry["t60_train_max"] == 0.95
@@ -31,7 +37,7 @@ def test_training_residual_bound(demo_run):
 
 def test_training_report_entries_are_train_reports(demo_run):
     out, _ = demo_run
-    report = json.loads((out / "models" / "training_report.json").read_text())
+    report = demo_reports(out)
     assert sorted(report) == ["full_band", "mel_band"]
     for variant, entry in report.items():
         assert list(entry) == TRAINING_REPORT_KEYS

@@ -158,6 +158,26 @@ class TestManifest:
             write_manifest([("s.wav", "r.wav", "", math.inf, "none"), row], path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("noise, snr, noise_type, text", [
+        ("", "clean", "none", "inf"), ("", "+inf", "none", "inf"),
+        ("n.wav", " 12 ", "fan", "12"), ("n.wav", "loud", "fan", None),
+    ], ids=["clean", "plus_inf", "padded", "loud"])
+    def test_write_takes_every_snr_spelling_read_takes(self, tmp_path, noise, snr,
+                                                       noise_type, text):
+        """A text SNR is parsed as read_manifest parses it and written in its
+        canonical spelling; one read_manifest rejects names its row."""
+        path = tmp_path / "m.csv"
+        rows = [("s.wav", "r.wav", "", math.inf, "none"), ("a.wav", "b.wav", noise, snr, noise_type)]
+        if text is None:
+            with pytest.raises(RevtimeError, match=re.escape(
+                    "row 1: snr_db must be a finite number, inf or clean, got 'loud'")):
+                write_manifest(rows, path)
+            assert not path.exists()
+            return
+        write_manifest(rows, path)
+        assert path.read_text().splitlines()[2].split(",")[3] == text
+        assert read_manifest(path)[1]["snr_db"] == float(text)
+
     def test_demo_manifests_keep_their_text(self, demo_run):
         # The text demo's manifests had when demo wrote the CSV by hand.
         assets = demo_run[0] / "assets"
