@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -35,9 +34,8 @@ from .eval_harness import (
 from .room_acoustics import image_method_rir  # noqa: F401
 from .signal_core import _from_fields, _is_finite, load_wav, read_lines
 from .trainer import (
+    check_targets,
     default_t60_grid,
-    pairs_to_csv,
-    save_model,
     save_rooms,
     speech_files,
     train_model,
@@ -244,11 +242,9 @@ def cmd_build_corpus(args) -> int:
 
 
 def cmd_train(args) -> int:
-    # Before any room is simulated: a missing parent would throw the run away.
-    for path in filter(None, (args.out, args.pairs_csv)):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
     seed = 0 if args.seed is None else args.seed
     grid = args.grid if args.grid else default_t60_grid(args.t60_max)
+    check_targets(grid, "--grid" if args.grid else "--t60-max")
     _, sample_rate = speech_files(args.speech_dir)
     # --variant, --n-mel-bands, --window-frames and --snr-margin set the
     # EstimatorConfig fields they are named after.
@@ -259,11 +255,8 @@ def cmd_train(args) -> int:
         raise RevtimeError(f"--hop-ms {args.hop_ms:g} is longer than --frame-ms "
                            f"{args.frame_ms:g} at {sample_rate} Hz ({exc})") from None
     cfg = _from_fields(EstimatorConfig, {**vars(args), "stft": stft}, "train options")
-    model, pairs, report = train_model(args.speech_dir, cfg, grid, args.rooms_per_t60,
-                                       seed, order=args.order, target=args.target)
-    save_model(model, report, args.out)
-    if args.pairs_csv:
-        pairs_to_csv(pairs, args.pairs_csv)
+    _, report = train_model(args.speech_dir, cfg, grid, args.rooms_per_t60, seed, args.out,
+                            order=args.order, target=args.target, pairs_csv=args.pairs_csv)
     _say(args, f"trained {args.variant} on {report['n_pairs']} pairs "
                f"({report['n_skipped']} skipped), rms residual "
                f"{report['rms_residual_s']:.3f} s, "

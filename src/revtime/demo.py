@@ -20,8 +20,7 @@ from .eval_harness import (
 )
 from .signal_core import save_wav
 from .synth import babble_noise, shaped_noise, synthetic_speech
-from .trainer import (_check_pair_count, check_rir_names, default_t60_grid, save_model,
-                      save_rooms, train_model)
+from .trainer import _check_pair_count, check_targets, default_t60_grid, save_rooms, train_model
 
 SR = 16000
 HELDOUT_T60S = (0.3, 0.45, 0.6, 0.75, 0.9)
@@ -91,29 +90,27 @@ def run_demo(out, *, seed: int, talkers: int, utterances: int, t60_list,
     heldout_corpus/ and results/ (records.csv, heldout_records.csv,
     report.csv, boxplot.dat). The same arguments give byte-identical files
     apart from the cpu_time column of the records. say receives the
-    progress lines. A bad training grid, too few possible training pairs or
-    two --t60-list targets sharing a file name fail before anything is
+    progress lines. A training grid or --t60-list that fails check_targets,
+    or too few possible training pairs, fails before anything is
     synthesized or simulated.
     """
     out = Path(out)
     results = out / "results"
     grid = default_t60_grid(train_t60_max)
+    check_targets(grid, "--train-t60-max")
     _check_pair_count(len(grid) * train_rooms * train_utterances, order)
-    check_rir_names(t60_list, "--t60-list")
+    check_targets(t60_list, "--t60-list")
 
     say("[1/5] synthesizing speech, noise and impulse responses")
     assets = _make_assets(out / "assets", seed, talkers, utterances, t60_list,
                           snr_list, train_utterances)
 
     say("[2/5] training both variants")
-    model_dir = out / "models"
-    model_dir.mkdir(parents=True, exist_ok=True)
     models = []
     for variant in VARIANTS:
-        model, _, report = train_model(
+        model, report = train_model(
             assets["train_speech"], EstimatorConfig.default(variant, SR), grid,
-            train_rooms, seed, order=order)
-        save_model(model, report, model_dir / f"{variant}.json")
+            train_rooms, seed, out / "models" / f"{variant}.json", order=order)
         models.append(model)
         say(f"  {variant}: {report['n_pairs']} pairs ({report['n_skipped']} "
             f"skipped), rms residual {report['rms_residual_s']:.3f} s")

@@ -100,21 +100,33 @@ def simulate_rooms(rng: np.random.Generator, t60s, rooms_per_t60: int, sample_ra
         yield t60, r, image_method_rir(spec)
 
 
-def check_rir_names(t60s, name: str) -> None:
-    """File names keep three decimals: two targets sharing them would
-    overwrite, so they raise RevtimeError, calling the targets name."""
+# A limit on run time, not on acoustics: image_method_rir reaches any
+# target, but one room takes about T60 cubed to simulate (0.4 s at 3 s,
+# 14 s at 10 s, 126 s at 20 s for a 16 kHz room on a 2-vCPU VM), so a
+# 100 s target would run for hours.
+MAX_TARGET_T60 = 10.0
+
+
+def check_targets(t60s, name: str) -> None:
+    """Two rules for a list of target T60s, each raising RevtimeError that
+    calls the targets name. No target is above MAX_TARGET_T60. No two
+    targets share a room name, which keeps three decimals: they would share
+    files or a pair label."""
+    if max(t60s) > MAX_TARGET_T60:
+        raise RevtimeError(f"{name} {max(t60s):g} is above {MAX_TARGET_T60:g} s, the longest "
+                           "target simulated (simulation time grows as T60 cubed)")
     for t60 in t60s:
         if [f"{u:.3f}" for u in t60s].count(f"{t60:.3f}") > 1:
-            raise RevtimeError(f"{name} {t60:g} gives the same file names ({t60:.3f}) "
+            raise RevtimeError(f"{name} {t60:g} gives the same room name ({t60:.3f}) "
                                f"as another {name}")
 
 
 def save_rooms(out, prefix: str, rng, t60s, rooms_per_t60: int, sample_rate: int, name: str):
     """simulate_rooms, saving each room through save_rir as
     <prefix>_t60_<t60:.3f>_room<r>.wav in out. Yields (path, t60, label).
-    Targets that share a file name fail check_rir_names before any room is
-    drawn or any file written."""
-    check_rir_names(t60s, name)
+    Targets that fail check_targets fail before any room is drawn or any
+    file written."""
+    check_targets(t60s, name)
     Path(out).mkdir(parents=True, exist_ok=True)
     for t60, r, rir in simulate_rooms(rng, t60s, rooms_per_t60, sample_rate):
         path = Path(out) / f"{prefix}_t60_{t60:.3f}_room{r}.wav"
@@ -207,30 +219,33 @@ def fit_mapping(pairs, cfg: EstimatorConfig, t60_train_max: float, order: int = 
 
 
 def train_model(speech_dir, cfg: EstimatorConfig, t60_grid, rooms_per_t60: int,
-                seed: int, order: int = 2, target: str = "t60"):
+                seed: int, path, order: int = 2, target: str = "t60", pairs_csv=None):
     """build_training_set, then fit_mapping on its pairs, stamping the
-    grid's top as t60_train_max. Too few possible pairs (grid points x
-    rooms x utterances) for the fit fails before any room is simulated.
+    grid's top as t60_train_max. Writes the model to path, its training
+    report beside it as <stem>.report.json and, if pairs_csv is given, the
+    pairs there. The parents of those files are made, and too few possible
+    pairs (grid points x rooms x utterances) for the fit fails, before any
+    room is simulated.
 
-    Returns (model, pairs, report); report is the training report that
-    save_model writes beside the model.
+    Returns (model, report).
     """
+    # A missing parent found after training would throw the run away.
+    for file in filter(None, (path, pairs_csv)):
+        Path(file).parent.mkdir(parents=True, exist_ok=True)
     _check_pair_count(len(t60_grid) * rooms_per_t60 * len(speech_files(speech_dir)[0]),
                       order)
     pairs, skipped = build_training_set(speech_dir, t60_grid, rooms_per_t60, cfg, seed)
     model, rms = fit_mapping(pairs, cfg, max(t60_grid), order=order, target=target)
-    return model, pairs, {
+    report = {
         "variant": cfg.variant, "n_pairs": len(pairs), "n_skipped": skipped,
         "rms_residual_s": rms, "t60_train_max": model.t60_train_max,
         "grid": list(t60_grid), "target": target, "order": order, "seed": seed,
     }
-
-
-def save_model(model: MappingModel, report: dict, path) -> None:
-    """Write a trained model to path and its training report beside it as
-    <stem>.report.json."""
     model.save(path)
     save_json(report, Path(path).with_suffix(".report.json"))
+    if pairs_csv:
+        pairs_to_csv(pairs, pairs_csv)
+    return model, report
 
 
 def pairs_to_csv(pairs, path) -> None:

@@ -180,6 +180,18 @@ class TestSimulateRir:
         assert sidecar["room"]["target_t60"] == 0.4
         assert "max_image_order" not in text
 
+    @pytest.mark.parametrize("t60", [2.2, 3.0])
+    def test_room_clamped_at_max_dim_reaches_its_target(self, tmp_path, capsys, t60):
+        """Rooms this long have sides clamped at 10 m; the simulator lowers
+        the absorption to reach the target anyway."""
+        out = tmp_path / "rirs"
+        code = main(["simulate-rir", "--out", str(out), "--t60", str(t60),
+                     "--sample-rate", "8000", "--quiet"])
+        assert code == 0, capsys.readouterr().err
+        sidecar = json.loads((out / f"rir_t60_{t60:.3f}_room0.json").read_text())
+        assert max(sidecar["room"]["dims"]) == pytest.approx(10.0)
+        assert sidecar["measured_t60"] == pytest.approx(t60, rel=0.2)
+
     @pytest.mark.parametrize("targets", [("0.5", "0.5"), ("0.3001", "0.3004")],
                              ids=["equal", "same_stem"])
     def test_repeated_target_fails_before_any_room(self, tmp_path, no_rooms, capsys,
@@ -397,23 +409,33 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
     (["demo", "--train-t60-max", "0.1", "--train-rooms", "1", "--train-utterances", "1"],
      "error: need at least 30 pairs to fit order 2, got 1"),
     (["demo", "--t60-list", "0.3,0.3"],
-     "error: --t60-list 0.3 gives the same file names (0.300) as another --t60-list"),
+     "error: --t60-list 0.3 gives the same room name (0.300) as another --t60-list"),
     (["demo", "--t60-list", "0.3001,0.3004"],
-     "error: --t60-list 0.3001 gives the same file names (0.300) as another --t60-list"),
+     "error: --t60-list 0.3001 gives the same room name (0.300) as another --t60-list"),
+    (["simulate-rir", "--t60", "100"], "error: --t60 100 is above 10 s"),
+    (["train", "--grid", "0.5,100"], "error: --grid 100 is above 10 s"),
+    (["train", "--t60-max", "11"], "error: --t60-max 11 is above 10 s"),
+    (["demo", "--t60-list", "0.5,100"], "error: --t60-list 100 is above 10 s"),
+    (["demo", "--train-t60-max", "11"], "error: --train-t60-max 11 is above 10 s"),
+    (["train", "--grid", "0.5,0.5"],
+     "error: --grid 0.5 gives the same room name (0.500) as another --grid"),
+    (["train", "--grid", "0.3001,0.3004"],
+     "error: --grid 0.3001 gives the same room name (0.300) as another --grid"),
 ], ids=["grid_nan", "grid_negative", "t60_max_inf", "t60_max_nan", "rir_t60_inf",
         "demo_t60_nan", "demo_train_t60_max_zero", "demo_snr_nan", "demo_snr_minus_inf",
         "snr_margin_nan", "frame_ms_zero", "hop_ms_negative", "hop_longer_than_frame",
         "rooms_minus_zero", "demo_order_negative", "too_few_pairs", "too_many_bands",
         "frame_too_short", "demo_too_few_pairs", "demo_one_pair", "demo_t60_repeated",
-        "demo_t60_same_stem"])
+        "demo_t60_same_stem", "rir_t60_above_limit", "grid_above_limit",
+        "t60_max_above_limit", "demo_t60_above_limit", "demo_train_t60_max_above_limit",
+        "grid_repeated", "grid_same_stem"])
 def test_bad_value_fails_before_any_room(tmp_path, speech_dir, no_rooms, capsys,
                                          command, expected):
     """A bad number on the command line, a hop longer than the frame, too few
-    possible training pairs, more Mel bands than FFT bins or two demo
-    targets that share a RIR file name exits 1 with one
-    message and no traceback before any room is simulated (demo and
-    simulate-rir: before the output directory is made; train makes its
-    model's directory first)."""
+    possible training pairs, more Mel bands than FFT bins, a target T60
+    above MAX_TARGET_T60 or two targets that share a room name
+    exits 1 with one message and no traceback before any room is simulated
+    (demo and simulate-rir: before the output directory is made)."""
     out = tmp_path / "out"
     required = {"simulate-rir": ["--out", str(out)],
                 "train": ["--speech-dir", str(speech_dir), "--out", str(out / "m.json")],

@@ -1,22 +1,26 @@
 import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from conftest import SR, write_speech
+from conftest import SR, TRAINING_REPORT_KEYS, write_speech
 from revtime.errors import RevtimeError
-from revtime.estimator import EstimatorConfig, NsvStatistic, map_nsv_to_t60
+from revtime.estimator import EstimatorConfig, MappingModel, NsvStatistic, map_nsv_to_t60
 from revtime.signal_core import _from_fields
 from revtime import trainer
 from revtime.trainer import (
+    MAX_TARGET_T60,
     RoomSampler,
     TrainingPair,
     build_training_set,
+    check_targets,
     default_t60_grid,
     fit_mapping,
     pairs_to_csv,
     simulate_rooms,
+    train_model,
 )
 
 @pytest.fixture(scope="module")
@@ -224,3 +228,32 @@ class TestSimulateRooms:
         rooms = simulate_rooms(np.random.default_rng(11), self.GRID, 3, SR)
         assert len(list(rooms)) == 9
         assert draws_before_first_room[0] == 9
+
+
+class TestTrainModel:
+    GRID = [0.2, 0.4, 0.6, 0.8, 0.95]
+
+    def test_writes_model_report_and_pairs(self, tmp_path, speech_dir):
+        model_path = tmp_path / "a" / "m.json"
+        model, report = train_model(speech_dir, CFG, self.GRID, 1, 3, model_path,
+                                    order=0, pairs_csv=tmp_path / "b" / "p.csv")
+        loaded = MappingModel.load(model_path)
+        assert np.array_equal(loaded.coefficients, model.coefficients)
+        assert loaded.t60_train_max == 0.95
+        saved = json.loads((tmp_path / "a" / "m.report.json").read_text())
+        assert list(saved) == TRAINING_REPORT_KEYS and saved == report
+        with open(tmp_path / "b" / "p.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == report["n_pairs"]
+
+    def test_parents_made_before_the_first_room(self, tmp_path, speech_dir, no_rooms):
+        with pytest.raises(AssertionError, match="a room was simulated"):
+            train_model(speech_dir, CFG, self.GRID, 1, 3, tmp_path / "a" / "m.json",
+                        order=0, pairs_csv=tmp_path / "b" / "p.csv")
+        assert (tmp_path / "a").is_dir() and (tmp_path / "b").is_dir()
+        assert not list(tmp_path.rglob("*.*"))
+
+
+def test_targets_up_to_the_limit_pass():
+    check_targets([0.1, MAX_TARGET_T60], "--t60")
+    with pytest.raises(RevtimeError, match=r"^--t60 10\.001 is above 10 s"):
+        check_targets([0.1, MAX_TARGET_T60 + 0.001], "--t60")
