@@ -1,16 +1,17 @@
 """Simulated ground truth: shoebox image-method impulse responses and
-Schroeder backward-integration T60 measurement."""
+Schroeder backward-integration T60 measurement. The module simulates and
+measures only and writes no files: the trainer module stores each simulated
+room and its sidecar."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
 from .errors import RevtimeError
-from .signal_core import AudioBuffer, _check_finite, _whole_rate, save_json, save_wav
+from .signal_core import AudioBuffer, _check_finite, _whole_rate
 
 SPEED_OF_SOUND = 343.0
 SABINE_CONSTANT = 0.161
@@ -58,10 +59,9 @@ class RoomSpec:
 
 @dataclass(frozen=True, eq=False)
 class Rir:
-    """Simulated impulse response and the room it came from."""
+    """Simulated impulse response."""
 
     buf: AudioBuffer
-    provenance: RoomSpec
 
     def __post_init__(self):
         if not np.any(self.buf.samples != 0.0):
@@ -214,7 +214,7 @@ def image_method_rir(spec: RoomSpec) -> Rir:
             amp = gains.take(refl) / (4.0 * np.pi * dist)
             np.add.at(block, sample, amp)
         h += block[:n_out]
-    return Rir(AudioBuffer(h, fs), provenance=spec)
+    return Rir(AudioBuffer(h, fs))
 
 
 def schroeder_edc(rir) -> Edc:
@@ -258,15 +258,3 @@ def measure_t60(buf: AudioBuffer) -> float:
     """Schroeder T60 of an impulse response: every label revtime assigns."""
     return t60_from_edc(schroeder_edc(buf), buf.sample_rate)
 
-
-def save_rir(rir: Rir, path) -> float:
-    """Write a simulated response as a float32 WAV (full range kept) plus a
-    JSON sidecar with the same stem holding its room and the Schroeder T60
-    of the stored float32 samples, which is returned: the label build-corpus
-    gives the WAV."""
-    stored = AudioBuffer(rir.buf.samples.astype(np.float32), rir.buf.sample_rate)
-    measured = measure_t60(stored)
-    save_wav(stored, path, fmt="float32")
-    save_json({"room": asdict(rir.provenance), "measured_t60": measured},
-              Path(path).with_suffix(".json"))
-    return measured

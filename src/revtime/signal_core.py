@@ -279,13 +279,17 @@ def load_json(path):
 
 
 def read_lines(path) -> list:
-    """A text file's lines with their ends, as csv reads them; bytes that
-    do not decode raise RevtimeError naming the file."""
+    """A text file's lines with their ends, as csv reads them, without a
+    leading UTF-8 byte-order mark (spreadsheets' "CSV UTF-8" exports start
+    with one); bytes that do not decode raise RevtimeError naming the file."""
     with open(path, newline="") as fh:
         try:
-            return fh.readlines()
+            lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise RevtimeError(f"{path} cannot be read as text: {exc}") from exc
+    if lines:
+        lines[0] = lines[0].removeprefix("\ufeff")
+    return lines
 
 
 def _from_fields(cls, data, where: str):

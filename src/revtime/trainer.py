@@ -1,8 +1,10 @@
-"""Training-set construction over simulated rooms and the NSV -> T60 fit."""
+"""Simulated rooms for training and evaluation, the training set built
+over them and the NSV -> T60 fit. save_rooms is the one writer of simulated
+rooms: each float32 WAV and its JSON sidecar."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,9 @@ import numpy as np
 from .errors import EstimationError, RevtimeError
 from .estimator import EstimatorConfig, MappingModel, mel_weights, nsv_from_audio
 from .room_acoustics import (SABINE_CONSTANT, RoomSpec, image_method_rir, measure_t60,
-                             sabine_absorption, save_rir)
-from .signal_core import _check_finite, _write_rows, convolve, load_wav, save_json, wav_info
+                             sabine_absorption)
+from .signal_core import (AudioBuffer, _check_finite, _write_rows, convolve, load_wav,
+                          save_json, save_wav, wav_info)
 
 
 @dataclass(frozen=True)
@@ -90,14 +93,15 @@ def _check_pair_count(n: int, order: int) -> None:
 
 
 def simulate_rooms(rng: np.random.Generator, t60s, rooms_per_t60: int, sample_rate: int):
-    """Yield (t60, room_index, Rir) per room, targets outer, rooms inner.
-    Every RoomSpec is drawn from rng before the first room is simulated, so
-    a target the sampler rejects fails before any simulation work."""
+    """Yield (t60, room_index, RoomSpec, Rir) per room, targets outer, rooms
+    inner. Every RoomSpec is drawn from rng before the first room is
+    simulated, so a target the sampler rejects fails before any simulation
+    work."""
     sampler = RoomSampler()
     specs = [(t60, r, sampler.sample(rng, t60, sample_rate))
              for t60 in t60s for r in range(rooms_per_t60)]
     for t60, r, spec in specs:
-        yield t60, r, image_method_rir(spec)
+        yield t60, r, spec, image_method_rir(spec)
 
 
 # A limit on run time, not on acoustics: image_method_rir reaches any
@@ -122,15 +126,21 @@ def check_targets(t60s, name: str) -> None:
 
 
 def save_rooms(out, prefix: str, rng, t60s, rooms_per_t60: int, sample_rate: int, name: str):
-    """simulate_rooms, saving each room through save_rir as
-    <prefix>_t60_<t60:.3f>_room<r>.wav in out. Yields (path, t60, label).
-    Targets that fail check_targets fail before any room is drawn or any
-    file written."""
+    """simulate_rooms, writing each room to out as a float32 WAV (full range
+    kept) named <prefix>_t60_<t60:.3f>_room<r>.wav, plus a JSON sidecar with
+    the same stem holding its RoomSpec and its label: the Schroeder T60 of
+    the stored float32 samples, which build-corpus also gives the WAV.
+    Yields (path, t60, label). Targets that fail check_targets fail before
+    any room is drawn or any file written."""
     check_targets(t60s, name)
     Path(out).mkdir(parents=True, exist_ok=True)
-    for t60, r, rir in simulate_rooms(rng, t60s, rooms_per_t60, sample_rate):
+    for t60, r, spec, rir in simulate_rooms(rng, t60s, rooms_per_t60, sample_rate):
         path = Path(out) / f"{prefix}_t60_{t60:.3f}_room{r}.wav"
-        yield path, t60, save_rir(rir, path)
+        stored = AudioBuffer(rir.buf.samples.astype(np.float32), rir.buf.sample_rate)
+        label = measure_t60(stored)
+        save_wav(stored, path, fmt="float32")
+        save_json({"room": asdict(spec), "measured_t60": label}, path.with_suffix(".json"))
+        yield path, t60, label
 
 
 def default_t60_grid(t60_max: float) -> list:
@@ -172,8 +182,8 @@ def build_training_set(speech_dir, t60_grid, rooms_per_t60: int,
     utts = [load_wav(p) for p in paths]
     pairs = []
     skipped = 0
-    for t60, r, rir in simulate_rooms(np.random.default_rng(seed), t60_grid,
-                                      rooms_per_t60, fs):
+    for t60, r, _, rir in simulate_rooms(np.random.default_rng(seed), t60_grid,
+                                         rooms_per_t60, fs):
         t60_true = measure_t60(rir.buf)
         room_id = f"t60_{t60:.3f}_room{r}"
         for path, utt in zip(paths, utts):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,8 @@ from revtime import cli
 from revtime.cli import main
 from revtime.demo import HELDOUT_T60S
 from revtime.estimator import MappingModel, StftConfig
-from revtime.eval_harness import write_manifest
+from revtime.errors import RevtimeError
+from revtime.eval_harness import read_manifest, read_records, write_manifest
 from revtime.room_acoustics import measure_t60
 from revtime.signal_core import AudioBuffer, load_wav, save_wav
 from revtime.synth import synthetic_speech
@@ -683,6 +685,32 @@ def test_rtf_malformed_records_exits_one(tmp_path, capsys, text, expected):
     assert captured.err.startswith(f"error: {path}") and "Traceback" not in captured.err
     assert all(part in captured.err for part in expected), captured.err
     assert captured.out == ""
+
+
+def _simulate_rir_config(path):
+    """The flags a config file gives simulate-rir."""
+    args = cli._build_parser().parse_args(["simulate-rir", "--t60", "0.3", "--out", "r"])
+    return cli._config_tokens(path, args)
+
+
+@pytest.mark.parametrize("read, text, edit, message", [
+    (read_manifest, "speech,rir,noise,snr_db,noise_type\na.wav,b.wav,,clean,none\n",
+     ("speech,", ""), "manifest missing columns: ['speech']"),
+    (read_records, _RECORDS_HEADER + _GOOD_ROW,
+     ("item_id,", ""), "row 0 is missing key(s) item_id"),
+    (_simulate_rir_config, "quiet=true\nseed=3\n",
+     ("quiet", "quite"), "unknown config key: quite"),
+], ids=["manifest", "records", "config"])
+def test_utf8_bom_reads_as_the_file_without_it(tmp_path, read, text, edit, message):
+    """A leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
+    write, is not part of the first name; a name really wrong still is."""
+    plain, bom, broken = (tmp_path / name for name in ("plain", "bom", "broken"))
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text("\ufeff" + text, encoding="utf-8")
+    broken.write_text("\ufeff" + text.replace(*edit, 1), encoding="utf-8")
+    assert read(bom) == read(plain)
+    with pytest.raises(RevtimeError, match=re.escape(message)):
+        read(broken)
 
 
 def _without(key):

@@ -256,7 +256,7 @@ class TestSchroederEdc:
     def test_single_impulse(self):
         h = np.zeros(100)
         h[0] = 1.0
-        edc = schroeder_edc(Rir(AudioBuffer(h, SR), provenance=room()))
+        edc = schroeder_edc(Rir(AudioBuffer(h, SR)))
         assert edc.curve[0] == 0.0
         assert np.all(edc.curve[1:] <= -399.0)
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from conftest import SR, TRAINING_REPORT_KEYS, write_speech
 from revtime.errors import RevtimeError
 from revtime.estimator import EstimatorConfig, MappingModel, NsvStatistic, map_nsv_to_t60
-from revtime.signal_core import _from_fields
+from revtime.room_acoustics import measure_t60
+from revtime.signal_core import _from_fields, load_wav
 from revtime import trainer
 from revtime.trainer import (
     MAX_TARGET_T60,
@@ -19,6 +21,7 @@ from revtime.trainer import (
     default_t60_grid,
     fit_mapping,
     pairs_to_csv,
+    save_rooms,
     simulate_rooms,
     train_model,
 )
@@ -201,14 +204,16 @@ class TestSimulateRooms:
     GRID = (0.2, 0.5, 0.9)
 
     def test_specs_match_interleaved_loop(self, monkeypatch):
-        monkeypatch.setattr(trainer, "image_method_rir", lambda spec: spec)
+        received = []
+        monkeypatch.setattr(trainer, "image_method_rir", received.append)
         got = list(simulate_rooms(np.random.default_rng(11), self.GRID, 3, SR))
         rng = np.random.default_rng(11)
         expected = [(t60, r, RoomSampler().sample(rng, t60, SR))
                     for t60 in self.GRID for r in range(3)]
-        assert [(t60, r) for t60, r, _ in got] == [(t60, r) for t60, r, _ in expected]
-        for (*_, a), (*_, b) in zip(got, expected):
+        assert [(t60, r) for t60, r, _, _ in got] == [(t60, r) for t60, r, _ in expected]
+        for (_, _, a, _), (*_, b), sent in zip(got, expected, received, strict=True):
             assert dataclasses.astuple(a) == dataclasses.astuple(b)
+            assert a is sent
 
     def test_every_room_drawn_before_the_first_is_simulated(self, monkeypatch):
         drawn = []
@@ -228,6 +233,22 @@ class TestSimulateRooms:
         rooms = simulate_rooms(np.random.default_rng(11), self.GRID, 3, SR)
         assert len(list(rooms)) == 9
         assert draws_before_first_room[0] == 9
+
+
+def test_save_rooms_writes_each_room_and_its_sidecar(tmp_path):
+    t60s = (0.2, 0.3)
+    got = list(save_rooms(tmp_path, "x", np.random.default_rng(5), t60s, 2, 8000, "--t60"))
+    rooms = simulate_rooms(np.random.default_rng(5), t60s, 2, 8000)
+    for (path, t60, label), (t60_drawn, r, spec, _) in zip(got, rooms, strict=True):
+        assert t60 == t60_drawn and path == tmp_path / f"x_t60_{t60:.3f}_room{r}.wav"
+        # fmt chunk: format tag 3 (IEEE float), 32 bits per sample.
+        tag, *_, bits = struct.unpack_from("<HHIIHH", path.read_bytes(), 20)
+        assert (tag, bits) == (3, 32)
+        sidecar = json.loads(path.with_suffix(".json").read_text())
+        assert list(sidecar) == ["room", "measured_t60"]
+        assert sidecar["room"] == json.loads(json.dumps(dataclasses.asdict(spec)))
+        assert sidecar["measured_t60"] == label == measure_t60(load_wav(path))
+    assert len(list(tmp_path.iterdir())) == 2 * len(got)
 
 
 class TestTrainModel:
