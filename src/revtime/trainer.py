@@ -92,18 +92,6 @@ def _check_pair_count(n: int, order: int) -> None:
             f"need at least {10 * (order + 1)} pairs to fit order {order}, got {n}")
 
 
-def simulate_rooms(rng: np.random.Generator, t60s, rooms_per_t60: int, sample_rate: int):
-    """Yield (t60, room_index, RoomSpec, Rir) per room, targets outer, rooms
-    inner. Every RoomSpec is drawn from rng before the first room is
-    simulated, so a target the sampler rejects fails before any simulation
-    work."""
-    sampler = RoomSampler()
-    specs = [(t60, r, sampler.sample(rng, t60, sample_rate))
-             for t60 in t60s for r in range(rooms_per_t60)]
-    for t60, r, spec in specs:
-        yield t60, r, spec, image_method_rir(spec)
-
-
 # A limit on run time, not on acoustics: image_method_rir reaches any
 # target, but one room takes about T60 cubed to simulate (0.4 s at 3 s,
 # 14 s at 10 s, 126 s at 20 s for a 16 kHz room on a 2-vCPU VM), so a
@@ -112,10 +100,12 @@ MAX_TARGET_T60 = 10.0
 
 
 def check_targets(t60s, name: str) -> None:
-    """Two rules for a list of target T60s, each raising RevtimeError that
-    calls the targets name. No target is above MAX_TARGET_T60. No two
-    targets share a room name, which keeps three decimals: they would share
-    files or a pair label."""
+    """Three rules for a list of target T60s, each raising RevtimeError that
+    calls the targets name. The list is not empty. No target is above
+    MAX_TARGET_T60. No two targets share a room name, which keeps three
+    decimals: they would share files or a pair label."""
+    if len(t60s) == 0:
+        raise RevtimeError(f"{name} must not be empty")
     if max(t60s) > MAX_TARGET_T60:
         raise RevtimeError(f"{name} {max(t60s):g} is above {MAX_TARGET_T60:g} s, the longest "
                            "target simulated (simulation time grows as T60 cubed)")
@@ -125,16 +115,29 @@ def check_targets(t60s, name: str) -> None:
                                f"as another {name}")
 
 
+def simulate_rooms(rng: np.random.Generator, t60s, rooms_per_t60: int, sample_rate: int,
+                   name: str = "t60_grid"):
+    """Run check_targets(t60s, name) and draw every RoomSpec from rng, then
+    return a generator of (t60, room_index, RoomSpec, Rir) per room, targets
+    outer, rooms inner, that simulates each room as it is reached. Targets
+    the rules or the sampler reject fail here, before any simulation work."""
+    check_targets(t60s, name)
+    sampler = RoomSampler()
+    specs = [(t60, r, sampler.sample(rng, t60, sample_rate))
+             for t60 in t60s for r in range(rooms_per_t60)]
+    return ((t60, r, spec, image_method_rir(spec)) for t60, r, spec in specs)
+
+
 def save_rooms(out, prefix: str, rng, t60s, rooms_per_t60: int, sample_rate: int, name: str):
     """simulate_rooms, writing each room to out as a float32 WAV (full range
     kept) named <prefix>_t60_<t60:.3f>_room<r>.wav, plus a JSON sidecar with
     the same stem holding its RoomSpec and its label: the Schroeder T60 of
     the stored float32 samples, which build-corpus also gives the WAV.
-    Yields (path, t60, label). Targets that fail check_targets fail before
-    any room is drawn or any file written."""
-    check_targets(t60s, name)
+    Yields (path, t60, label). Targets that simulate_rooms rejects, under
+    name, fail before out is made."""
+    rooms = simulate_rooms(rng, t60s, rooms_per_t60, sample_rate, name)
     Path(out).mkdir(parents=True, exist_ok=True)
-    for t60, r, spec, rir in simulate_rooms(rng, t60s, rooms_per_t60, sample_rate):
+    for t60, r, spec, rir in rooms:
         path = Path(out) / f"{prefix}_t60_{t60:.3f}_room{r}.wav"
         stored = AudioBuffer(rir.buf.samples.astype(np.float32), rir.buf.sample_rate)
         label = measure_t60(stored)
@@ -172,18 +175,17 @@ def build_training_set(speech_dir, t60_grid, rooms_per_t60: int,
 
     Labels come from Schroeder measurement of each generated impulse
     response, not from the grid target. Returns (pairs, n_skipped) where
-    skipped items raised "insufficient decay evidence".
+    skipped items raised "insufficient decay evidence". A grid that
+    simulate_rooms rejects fails before any utterance is loaded.
     """
-    if not t60_grid:
-        raise RevtimeError("t60_grid must not be empty")
     paths, fs = speech_files(speech_dir)
     mel_weights(cfg, fs)  # too many bands for the FFT fails here, not per room
+    rooms = simulate_rooms(np.random.default_rng(seed), t60_grid, rooms_per_t60, fs)
 
     utts = [load_wav(p) for p in paths]
     pairs = []
     skipped = 0
-    for t60, r, _, rir in simulate_rooms(np.random.default_rng(seed), t60_grid,
-                                         rooms_per_t60, fs):
+    for t60, r, _, rir in rooms:
         t60_true = measure_t60(rir.buf)
         room_id = f"t60_{t60:.3f}_room{r}"
         for path, utt in zip(paths, utts):
@@ -254,10 +256,5 @@ def train_model(speech_dir, cfg: EstimatorConfig, t60_grid, rooms_per_t60: int,
     model.save(path)
     save_json(report, Path(path).with_suffix(".report.json"))
     if pairs_csv:
-        pairs_to_csv(pairs, pairs_csv)
+        _write_rows(TrainingPair, pairs, pairs_csv)
     return model, report
-
-
-def pairs_to_csv(pairs, path) -> None:
-    """Write TrainingPairs as CSV, one column per field."""
-    _write_rows(TrainingPair, pairs, path)

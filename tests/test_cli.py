@@ -415,6 +415,7 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
     (["demo", "--t60-list", "0.3001,0.3004"],
      "error: --t60-list 0.3001 gives the same room name (0.300) as another --t60-list"),
     (["simulate-rir", "--t60", "100"], "error: --t60 100 is above 10 s"),
+    (["simulate-rir", "--t60", "0.01"], "error: room cannot achieve target T60"),
     (["train", "--grid", "0.5,100"], "error: --grid 100 is above 10 s"),
     (["train", "--t60-max", "11"], "error: --t60-max 11 is above 10 s"),
     (["demo", "--t60-list", "0.5,100"], "error: --t60-list 100 is above 10 s"),
@@ -428,16 +429,17 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
         "snr_margin_nan", "frame_ms_zero", "hop_ms_negative", "hop_longer_than_frame",
         "rooms_minus_zero", "demo_order_negative", "too_few_pairs", "too_many_bands",
         "frame_too_short", "demo_too_few_pairs", "demo_one_pair", "demo_t60_repeated",
-        "demo_t60_same_stem", "rir_t60_above_limit", "grid_above_limit",
-        "t60_max_above_limit", "demo_t60_above_limit", "demo_train_t60_max_above_limit",
-        "grid_repeated", "grid_same_stem"])
+        "demo_t60_same_stem", "rir_t60_above_limit", "rir_t60_unreachable",
+        "grid_above_limit", "t60_max_above_limit", "demo_t60_above_limit",
+        "demo_train_t60_max_above_limit", "grid_repeated", "grid_same_stem"])
 def test_bad_value_fails_before_any_room(tmp_path, speech_dir, no_rooms, capsys,
                                          command, expected):
     """A bad number on the command line, a hop longer than the frame, too few
     possible training pairs, more Mel bands than FFT bins, a target T60
-    above MAX_TARGET_T60 or two targets that share a room name
-    exits 1 with one message and no traceback before any room is simulated
-    (demo and simulate-rir: before the output directory is made)."""
+    above MAX_TARGET_T60 or one the room sampler cannot reach, or two
+    targets that share a room name exits 1 with one message and no
+    traceback before any room is simulated (demo and simulate-rir: before
+    the output directory is made)."""
     out = tmp_path / "out"
     required = {"simulate-rir": ["--out", str(out)],
                 "train": ["--speech-dir", str(speech_dir), "--out", str(out / "m.json")],

@@ -10,7 +10,7 @@ from conftest import SR, TRAINING_REPORT_KEYS, write_speech
 from revtime.errors import RevtimeError
 from revtime.estimator import EstimatorConfig, MappingModel, NsvStatistic, map_nsv_to_t60
 from revtime.room_acoustics import measure_t60
-from revtime.signal_core import _from_fields, load_wav
+from revtime.signal_core import _from_fields, _write_rows, load_wav
 from revtime import trainer
 from revtime.trainer import (
     MAX_TARGET_T60,
@@ -20,7 +20,6 @@ from revtime.trainer import (
     check_targets,
     default_t60_grid,
     fit_mapping,
-    pairs_to_csv,
     save_rooms,
     simulate_rooms,
     train_model,
@@ -154,13 +153,13 @@ class TestPairsCsv:
              TrainingPair(2e-3, 0.95, "room, with a comma", 'utt "quoted"')]
 
     def test_roundtrip(self, tmp_path):
-        pairs_to_csv(self.PAIRS, tmp_path / "pairs.csv")
+        _write_rows(TrainingPair, self.PAIRS, tmp_path / "pairs.csv")
         with open(tmp_path / "pairs.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [_from_fields(TrainingPair, row, "pairs") for row in rows] == self.PAIRS
 
     def test_header_and_line_ends(self, tmp_path):
-        pairs_to_csv(self.PAIRS[:1], tmp_path / "pairs.csv")
+        _write_rows(TrainingPair, self.PAIRS[:1], tmp_path / "pairs.csv")
         assert (tmp_path / "pairs.csv").read_bytes() == (
             b"nsv,t60_true,room_id,utt_id\r\n"
             b"5483.167421530637,0.3333333333333333,t60_0.300_room0,u0\r\n")
@@ -189,6 +188,15 @@ class TestBuildTrainingSet:
     def test_empty_dir(self, tmp_path):
         with pytest.raises(RevtimeError, match="no WAV"):
             build_training_set(tmp_path, [0.5], 1, CFG, seed=0)
+
+    @pytest.mark.parametrize("grid, message", [
+        ([], "t60_grid must not be empty"),
+        ([20.0], "t60_grid 20 is above 10 s"),
+        ([0.5, 0.5], "t60_grid 0.5 gives the same room name"),
+    ], ids=["empty", "above_limit", "repeated"])
+    def test_bad_grid_fails_before_any_room(self, speech_dir, no_rooms, grid, message):
+        with pytest.raises(RevtimeError, match=f"^{message}"):
+            build_training_set(speech_dir, grid, 1, CFG, seed=0)
 
     def test_full_determinism_through_fit(self, speech_dir):
         grids = default_t60_grid(0.5)
@@ -249,6 +257,17 @@ def test_save_rooms_writes_each_room_and_its_sidecar(tmp_path):
         assert sidecar["room"] == json.loads(json.dumps(dataclasses.asdict(spec)))
         assert sidecar["measured_t60"] == label == measure_t60(load_wav(path))
     assert len(list(tmp_path.iterdir())) == 2 * len(got)
+
+
+@pytest.mark.parametrize("t60s, message", [
+    ([], "--t60 must not be empty"),
+    ([0.01], "room cannot achieve target T60"),
+], ids=["empty", "unreachable"])
+def test_save_rooms_rejects_targets_before_making_out(tmp_path, no_rooms, t60s, message):
+    out = tmp_path / "out"
+    with pytest.raises(RevtimeError, match=f"^{message}"):
+        list(save_rooms(out, "x", np.random.default_rng(0), t60s, 1, SR, "--t60"))
+    assert not out.exists()
 
 
 class TestTrainModel:
