@@ -29,7 +29,7 @@ from .eval_harness import (
     read_records,
     rtf_table,
 )
-# Unused: cli simulates through trainer.save_rooms. perfbench's holder
+# Unused: cli simulates through trainer.simulate_rooms. perfbench's holder
 # check still expects cli to hold the simulator (ROADMAP item 12).
 from .room_acoustics import image_method_rir  # noqa: F401
 from .signal_core import _from_fields, _is_finite, load_wav, read_lines
@@ -37,6 +37,7 @@ from .trainer import (
     check_targets,
     default_t60_grid,
     save_rooms,
+    simulate_rooms,
     speech_files,
     train_model,
 )
@@ -229,8 +230,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_simulate_rir(args) -> int:
     rng = np.random.default_rng(0 if args.seed is None else args.seed)
-    for path, t60, measured in save_rooms(args.out, "rir", rng, args.t60, args.rooms_per_t60,
-                                          args.sample_rate, "--t60"):
+    rooms = simulate_rooms(rng, args.t60, args.rooms_per_t60, args.sample_rate, "--t60")
+    for path, t60, measured in save_rooms(args.out, "rir", rooms):
         _say(args, f"{path.name}: target {t60:.3f} s, measured {measured:.3f} s")
     return 0
 

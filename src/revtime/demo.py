@@ -20,66 +20,64 @@ from .eval_harness import (
 )
 from .signal_core import save_wav
 from .synth import babble_noise, shaped_noise, synthetic_speech
-from .trainer import _check_pair_count, check_targets, default_t60_grid, save_rooms, train_model
+from .trainer import (RoomSampler, _check_pair_count, default_t60_grid, save_rooms,
+                      simulate_rooms, train_model, training_rooms)
 
 SR = 16000
 HELDOUT_T60S = (0.3, 0.45, 0.6, 0.75, 0.9)
 
 
 def _make_assets(root: Path, seed: int, talkers: int, utterances: int,
-                 t60_list, snr_list, train_utterances: int) -> dict:
-    """Write synthetic speech, noises, impulse responses and manifests."""
+                 t60_list, snr_list, train_utterances: int, say) -> dict:
+    """Draw every speech and noise seed, then every room, from the seed's
+    generator; then say the first stage and write synthetic speech, noises,
+    impulse responses and manifests under root. A --t60-list that
+    simulate_rooms rejects fails before anything is written."""
     rng = np.random.default_rng(seed)
 
     def subseed() -> int:
         return int(rng.integers(2 ** 31))
 
-    train_dir = root / "train_speech"
-    speech_dir = root / "speech"
-    noise_dir = root / "noise"
-    for d in (train_dir, speech_dir, noise_dir):
-        d.mkdir(parents=True, exist_ok=True)
+    # (file name, seconds, seed) of every utterance, in draw order.
+    train = [(f"train_u{u}.wav", 2.0 + 0.5 * u, subseed()) for u in range(train_utterances)]
+    evals = [(f"eval_t{t}_u{u}.wav", 2.0 + 0.5 * ((t * utterances + u) % 4), subseed())
+             for t in range(talkers) for u in range(utterances)]
+    heldout = [(f"heldout_u{u}.wav", 2.4 + 0.7 * u, subseed()) for u in range(2)]
+    babble_seed, white_seed, mix_seed = subseed(), subseed(), subseed()
+    eval_rooms = simulate_rooms(rng, t60_list, 1, SR, "--t60-list")
+    heldout_rooms = simulate_rooms(rng, HELDOUT_T60S, 1, SR, "held-out T60")
+    # Noise covers the longest eval utterance convolved with the longest eval room.
+    noise_s = max(9.0, max(s for _, s, _ in evals) + RoomSampler().rir_length(max(t60_list)))
 
-    for u in range(train_utterances):
-        save_wav(synthetic_speech(2.0 + 0.5 * u, SR, subseed()),
-                 train_dir / f"train_u{u}.wav")
+    say("[1/5] synthesizing speech, noise and impulse responses")
+    for directory, utts in (("train_speech", train), ("speech", evals + heldout)):
+        (root / directory).mkdir(parents=True, exist_ok=True)
+        for name, seconds, s in utts:
+            save_wav(synthetic_speech(seconds, SR, s), root / directory / name)
 
-    eval_speech = []
-    for t in range(talkers):
-        for u in range(utterances):
-            dur = 2.0 + 0.5 * ((t * utterances + u) % 4)
-            name = f"eval_t{t}_u{u}.wav"
-            save_wav(synthetic_speech(dur, SR, subseed()), speech_dir / name)
-            eval_speech.append(f"speech/{name}")
-
-    heldout_speech = []
-    for u in range(2):
-        name = f"heldout_u{u}.wav"
-        save_wav(synthetic_speech(2.4 + 0.7 * u, SR, subseed()), speech_dir / name)
-        heldout_speech.append(f"speech/{name}")
-
-    babble_source = synthetic_speech(9.0, SR, subseed())
-    save_wav(shaped_noise(9.0, SR, subseed()), noise_dir / "white.wav")
-    save_wav(babble_noise(babble_source, subseed()), noise_dir / "babble.wav")
+    (root / "noise").mkdir(exist_ok=True)
+    babble_source = synthetic_speech(noise_s, SR, babble_seed)
+    save_wav(shaped_noise(noise_s, SR, white_seed), root / "noise" / "white.wav")
+    save_wav(babble_noise(babble_source, mix_seed), root / "noise" / "babble.wav")
     noises = {"synthetic_white": "noise/white.wav",
               "synthetic_babble": "noise/babble.wav"}
 
     eval_rirs = [f"rirs/{path.name}" for path, _, _ in
-                 save_rooms(root / "rirs", "eval", rng, t60_list, 1, SR, "--t60-list")]
+                 save_rooms(root / "rirs", "eval", eval_rooms)]
     heldout_rirs = [f"rirs/{path.name}" for path, _, _ in
-                    save_rooms(root / "rirs", "heldout", rng, HELDOUT_T60S, 1, SR, "held-out T60")]
+                    save_rooms(root / "rirs", "heldout", heldout_rooms)]
 
     manifest = root / "corpus_manifest.csv"
-    write_manifest([(speech, rir, noise, snr, noise_type)
-                    for speech in eval_speech for rir in eval_rirs
+    write_manifest([(f"speech/{speech}", rir, noise, snr, noise_type)
+                    for speech, _, _ in evals for rir in eval_rirs
                     for noise_type, noise in noises.items() for snr in snr_list],
                    manifest)
     heldout_manifest = root / "heldout_manifest.csv"
-    write_manifest([(speech, rir, "", math.inf, "none")
-                    for speech in heldout_speech for rir in heldout_rirs],
+    write_manifest([(f"speech/{speech}", rir, "", math.inf, "none")
+                    for speech, _, _ in heldout for rir in heldout_rirs],
                    heldout_manifest)
 
-    return {"train_speech": train_dir, "manifest": manifest,
+    return {"train_speech": root / "train_speech", "manifest": manifest,
             "heldout_manifest": heldout_manifest}
 
 
@@ -90,20 +88,18 @@ def run_demo(out, *, seed: int, talkers: int, utterances: int, t60_list,
     heldout_corpus/ and results/ (records.csv, heldout_records.csv,
     report.csv, boxplot.dat). The same arguments give byte-identical files
     apart from the cpu_time column of the records. say receives the
-    progress lines. A training grid or --t60-list that fails check_targets,
-    or too few possible training pairs, fails before anything is
-    synthesized or simulated.
+    progress lines. Too few possible training pairs, or a training grid or
+    --t60-list that simulate_rooms rejects, fails before anything is
+    written or simulated.
     """
     out = Path(out)
     results = out / "results"
     grid = default_t60_grid(train_t60_max)
-    check_targets(grid, "--train-t60-max")
     _check_pair_count(len(grid) * train_rooms * train_utterances, order)
-    check_targets(t60_list, "--t60-list")
-
-    say("[1/5] synthesizing speech, noise and impulse responses")
+    # Draws, without simulating, the rooms train_model will simulate.
+    training_rooms(grid, train_rooms, seed, SR, "--train-t60-max")
     assets = _make_assets(out / "assets", seed, talkers, utterances, t60_list,
-                          snr_list, train_utterances)
+                          snr_list, train_utterances, say)
 
     say("[2/5] training both variants")
     models = []

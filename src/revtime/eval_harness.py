@@ -369,6 +369,14 @@ def _paired_worker(args):
             for model in models[k:] + models[:k]]
 
 
+def _variant_tags(models) -> list:
+    """The models' variant tags, which paired evaluation needs distinct."""
+    tags = [m.variant_tag for m in models]
+    if len(set(tags)) != len(tags):
+        raise RevtimeError("paired evaluation needs distinct variant tags")
+    return tags
+
+
 def run_eval_paired(items, models, jobs: int = 1):
     """Evaluate one or more models over the same items, back to back per
     item. Only the estimate calls themselves are timed.
@@ -381,10 +389,7 @@ def run_eval_paired(items, models, jobs: int = 1):
     per-item CPU times feed the real-time-factor measurement.
     """
     models = list(models)
-    tags = [m.variant_tag for m in models]
-    if len(set(tags)) != len(tags):
-        raise RevtimeError("paired evaluation needs distinct variant tags")
-    results = {tag: ([], []) for tag in tags}
+    results = {tag: ([], []) for tag in _variant_tags(models)}
     args = [(idx, item, models) for idx, item in enumerate(items)]
     if jobs <= 1:
         batches = map(_paired_worker, args)
@@ -401,9 +406,12 @@ def run_eval_paired(items, models, jobs: int = 1):
 def evaluate_to_dir(items, models, out_dir, jobs: int = 1) -> dict:
     """run_eval_paired, then write records.csv and the box-plot report
     (report.csv, boxplot.dat; errors grouped by noise type and SNR) into
-    out_dir. A variant that estimated no item is left out of the report.
-    Returns run_eval_paired's {variant_tag: (records, failures)}.
+    out_dir, which is made once the variant tags are known to be distinct.
+    A variant that estimated no item is left out of the report. Returns
+    run_eval_paired's {variant_tag: (records, failures)}.
     """
+    models = list(models)
+    _variant_tags(models)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = run_eval_paired(items, models, jobs=jobs)

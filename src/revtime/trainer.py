@@ -74,15 +74,18 @@ class RoomSampler:
             mic = rng.uniform(margin, dims - margin)
             if np.linalg.norm(source - mic) >= min_sep:
                 break
-        rir_length = max(self.rir_length_min, self.rir_length_factor * target_t60)
         return RoomSpec(
             dims=tuple(dims),
             source=tuple(source),
             mic=tuple(mic),
             target_t60=float(target_t60),
             sample_rate=sample_rate,
-            rir_length=float(rir_length),
+            rir_length=float(self.rir_length(target_t60)),
         )
+
+    def rir_length(self, target_t60: float) -> float:
+        """Seconds of impulse response simulated for a room of this target."""
+        return max(self.rir_length_min, self.rir_length_factor * target_t60)
 
 
 def _check_pair_count(n: int, order: int) -> None:
@@ -128,14 +131,21 @@ def simulate_rooms(rng: np.random.Generator, t60s, rooms_per_t60: int, sample_ra
     return ((t60, r, spec, image_method_rir(spec)) for t60, r, spec in specs)
 
 
-def save_rooms(out, prefix: str, rng, t60s, rooms_per_t60: int, sample_rate: int, name: str):
-    """simulate_rooms, writing each room to out as a float32 WAV (full range
-    kept) named <prefix>_t60_<t60:.3f>_room<r>.wav, plus a JSON sidecar with
-    the same stem holding its RoomSpec and its label: the Schroeder T60 of
-    the stored float32 samples, which build-corpus also gives the WAV.
-    Yields (path, t60, label). Targets that simulate_rooms rejects, under
-    name, fail before out is made."""
-    rooms = simulate_rooms(rng, t60s, rooms_per_t60, sample_rate, name)
+def training_rooms(t60_grid, rooms_per_t60: int, seed: int, sample_rate: int,
+                   name: str = "t60_grid"):
+    """simulate_rooms(default_rng(seed), ...): the training rooms of a seed,
+    drawn when called and simulated as they are reached."""
+    return simulate_rooms(np.random.default_rng(seed), t60_grid, rooms_per_t60, sample_rate,
+                          name)
+
+
+def save_rooms(out, prefix: str, rooms):
+    """Write each room of a simulate_rooms generator to out as a float32 WAV
+    (full range kept) named <prefix>_t60_<t60:.3f>_room<r>.wav, plus a JSON
+    sidecar with the same stem holding its RoomSpec and its label: the
+    Schroeder T60 of the stored float32 samples, which build-corpus also
+    gives the WAV. Yields (path, t60, label); out is made when the first
+    room is asked for."""
     Path(out).mkdir(parents=True, exist_ok=True)
     for t60, r, spec, rir in rooms:
         path = Path(out) / f"{prefix}_t60_{t60:.3f}_room{r}.wav"
@@ -180,7 +190,7 @@ def build_training_set(speech_dir, t60_grid, rooms_per_t60: int,
     """
     paths, fs = speech_files(speech_dir)
     mel_weights(cfg, fs)  # too many bands for the FFT fails here, not per room
-    rooms = simulate_rooms(np.random.default_rng(seed), t60_grid, rooms_per_t60, fs)
+    rooms = training_rooms(t60_grid, rooms_per_t60, seed, fs)
 
     utts = [load_wav(p) for p in paths]
     pairs = []

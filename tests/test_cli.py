@@ -229,6 +229,16 @@ def test_rir_sidecars_hold_the_build_corpus_label(tmp_path, demo_run, capsys):
         assert labels.get(str(wav), {measured}) == {measured}, wav.name
 
 
+def test_demo_noise_covers_its_longest_target(tmp_path):
+    """A --t60-list target whose room outlasts the 9 s noise once convolved
+    with the longest eval utterance (3.5 s + 1.3 x 4.3 s) still builds."""
+    out = tmp_path / "d"
+    assert main(["demo", "--out", str(out), "--talkers", "1", "--utterances", "4",
+                 "--t60-list", "0.5,4.3", "--snr-list", "12", "--train-t60-max", "0.5",
+                 "--train-rooms", "2", "--order", "0", "--quiet"]) == 0
+    assert len(load_wav(out / "assets" / "noise" / "white.wav")) > 9 * SR
+
+
 def test_demo_names_its_rirs_and_reports_as_simulate_rir_and_train_do(demo_run):
     """demo's RIRs are <prefix>_t60_<t60:.3f>_room<r> WAV and sidecar pairs,
     and each model has its <variant>.report.json beside it."""
@@ -420,6 +430,9 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
     (["train", "--t60-max", "11"], "error: --t60-max 11 is above 10 s"),
     (["demo", "--t60-list", "0.5,100"], "error: --t60-list 100 is above 10 s"),
     (["demo", "--train-t60-max", "11"], "error: --train-t60-max 11 is above 10 s"),
+    (["demo", "--t60-list", "0.01,0.5"], "error: room cannot achieve target T60"),
+    (["demo", "--train-t60-max", "0.03", "--train-rooms", "10", "--order", "0"],
+     "error: room cannot achieve target T60"),
     (["train", "--grid", "0.5,0.5"],
      "error: --grid 0.5 gives the same room name (0.500) as another --grid"),
     (["train", "--grid", "0.3001,0.3004"],
@@ -431,7 +444,8 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
         "frame_too_short", "demo_too_few_pairs", "demo_one_pair", "demo_t60_repeated",
         "demo_t60_same_stem", "rir_t60_above_limit", "rir_t60_unreachable",
         "grid_above_limit", "t60_max_above_limit", "demo_t60_above_limit",
-        "demo_train_t60_max_above_limit", "grid_repeated", "grid_same_stem"])
+        "demo_train_t60_max_above_limit", "demo_t60_unreachable",
+        "demo_train_t60_unreachable", "grid_repeated", "grid_same_stem"])
 def test_bad_value_fails_before_any_room(tmp_path, speech_dir, no_rooms, capsys,
                                          command, expected):
     """A bad number on the command line, a hop longer than the frame, too few

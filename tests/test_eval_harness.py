@@ -487,10 +487,13 @@ class TestPairedEval:
             assert timeless(par[tag][0]) == timeless(records)
             assert par[tag][1] == failures
 
-    def test_duplicate_variants_rejected(self, corpus):
+    def test_duplicate_variants_rejected(self, corpus, tmp_path):
         _, _, items = corpus
         with pytest.raises(RevtimeError, match="distinct variant tags"):
             run_eval_paired(items, [make_model(), make_model()])
+        with pytest.raises(RevtimeError, match="distinct variant tags"):
+            evaluate_to_dir(items, [make_model(), make_model()], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvaluateToDir:

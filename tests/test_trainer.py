@@ -245,7 +245,7 @@ class TestSimulateRooms:
 
 def test_save_rooms_writes_each_room_and_its_sidecar(tmp_path):
     t60s = (0.2, 0.3)
-    got = list(save_rooms(tmp_path, "x", np.random.default_rng(5), t60s, 2, 8000, "--t60"))
+    got = list(save_rooms(tmp_path, "x", simulate_rooms(np.random.default_rng(5), t60s, 2, 8000)))
     rooms = simulate_rooms(np.random.default_rng(5), t60s, 2, 8000)
     for (path, t60, label), (t60_drawn, r, spec, _) in zip(got, rooms, strict=True):
         assert t60 == t60_drawn and path == tmp_path / f"x_t60_{t60:.3f}_room{r}.wav"
@@ -266,7 +266,7 @@ def test_save_rooms_writes_each_room_and_its_sidecar(tmp_path):
 def test_save_rooms_rejects_targets_before_making_out(tmp_path, no_rooms, t60s, message):
     out = tmp_path / "out"
     with pytest.raises(RevtimeError, match=f"^{message}"):
-        list(save_rooms(out, "x", np.random.default_rng(0), t60s, 1, SR, "--t60"))
+        list(save_rooms(out, "x", simulate_rooms(np.random.default_rng(0), t60s, 1, SR, "--t60")))
     assert not out.exists()
 
 
