@@ -13,7 +13,6 @@ variance is mapped to a T60 through a trained polynomial in log10(NSV).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 
@@ -242,28 +241,6 @@ def _slope_row(window_frames: int, dt: float) -> np.ndarray:
     return row
 
 
-_work = threading.local()
-
-
-def _work_array(name: str, shape: tuple, dtype) -> np.ndarray:
-    """This thread's reusable work array of the given shape.
-
-    Each name holds one flat buffer per thread, grown when a call needs more
-    and kept for later calls, so repeated estimates do not allocate (and
-    page-fault) megabytes of temporaries each time. Most callers ask for
-    block-sized arrays, which stop growing at a fixed size; the mel_band
-    power matrix and nsv's gathered slopes still grow with the longest
-    input a thread has seen. The view starts at the buffer's first element,
-    with the alignment of a fresh array.
-    """
-    size = math.prod(shape)
-    flat = getattr(_work, name, None)
-    if flat is None or flat.size < size:
-        flat = np.empty(size, dtype)
-        setattr(_work, name, flat)
-    return flat[:size].reshape(shape)
-
-
 # Elements per block of decay_gradients' shifted sum (about 512 KB of
 # float64): the block and its running sum stay in cache.
 _SLOPE_BLOCK = 1 << 16
@@ -282,7 +259,7 @@ def decay_gradients(spec: BandSpectrogram, window_frames: int) -> GradientMatrix
     matrix, computed once. The products are summed as shifted copies of the
     flattened band-major spectrogram, ``acc = v[0:m] * row[0]`` and then
     ``acc += v[k:k+m] * row[k]`` for k = 1 .. window_frames - 1, in blocks
-    of whole bands held in two per-thread work arrays (about 1 MB in all).
+    of whole bands held in two buffers of the call (about 1 MB in all).
     That is the sequential sum of numpy's matmul loop for strided operands,
     so the slopes equal ``sliding_window_view(values, w, axis=1) @ row`` bit
     for bit (up to the sign of an exactly zero slope) without its generic
@@ -306,8 +283,7 @@ def decay_gradients(spec: BandSpectrogram, window_frames: int) -> GradientMatrix
         flat = np.ascontiguousarray(spec.values).ravel()
         bands = max(1, _SLOPE_BLOCK // n_frames)
         block_size = min(bands, n_bands) * n_frames
-        acc_buf = _work_array("slope_acc", (block_size,), np.float64)
-        term_buf = _work_array("slope_term", (block_size,), np.float64)
+        acc_buf, term_buf = np.empty(block_size), np.empty(block_size)
         for b0 in range(0, n_bands, bands):
             b1 = min(b0 + bands, n_bands)
             block = flat[b0 * n_frames:b1 * n_frames]
@@ -357,15 +333,12 @@ def nsv(slopes: np.ndarray) -> NsvStatistic:
     all of which count as selected."""
     slopes = np.asarray(slopes, dtype=np.float64)
     mask = slopes < 0.0
-    # The slopes are gathered into a work array: a fresh one per call would
-    # be the largest temporary of a full_band estimate.
-    negatives = _work_array("negatives", (int(np.count_nonzero(mask)),), np.float64)
-    np.compress(mask.ravel(), slopes.ravel(), out=negatives)
+    negatives = np.compress(mask.ravel(), slopes.ravel())
     if negatives.size < 2:
         raise EstimationError(
             "insufficient decay evidence: fewer than 2 selected negative gradients"
         )
-    # np.var's arithmetic, done in place on the work array.
+    # np.var's arithmetic, done in place on the gathered copy.
     n = negatives.size
     negatives -= np.add.reduce(negatives) / n
     negatives *= negatives
@@ -462,17 +435,17 @@ def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:
     averaging in ``tests/stft_reference.py`` to within rounding while
     avoiding the full-resolution log.
 
-    The STFT walks the signal in blocks of _STFT_BLOCK frames, through
-    fixed-size per-thread work arrays for a block's scaled samples, windowed
+    The STFT walks the signal in blocks of _STFT_BLOCK frames, reusing one
+    set of block-sized buffers for a block's scaled samples, windowed
     frames, spectrum and (full_band) magnitudes, about 1.6 MB at 16 kHz.
     Every step is elementwise or per frame, so the values do not depend on
     the block size. full_band writes each block's dB values straight into
     the band-major output. mel_band writes each block's squared magnitudes
-    into the rows of one per-thread power matrix (about 8 bytes per input
-    sample, kept at the size of the longest input seen) and bands it with a
-    single matrix product, because BLAS over shorter row blocks sums in
-    another order. The peak and the clamp are taken over the whole input;
-    the returned values are a fresh array.
+    into the rows of one power matrix (about 8 bytes per input sample) and
+    bands it with a single matrix product, because BLAS over shorter row
+    blocks sums in another order. The peak and the clamp are taken over the
+    whole input. Every buffer belongs to the call and is released when it
+    returns; the returned values are a fresh array.
     """
     if buf.duration < cfg.min_duration_s:
         raise EstimationError(
@@ -492,18 +465,18 @@ def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:
     block = min(_STFT_BLOCK, n_frames)
     # One view of a block's frames; a shorter last block uses its first rows,
     # which read only the samples scaled for that block.
-    scaled = _work_array("scaled", ((block - 1) * stft.hop + stft.frame_len,), np.float64)
+    scaled = np.empty((block - 1) * stft.hop + stft.frame_len)
     frames = sliding_window_view(scaled, stft.frame_len)[::stft.hop]
     # Frame-major keeps abs and the Mel banding on contiguous arrays.
-    windowed = _work_array("windowed", frames.shape, np.float64)
-    spectrum = _work_array("spectrum", (block, n_bins), np.complex128)
+    windowed = np.empty(frames.shape)
+    spectrum = np.empty((block, n_bins), np.complex128)
     window = _window(stft)
     weights = mel_weights(cfg, buf.sample_rate)
     if weights is None:
-        mag = _work_array("mag", (block, n_bins), np.float64)
+        mag = np.empty((block, n_bins))
         values = np.empty((n_bins, n_frames))
     else:
-        power = _work_array("power", (n_frames, n_bins), np.float64)
+        power = np.empty((n_frames, n_bins))
     for f0 in range(0, n_frames, block):
         nf = min(block, n_frames - f0)
         span = (nf - 1) * stft.hop + stft.frame_len

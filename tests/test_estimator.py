@@ -206,8 +206,8 @@ class TestNsv:
 
     def test_equals_np_var_across_sizes(self):
         """Exactly np.var of the selected negatives, whether the selection
-        is a mask or select_bins' SNR gate, with the per-thread work array
-        shrinking and growing between calls."""
+        is a mask or select_bins' SNR gate, with inputs shrinking and growing
+        between calls."""
         rng = np.random.default_rng(5)
         for shape in [(40, 500), (3, 20), (60, 900), (2, 5), (20, 100), (80, 1000)]:
             slopes = rng.normal(-20.0, 150.0, size=shape)
@@ -313,7 +313,7 @@ class TestFrontEnd:
 
 
 def in_new_thread(fn, *args):
-    """fn(*args) run in a fresh thread, which starts with no work arrays."""
+    """fn(*args) run in a fresh thread."""
     out = []
     worker = threading.Thread(target=lambda: out.append(fn(*args)))
     worker.start()
@@ -322,10 +322,10 @@ def in_new_thread(fn, *args):
     return out[0]
 
 
-class TestWorkArrays:
-    """The front-end's reused per-thread work arrays leave no trace: results
-    do not depend on earlier calls, returned arrays are never overwritten,
-    and threads do not share them."""
+class TestCallsShareNoState:
+    """Estimator calls keep nothing between them: results do not depend on
+    earlier calls, returned arrays are never overwritten, concurrent threads
+    get the sequential results, and a call leaves no memory behind."""
 
     @pytest.mark.parametrize("variant", ["full_band", "mel_band"])
     def test_result_independent_of_earlier_calls(self, variant, speech):
@@ -391,6 +391,30 @@ class TestWorkArrays:
             for i, got in results[k]:
                 assert got == expected[i]
 
+    @pytest.mark.parametrize("variant", ["full_band", "mel_band"])
+    def test_estimate_leaves_nothing_behind(self, variant):
+        """Traced memory in the calling thread is back at its level before
+        a 30 s estimate once the result is dropped: no buffer outlives the
+        call. It is measured inside the thread, before anything local to
+        the thread is freed; per-thread work arrays kept about 8 bytes per
+        input sample for mel_band, plus the STFT and slope blocks."""
+        model = make_model([1.2, -0.2], variant=variant)
+        buf = synthetic_speech(30.0, SR, seed=5)
+        estimate_t60(buf, model)  # the window and Mel weights are cached once
+
+        def held_after_estimate():
+            before = tracemalloc.get_traced_memory()[0]
+            result = estimate_t60(buf, model)
+            del result
+            return tracemalloc.get_traced_memory()[0] - before
+
+        tracemalloc.start()
+        try:
+            held = in_new_thread(held_after_estimate)
+        finally:
+            tracemalloc.stop()
+        assert held <= 64 * 1024
+
 
 def excess_allocation(buf, cfg):
     """Peak bytes allocated by band_spectrogram in a fresh thread, beyond
@@ -437,7 +461,8 @@ class TestStftBlocks:
     def test_work_memory_does_not_grow_with_input(self, variant, bytes_per_sample):
         """Per added input sample, a call allocates beyond its result about
         0 bytes for full_band and 9 for mel_band (the power matrix and the
-        banded product); whole-signal STFT work arrays took about 49."""
+        banded product, both released when the call returns); whole-signal
+        STFT temporaries took about 49."""
         cfg = EstimatorConfig.default(variant)
         excess = {seconds: excess_allocation(synthetic_speech(seconds, SR, seed=5), cfg)
                   for seconds in (30.0, 60.0)}
