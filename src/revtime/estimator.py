@@ -263,8 +263,14 @@ def decay_gradients(spec: BandSpectrogram, window_frames: int) -> GradientMatrix
     That is the sequential sum of numpy's matmul loop for strided operands,
     so the slopes equal ``sliding_window_view(values, w, axis=1) @ row`` bit
     for bit (up to the sign of an exactly zero slope) without its generic
-    length-w inner loop. Slopes are in dB per second; the returned matrix is
-    a fresh array.
+    length-w inner loop.
+
+    A constant window (all values equal, as in the dynamic-range clamp
+    floor or exactly repeated frames) has slope exactly 0.0, decided from
+    its values: the sum would leave rounding of about 1e-13 dB/s whose sign
+    follows the value and the CPU. Such windows still count as selected
+    slopes, but never as negative ones. Slopes are in dB per second; the
+    returned matrix is a fresh array.
     """
     w = int(window_frames)
     if w < 2:
@@ -278,6 +284,7 @@ def decay_gradients(spec: BandSpectrogram, window_frames: int) -> GradientMatrix
         # One window per band is a plain row, which numpy's matmul hands to
         # BLAS dot (another summation order); keep that product.
         slopes = spec.values[:, None, :] @ row
+        slopes[spec.values.min(axis=1) == spec.values.max(axis=1)] = 0.0
     else:
         slopes = np.empty((n_bands, n_windows))
         flat = np.ascontiguousarray(spec.values).ravel()
@@ -295,6 +302,12 @@ def decay_gradients(spec: BandSpectrogram, window_frames: int) -> GradientMatrix
             for k in range(1, w):
                 np.multiply(block[k:k + m], row[k], out=term)
                 acc += term
+            # Window i is constant when steps i .. i + w - 2 all repeat the
+            # value before them: w - 1 consecutive entries of the sorted
+            # repeat positions.
+            repeats = np.flatnonzero(block[1:] == block[:-1])
+            starts = repeats[:max(0, repeats.size - (w - 2))]
+            acc[starts[repeats[w - 2:] - starts == w - 2]] = 0.0
             slopes[b0:b1] = acc_buf[:block.size].reshape(b1 - b0, n_frames)[:, :n_windows]
     return GradientMatrix(slopes)
 

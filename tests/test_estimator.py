@@ -96,6 +96,51 @@ class TestDecayGradients:
         assert slopes.shape == (shape[0], shape[1] - w + 1)
         assert np.array_equal(slopes, reference_slopes(spec, w))
 
+    @settings(max_examples=60, deadline=None)
+    @given(value=st.floats(-1e4, 1e4, allow_nan=False), w=st.integers(2, 9),
+           extra_frames=st.integers(0, 30), band=st.integers(0, 3),
+           frame_step=st.sampled_from([0.008, 0.010667, 0.016]),
+           seed=st.integers(0, 2**16))
+    def test_constant_band_slope_is_exactly_zero(self, value, w, extra_frames, band,
+                                                  frame_step, seed):
+        """A constant band's slopes are exactly +0.0, with one window per
+        band or many, and every other band keeps the oracle's bits."""
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-100, 0, size=(4, w + extra_frames))
+        values[band] = value
+        spec = make_spec(values, frame_step)
+        slopes = decay_gradients(spec, w).slopes
+        assert np.all(slopes[band] == 0.0) and not np.signbit(slopes[band]).any()
+        others = np.arange(4) != band
+        assert np.array_equal(slopes[others], reference_slopes(spec, w)[others])
+
+    @pytest.mark.parametrize("run", range(1, 10))
+    def test_repeated_values_zero_only_whole_windows(self, run):
+        """A run of equal values zeroes exactly the windows that lie wholly
+        inside it; every other slope keeps the oracle's bits."""
+        rng = np.random.default_rng(run)
+        values = rng.uniform(-100, 0, size=(3, 40))
+        values[1, 10:10 + run] = -55.5
+        spec = make_spec(values, 0.008)
+        expected = reference_slopes(spec, 7)
+        expected[1, 10:10 + max(0, run - 6)] = 0.0
+        assert np.array_equal(decay_gradients(spec, 7).slopes, expected)
+
+    def test_floor_windows_are_never_negative(self):
+        """Windows wholly inside a constant floor count as selected but never
+        as negative: NSV and negative count equal those of the same
+        spectrogram with the floor windows cut out."""
+        rng = np.random.default_rng(15)
+        n_bands, active, floor, w = 257, 150, 300, 7
+        values = np.empty((n_bands, active + floor))
+        values[:, :active] = rng.uniform(-60.0, 0.0, size=(n_bands, active))
+        # Floor levels at which the shifted sum rounds to either sign.
+        values[:, active:] = (-80.0 + 0.037 * np.arange(n_bands))[:, None]
+        whole = nsv(decay_gradients(make_spec(values), w).slopes)
+        cut = nsv(decay_gradients(make_spec(values[:, :active + w - 1]), w).slopes)
+        assert (whole.value, whole.n_negative) == (cut.value, cut.n_negative)
+        assert whole.n_selected == cut.n_selected + n_bands * (floor - w + 1)
+
     @pytest.mark.parametrize("n_frames", [7, 50])
     def test_non_contiguous_values_equal_oracle(self, n_frames):
         rng = np.random.default_rng(n_frames)
