@@ -438,11 +438,10 @@ class TestCallsShareNoState:
 
     @pytest.mark.parametrize("variant", ["full_band", "mel_band"])
     def test_estimate_leaves_nothing_behind(self, variant):
-        """Traced memory in the calling thread is back at its level before
-        a 30 s estimate once the result is dropped: no buffer outlives the
-        call. It is measured inside the thread, before anything local to
-        the thread is freed; per-thread work arrays kept about 8 bytes per
-        input sample for mel_band, plus the STFT and slope blocks."""
+        """Once the result of a 30 s estimate is dropped, traced memory is
+        back within 64 KB of its level before the call, measured inside the
+        calling thread before anything local to it is freed: no buffer
+        outlives the call."""
         model = make_model([1.2, -0.2], variant=variant)
         buf = synthetic_speech(30.0, SR, seed=5)
         estimate_t60(buf, model)  # the window and Mel weights are cached once
