@@ -233,10 +233,11 @@ class EstimateResult:
 
 @lru_cache(maxsize=32)
 def _slope_row(window_frames: int, dt: float) -> np.ndarray:
-    # Second row of the pseudoinverse of the shared [1, t] design matrix.
-    design = np.column_stack([np.ones(window_frames),
-                              np.arange(window_frames) * dt])
-    row = np.linalg.pinv(design)[1].copy()
+    # Least-squares slope weights in closed form, k / (dt * sum(k^2)) with k
+    # the exact half-integer offsets from the window's centre: exactly
+    # antisymmetric, and no LAPACK call, so the same row on every CPU.
+    k = np.arange(window_frames) - (window_frames - 1) / 2
+    row = k / (dt * (k @ k))
     row.setflags(write=False)
     return row
 
@@ -254,16 +255,15 @@ _STFT_BLOCK = 128
 def decay_gradients(spec: BandSpectrogram, window_frames: int) -> GradientMatrix:
     """Least-squares decay slope of every length-window_frames sliding window.
 
-    The slope of a window is the dot product of its values with the slope
-    row of the pseudoinverse of the common (window_frames x 2) design
-    matrix, computed once. The products are summed as shifted copies of the
-    flattened band-major spectrogram, ``acc = v[0:m] * row[0]`` and then
-    ``acc += v[k:k+m] * row[k]`` for k = 1 .. window_frames - 1, in blocks
-    of whole bands held in two buffers of the call (about 1 MB in all).
-    That is the sequential sum of numpy's matmul loop for strided operands,
-    so the slopes equal ``sliding_window_view(values, w, axis=1) @ row`` bit
-    for bit (up to the sign of an exactly zero slope) without its generic
-    length-w inner loop.
+    The slope of a window is the dot product of its values with the
+    closed-form slope row of _slope_row, computed once. The products are
+    summed as shifted copies of the flattened band-major spectrogram,
+    ``acc = v[0:m] * row[0]`` then ``acc += v[k:k+m] * row[k]`` for k = 1
+    .. w - 1, in blocks of whole bands held in two buffers of the call
+    (about 1 MB in all). That is the sequential sum of numpy's matmul loop
+    for strided operands, so the slopes equal
+    ``sliding_window_view(values, w, axis=1) @ row`` bit for bit (up to the
+    sign of an exactly zero slope) without its generic length-w inner loop.
 
     A constant window (all values equal, as in the dynamic-range clamp
     floor or exactly repeated frames) has slope exactly 0.0, decided from

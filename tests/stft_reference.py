@@ -37,6 +37,9 @@ def reference_mel(spec, weights):
 
 def reference_slopes(spec, w):
     """Decay slope of every length-w window as one matrix product of the
-    sliding windows with the slope row of the [1, t] design pseudoinverse."""
-    design = np.column_stack([np.ones(w), np.arange(w) * spec.frame_step])
-    return sliding_window_view(spec.values, w, axis=1) @ np.linalg.pinv(design)[1]
+    sliding windows with the least-squares slope row in closed form: each
+    frame's offset from the window's centre over frame_step times the sum
+    of the squared offsets. The offsets are exact half-integers."""
+    offsets = np.arange(w) - (w - 1) / 2.0
+    row = offsets / (spec.frame_step * np.sum(offsets * offsets))
+    return sliding_window_view(spec.values, w, axis=1) @ row

@@ -96,6 +96,19 @@ class TestDecayGradients:
         assert slopes.shape == (shape[0], shape[1] - w + 1)
         assert np.array_equal(slopes, reference_slopes(spec, w))
 
+    @pytest.mark.parametrize("dt", [0.008, 0.016, 1 / 3])
+    @pytest.mark.parametrize("w", range(2, 10))
+    def test_slope_row_is_the_pseudoinverse_row(self, w, dt):
+        """The closed-form row is exactly antisymmetric, exactly 0 at the
+        centre of an odd window, and the textbook slope row of the [1, t]
+        design pseudoinverse up to rounding."""
+        row = estimator._slope_row(w, dt)
+        assert np.array_equal(row, -row[::-1])
+        assert w % 2 == 0 or row[w // 2] == 0.0
+        design = np.column_stack([np.ones(w), np.arange(w) * dt])
+        textbook = np.linalg.pinv(design)[1]
+        assert np.max(np.abs(row - textbook)) <= 1e-15 * np.max(np.abs(textbook))
+
     @settings(max_examples=60, deadline=None)
     @given(value=st.floats(-1e4, 1e4, allow_nan=False), w=st.integers(2, 9),
            extra_frames=st.integers(0, 30), band=st.integers(0, 3),
