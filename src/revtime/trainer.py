@@ -4,6 +4,7 @@ rooms: each float32 WAV and its JSON sidecar."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -102,18 +103,26 @@ def _check_pair_count(n: int, order: int) -> None:
 MAX_TARGET_T60 = 10.0
 
 
+def _room_name(t60: float, r: int) -> str:
+    """The name of room r of a target: its file stem after the prefix, and
+    its pair label. The target keeps three decimals."""
+    return f"t60_{t60:.3f}_room{r}"
+
+
 def check_targets(t60s, name: str) -> None:
     """Three rules for a list of target T60s, each raising RevtimeError that
     calls the targets name. The list is not empty. No target is above
-    MAX_TARGET_T60. No two targets share a room name, which keeps three
-    decimals: they would share files or a pair label."""
+    MAX_TARGET_T60. No two targets share a room name: they would share
+    files or a pair label."""
     if len(t60s) == 0:
         raise RevtimeError(f"{name} must not be empty")
     if max(t60s) > MAX_TARGET_T60:
         raise RevtimeError(f"{name} {max(t60s):g} is above {MAX_TARGET_T60:g} s, the longest "
                            "target simulated (simulation time grows as T60 cubed)")
-    for t60 in t60s:
-        if [f"{u:.3f}" for u in t60s].count(f"{t60:.3f}") > 1:
+    rooms = [_room_name(t60, 0) for t60 in t60s]
+    counts = Counter(rooms)
+    for t60, room in zip(t60s, rooms):
+        if counts[room] > 1:
             raise RevtimeError(f"{name} {t60:g} gives the same room name ({t60:.3f}) "
                                f"as another {name}")
 
@@ -141,14 +150,14 @@ def training_rooms(t60_grid, rooms_per_t60: int, seed: int, sample_rate: int,
 
 def save_rooms(out, prefix: str, rooms):
     """Write each room of a simulate_rooms generator to out as a float32 WAV
-    (full range kept) named <prefix>_t60_<t60:.3f>_room<r>.wav, plus a JSON
+    (full range kept) named <prefix>_<room name>.wav, plus a JSON
     sidecar with the same stem holding its RoomSpec and its label: the
     Schroeder T60 of the stored float32 samples, which build-corpus also
     gives the WAV. Yields (path, t60, label); out is made when the first
     room is asked for."""
     Path(out).mkdir(parents=True, exist_ok=True)
     for t60, r, spec, rir in rooms:
-        path = Path(out) / f"{prefix}_t60_{t60:.3f}_room{r}.wav"
+        path = Path(out) / f"{prefix}_{_room_name(t60, r)}.wav"
         stored = AudioBuffer(rir.buf.samples.astype(np.float32), rir.buf.sample_rate)
         label = measure_t60(stored)
         save_wav(stored, path, fmt="float32")
@@ -157,12 +166,12 @@ def save_rooms(out, prefix: str, rooms):
 
 
 def default_t60_grid(t60_max: float) -> list:
-    """0.1 s steps from 0.1 up to (and always including) t60_max."""
+    """The 0.1 s steps from 0.1 up to t60_max whose room name differs from
+    t60_max's, then t60_max, so check_targets accepts every grid built."""
     _check_finite("T60", t60_max)
-    grid = [round(0.1 * k, 10) for k in range(1, int(t60_max / 0.1) + 1)]
-    if not grid or grid[-1] < t60_max:
-        grid.append(float(t60_max))
-    return grid
+    top = _room_name(t60_max, 0)
+    steps = (round(0.1 * k, 10) for k in range(1, int(t60_max / 0.1) + 1))
+    return [t60 for t60 in steps if _room_name(t60, 0) != top] + [float(t60_max)]
 
 
 def speech_files(speech_dir):
@@ -197,7 +206,7 @@ def build_training_set(speech_dir, t60_grid, rooms_per_t60: int,
     skipped = 0
     for t60, r, _, rir in rooms:
         t60_true = measure_t60(rir.buf)
-        room_id = f"t60_{t60:.3f}_room{r}"
+        room_id = _room_name(t60, r)
         for path, utt in zip(paths, utts):
             reverberant = convolve(utt, rir.buf)
             try:

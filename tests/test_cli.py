@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -239,6 +241,18 @@ def test_demo_noise_covers_its_longest_target(tmp_path):
     assert len(load_wav(out / "assets" / "noise" / "white.wav")) > 9 * SR
 
 
+def test_demo_train_t60_max_sharing_a_room_name_with_a_step_runs(tmp_path, capsys):
+    """--train-t60-max 0.9002 trains on 0.1 .. 0.8 and 0.9002, not on both
+    0.9 and 0.9002 (one room name), which check_targets would reject."""
+    out = tmp_path / "d"
+    assert main(["demo", "--out", str(out), "--talkers", "1", "--utterances", "1",
+                 "--t60-list", "0.5", "--snr-list", "12", "--train-t60-max", "0.9002",
+                 "--train-rooms", "1", "--train-utterances", "2", "--order", "0",
+                 "--quiet"]) == 0, capsys.readouterr().err
+    report = json.loads((out / "models" / "mel_band.report.json").read_text())
+    assert report["grid"] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9002]
+
+
 def test_demo_names_its_rirs_and_reports_as_simulate_rir_and_train_do(demo_run):
     """demo's RIRs are <prefix>_t60_<t60:.3f>_room<r> WAV and sidecar pairs,
     and each model has its <variant>.report.json beside it."""
@@ -283,6 +297,18 @@ class TestTrainCli:
         assert list(report) == TRAINING_REPORT_KEYS
         assert report["t60_train_max"] == 1.2
         assert report["grid"] == [0.3, 0.6, 1.2]
+
+    def test_t60_max_sharing_a_room_name_with_a_step_trains(self, tmp_path, speech_dir,
+                                                            capsys):
+        """A --t60-max that rounds to a 0.1 s step's room name replaces that
+        step in the default grid instead of failing check_targets."""
+        model_path = tmp_path / "model.json"
+        code = main(["train", "--speech-dir", str(speech_dir), "--out", str(model_path),
+                     "--t60-max", "0.30001", "--rooms-per-t60", "2", "--order", "0",
+                     "--quiet"])
+        assert code == 0, capsys.readouterr().err
+        report = json.loads(model_path.with_suffix(".report.json").read_text())
+        assert report["grid"] == [0.1, 0.2, 0.30001]
 
     def test_t60_max_with_grid_fails_before_any_room(self, tmp_path, speech_dir, no_rooms,
                                                      capsys):
@@ -793,6 +819,93 @@ def test_estimates_independent_of_blas_thread_count(tmp_path, demo_run):
                 stdout.append(result.stdout)
             assert json.loads(stdout[0])["t60_seconds"] > 0.0
             assert stdout[0] == stdout[1], (wav.name, variant)
+
+
+# Criterion 11's small demo: both variants trained and evaluated in ~3 s.
+SMALL_DEMO = ["--seed", "3", "--talkers", "1", "--utterances", "2",
+              "--t60-list", "0.3,0.7", "--train-rooms", "2", "--quiet"]
+
+# A float in a text output: digits with a point, an exponent, or both.
+FLOAT = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][-+]?\d+)?")
+
+
+def cpu_settings() -> dict:
+    """The CPU settings README's reproducibility contract is tested under:
+    name -> (extra environment of a fresh process, None), or (None, why the
+    setting does not apply on this machine)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        __cpu_dispatch__, __cpu_features__ = (), {}
+    found = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    avx512 = [f for f in found if f == "X86_V4" or f.startswith("AVX512")]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    dynamic_openblas = ("openblas" in blas.get("name", "")
+                        and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+    return {
+        "avx512_off": ({"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}, None) if avx512
+        else (None, f"numpy found no AVX-512 group among {found}"),
+        "openblas_haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, None)
+        if dynamic_openblas and __cpu_features__.get("AVX2")
+        else (None, f"numpy's BLAS {blas.get('name')!r} has no Haswell kernel to force "
+                    "on this CPU"),
+    }
+
+
+@pytest.fixture(scope="module")
+def cpu_setting_demos(tmp_path_factory):
+    """Criterion 11's small demo in fresh processes run side by side: as is
+    and under every CPU setting that applies here. Returns name -> its
+    --out, or for a setting not run, the reason."""
+    base = tmp_path_factory.mktemp("cpu_settings")
+    runs = {"as_is": ({}, None), **cpu_settings()}
+    procs = {name: subprocess.Popen(
+                [sys.executable, "-m", "revtime.cli", "demo", "--out", str(base / name),
+                 *SMALL_DEMO],
+                env=fresh_process_env(**extra), stderr=subprocess.PIPE, text=True)
+             for name, (extra, _) in runs.items() if extra is not None}
+    errors = {name: proc.communicate(timeout=600)[1] for name, proc in procs.items()}
+    for name, proc in procs.items():
+        assert proc.returncode == 0, (name, errors[name])
+    return {name: base / name if extra is not None else reason
+            for name, (extra, reason) in runs.items()}
+
+
+def contract_view(out: Path, rel: Path):
+    """A text output of the run in out as the contract compares it: out
+    written as <out>, a CSV's cpu_time column dropped, then split into the
+    text around the floats and the floats."""
+    text = (out / rel).read_text().replace(str(out), "<out>")
+    rows = list(csv.reader(io.StringIO(text))) if rel.suffix == ".csv" else [[]]
+    if "cpu_time" in rows[0]:
+        col = rows[0].index("cpu_time")
+        text = "\n".join(",".join(row[:col] + row[col + 1:]) for row in rows)
+    return FLOAT.split(text), [float(x) for x in FLOAT.findall(text)]
+
+
+@pytest.mark.parametrize("setting", ["avx512_off", "openblas_haswell"])
+def test_demo_reproducible_across_cpu_settings(cpu_setting_demos, setting):
+    """README's contract across CPUs, with numpy's AVX-512 loops off or
+    OpenBLAS's Haswell kernel forced: the same files, every WAV byte for
+    byte, and every other output the same text (item ids, counts, flags)
+    with floats (labels, coefficients, estimates and what derives from
+    them) within 1e-12 relative, or 1e-12 absolute near 0. cpu_time and
+    the --out path are not compared."""
+    out = cpu_setting_demos[setting]
+    if isinstance(out, str):
+        pytest.skip(out)
+    as_is = cpu_setting_demos["as_is"]
+    files = sorted(p.relative_to(as_is) for p in as_is.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    for rel in files:
+        if rel.suffix == ".wav":
+            assert (as_is / rel).read_bytes() == (out / rel).read_bytes(), rel
+            continue
+        text, floats = contract_view(as_is, rel)
+        text_here, floats_here = contract_view(out, rel)
+        assert text_here == text, rel
+        np.testing.assert_allclose(floats_here, floats, rtol=1e-12, atol=1e-12,
+                                   err_msg=str(rel))
 
 
 class TestBuildCorpusCli:

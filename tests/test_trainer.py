@@ -58,6 +58,22 @@ class TestDefaultGrid:
         assert max(grid) == 1.85
 
 
+    @pytest.mark.parametrize("t60_max, grid", [
+        (0.95, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]),
+        (0.5, [0.1, 0.2, 0.3, 0.4, 0.5]),
+        (0.3, [0.1, 0.2, 0.3]),
+        (0.7, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]),
+        (1.85, [round(0.1 * k, 1) for k in range(1, 19)] + [1.85]),
+        (0.05, [0.05]),
+        (0.30001, [0.1, 0.2, 0.30001]),
+        (0.2999, [0.1, 0.2, 0.2999]),
+    ])
+    def test_grid_passes_check_targets(self, t60_max, grid):
+        """The 0.1 s steps up to t60_max, less one that shares t60_max's
+        room name, then t60_max: a grid check_targets accepts."""
+        assert default_t60_grid(t60_max) == grid
+        check_targets(grid, "--t60-max")
+
     @pytest.mark.parametrize("t60_max", [float("nan"), float("inf"), 0.0, -0.5])
     def test_bad_top_rejected(self, t60_max):
         with pytest.raises(RevtimeError, match=f"T60 must be finite and positive, got {t60_max}"):
