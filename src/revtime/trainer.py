@@ -150,7 +150,7 @@ def training_rooms(t60_grid, rooms_per_t60: int, seed: int, sample_rate: int,
 
 def save_rooms(out, prefix: str, rooms):
     """Write each room of a simulate_rooms generator to out as a float32 WAV
-    (full range kept) named <prefix>_<room name>.wav, plus a JSON
+    (full range kept) named <prefix>_t60_<t60:.3f>_room<r>.wav, plus a JSON
     sidecar with the same stem holding its RoomSpec and its label: the
     Schroeder T60 of the stored float32 samples, which build-corpus also
     gives the WAV. Yields (path, t60, label); out is made when the first

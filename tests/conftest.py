@@ -21,6 +21,10 @@ SR = 16000
 TRAINING_REPORT_KEYS = ["variant", "n_pairs", "n_skipped", "rms_residual_s",
                         "t60_train_max", "grid", "target", "order", "seed"]
 
+# Criterion 11's small demo: both variants trained and evaluated in ~3 s.
+SMALL_DEMO_ARGS = ["--seed", "3", "--talkers", "1", "--utterances", "2",
+                   "--t60-list", "0.3,0.7", "--train-rooms", "2", "--quiet"]
+
 
 @pytest.fixture(scope="session")
 def demo_run(tmp_path_factory):

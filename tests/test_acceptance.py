@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from conftest import SR, exponential_rir, make_model, write_corpus_inputs
+from conftest import SMALL_DEMO_ARGS, SR, exponential_rir, make_model, write_corpus_inputs
 from revtime.cli import main
 from revtime.estimator import (
     BandSpectrogram,
@@ -197,10 +197,8 @@ def test_criterion_10_rtf_ordering(demo_run):
 
 
 def test_criterion_11_demo_determinism(tmp_path):
-    args = ["--seed", "3", "--talkers", "1", "--utterances", "2",
-            "--t60-list", "0.3,0.7", "--train-rooms", "2", "--quiet"]
     for sub in ("a", "b"):
-        assert main(["demo", "--out", str(tmp_path / sub), *args]) == 0
+        assert main(["demo", "--out", str(tmp_path / sub), *SMALL_DEMO_ARGS]) == 0
     for name in ("report.csv", "boxplot.dat"):
         a = (tmp_path / "a" / "results" / name).read_bytes()
         b = (tmp_path / "b" / "results" / name).read_bytes()

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import revtime
-from conftest import (SR, TRAINING_REPORT_KEYS, exponential_rir, make_model,
-                      write_corpus_inputs, write_manifest_text, write_speech)
+from conftest import (SMALL_DEMO_ARGS, SR, TRAINING_REPORT_KEYS, exponential_rir,
+                      make_model, write_corpus_inputs, write_manifest_text, write_speech)
 from revtime import cli
 from revtime.cli import main
 from revtime.demo import HELDOUT_T60S
@@ -821,10 +821,6 @@ def test_estimates_independent_of_blas_thread_count(tmp_path, demo_run):
             assert stdout[0] == stdout[1], (wav.name, variant)
 
 
-# Criterion 11's small demo: both variants trained and evaluated in ~3 s.
-SMALL_DEMO = ["--seed", "3", "--talkers", "1", "--utterances", "2",
-              "--t60-list", "0.3,0.7", "--train-rooms", "2", "--quiet"]
-
 # A float in a text output: digits with a point, an exponent, or both.
 FLOAT = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][-+]?\d+)?")
 
@@ -861,7 +857,7 @@ def cpu_setting_demos(tmp_path_factory):
     runs = {"as_is": ({}, None), **cpu_settings()}
     procs = {name: subprocess.Popen(
                 [sys.executable, "-m", "revtime.cli", "demo", "--out", str(base / name),
-                 *SMALL_DEMO],
+                 *SMALL_DEMO_ARGS],
                 env=fresh_process_env(**extra), stderr=subprocess.PIPE, text=True)
              for name, (extra, _) in runs.items() if extra is not None}
     errors = {name: proc.communicate(timeout=600)[1] for name, proc in procs.items()}
