@@ -235,9 +235,10 @@ class EstimateResult:
 def _slope_row(window_frames: int, dt: float) -> np.ndarray:
     # Least-squares slope weights in closed form, k / (dt * sum(k^2)) with k
     # the exact half-integer offsets from the window's centre: exactly
-    # antisymmetric, and no LAPACK call, so the same row on every CPU.
+    # antisymmetric, and no BLAS or LAPACK call, so the same row on every
+    # CPU (the sum of squares is exact in any order).
     k = np.arange(window_frames) - (window_frames - 1) / 2
-    row = k / (dt * (k @ k))
+    row = k / (dt * np.sum(k * k))
     row.setflags(write=False)
     return row
 
@@ -260,10 +261,12 @@ def decay_gradients(spec: BandSpectrogram, window_frames: int) -> GradientMatrix
     summed as shifted copies of the flattened band-major spectrogram,
     ``acc = v[0:m] * row[0]`` then ``acc += v[k:k+m] * row[k]`` for k = 1
     .. w - 1, in blocks of whole bands held in two buffers of the call
-    (about 1 MB in all). That is the sequential sum of numpy's matmul loop
-    for strided operands, so the slopes equal
-    ``sliding_window_view(values, w, axis=1) @ row`` bit for bit (up to the
-    sign of an exactly zero slope) without its generic length-w inner loop.
+    (about 1 MB in all). That one path serves every length, one window per
+    band included, and calls no BLAS or LAPACK kernel, so the slopes of a
+    given spectrogram are the same bits on every CPU. For two or more
+    windows the sum is that of numpy's matmul loop for strided operands:
+    the slopes equal ``sliding_window_view(values, w, axis=1) @ row`` bit
+    for bit (up to the sign of an exactly zero slope).
 
     A constant window (all values equal, as in the dynamic-range clamp
     floor or exactly repeated frames) has slope exactly 0.0, decided from
@@ -280,35 +283,30 @@ def decay_gradients(spec: BandSpectrogram, window_frames: int) -> GradientMatrix
         raise EstimationError(f"spectrogram has {n_frames} frames, need at least {w}")
     row = _slope_row(w, float(spec.frame_step))
     n_windows = n_frames - w + 1
-    if n_windows == 1:
-        # One window per band is a plain row, which numpy's matmul hands to
-        # BLAS dot (another summation order); keep that product.
-        slopes = spec.values[:, None, :] @ row
-        slopes[spec.values.min(axis=1) == spec.values.max(axis=1)] = 0.0
-    else:
-        slopes = np.empty((n_bands, n_windows))
-        flat = np.ascontiguousarray(spec.values).ravel()
-        bands = max(1, _SLOPE_BLOCK // n_frames)
-        block_size = min(bands, n_bands) * n_frames
-        acc_buf, term_buf = np.empty(block_size), np.empty(block_size)
-        for b0 in range(0, n_bands, bands):
-            b1 = min(b0 + bands, n_bands)
-            block = flat[b0 * n_frames:b1 * n_frames]
-            # Sums that straddle two bands land in the last w - 1 columns of
-            # a band, which are not windows and are dropped.
-            m = block.size - w + 1
-            acc, term = acc_buf[:m], term_buf[:m]
-            np.multiply(block[:m], row[0], out=acc)
-            for k in range(1, w):
-                np.multiply(block[k:k + m], row[k], out=term)
-                acc += term
-            # Window i is constant when steps i .. i + w - 2 all repeat the
-            # value before them: w - 1 consecutive entries of the sorted
-            # repeat positions.
-            repeats = np.flatnonzero(block[1:] == block[:-1])
-            starts = repeats[:max(0, repeats.size - (w - 2))]
-            acc[starts[repeats[w - 2:] - starts == w - 2]] = 0.0
-            slopes[b0:b1] = acc_buf[:block.size].reshape(b1 - b0, n_frames)[:, :n_windows]
+    slopes = np.empty((n_bands, n_windows))
+    flat = np.ascontiguousarray(spec.values).ravel()
+    bands = max(1, _SLOPE_BLOCK // n_frames)
+    block_size = min(bands, n_bands) * n_frames
+    acc_buf, term_buf = np.empty(block_size), np.empty(block_size)
+    for b0 in range(0, n_bands, bands):
+        b1 = min(b0 + bands, n_bands)
+        block = flat[b0 * n_frames:b1 * n_frames]
+        # Sums that straddle two bands land in the last w - 1 columns of a
+        # band, which are not windows and are dropped (with one window per
+        # band, only column 0 is kept).
+        m = block.size - w + 1
+        acc, term = acc_buf[:m], term_buf[:m]
+        np.multiply(block[:m], row[0], out=acc)
+        for k in range(1, w):
+            np.multiply(block[k:k + m], row[k], out=term)
+            acc += term
+        # Window i is constant when steps i .. i + w - 2 all repeat the
+        # value before them: w - 1 consecutive entries of the sorted
+        # repeat positions.
+        repeats = np.flatnonzero(block[1:] == block[:-1])
+        starts = repeats[:max(0, repeats.size - (w - 2))]
+        acc[starts[repeats[w - 2:] - starts == w - 2]] = 0.0
+        slopes[b0:b1] = acc_buf[:block.size].reshape(b1 - b0, n_frames)[:, :n_windows]
     return GradientMatrix(slopes)
 
 
@@ -324,8 +322,8 @@ def estimate_band_snr(spec: BandSpectrogram) -> np.ndarray:
     pos = NOISE_FLOOR_PERCENTILE / 100.0 * (n - 1)
     lo = int(pos)
     frac = pos - lo
-    part = np.partition(spec.values, (lo, min(lo + 1, n - 1)), axis=1)
-    floor = part[:, lo] + frac * (part[:, min(lo + 1, n - 1)] - part[:, lo])
+    part = np.partition(spec.values, (lo, lo + 1), axis=1)
+    floor = part[:, lo] + frac * (part[:, lo + 1] - part[:, lo])
     return spec.values - floor[:, None]
 
 

@@ -2,12 +2,15 @@
 input files from the builders here, passing its own durations, seeds and
 settings, rather than writing them by hand."""
 
+import os
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import revtime
 from revtime import trainer
 from revtime.estimator import VARIANTS, EstimatorConfig, MappingModel
 from revtime.eval_harness import run_eval_paired
@@ -38,6 +41,38 @@ def demo_run(tmp_path_factory):
     elapsed = time.perf_counter() - start
     assert code == 0
     return out, elapsed
+
+
+def fresh_process_env(**extra) -> dict:
+    """The environment for a fresh Python process that imports this
+    checkout's revtime, plus the extra variables given."""
+    src = str(Path(revtime.__file__).resolve().parents[1])
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def cpu_settings() -> dict:
+    """The CPU settings README's reproducibility contract is tested under:
+    name -> (extra environment of a fresh process, None), or (None, why the
+    setting does not apply on this machine)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        __cpu_dispatch__, __cpu_features__ = (), {}
+    found = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    avx512 = [f for f in found if f == "X86_V4" or f.startswith("AVX512")]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    dynamic_openblas = ("openblas" in blas.get("name", "")
+                        and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+    return {
+        "avx512_off": ({"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}, None) if avx512
+        else (None, f"numpy found no AVX-512 group among {found}"),
+        "openblas_haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, None)
+        if dynamic_openblas and __cpu_features__.get("AVX2")
+        else (None, f"numpy's BLAS {blas.get('name')!r} has no Haswell kernel to force "
+                    "on this CPU"),
+    }
 
 
 def exponential_rir(t60: float, sample_rate: int = SR, length_factor: float = 1.25,

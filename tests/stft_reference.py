@@ -36,10 +36,17 @@ def reference_mel(spec, weights):
 
 
 def reference_slopes(spec, w):
-    """Decay slope of every length-w window as one matrix product of the
-    sliding windows with the least-squares slope row in closed form: each
-    frame's offset from the window's centre over frame_step times the sum
-    of the squared offsets. The offsets are exact half-integers."""
+    """Decay slope of every length-w window as the sequential sum of the
+    sliding windows' values times the least-squares slope row in closed
+    form: each frame's offset from the window's centre over frame_step
+    times the sum of the squared offsets. The offsets are exact
+    half-integers. No matrix product, so no BLAS kernel decides the
+    summation order; for two or more windows this is the order of numpy's
+    matmul loop for strided operands."""
     offsets = np.arange(w) - (w - 1) / 2.0
     row = offsets / (spec.frame_step * np.sum(offsets * offsets))
-    return sliding_window_view(spec.values, w, axis=1) @ row
+    v = sliding_window_view(spec.values, w, axis=1)
+    acc = v[..., 0] * row[0]
+    for k in range(1, w):
+        acc = acc + v[..., k] * row[k]
+    return acc

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -11,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import revtime
-from conftest import (SMALL_DEMO_ARGS, SR, TRAINING_REPORT_KEYS, exponential_rir,
-                      make_model, write_corpus_inputs, write_manifest_text, write_speech)
+from conftest import (SMALL_DEMO_ARGS, SR, TRAINING_REPORT_KEYS, cpu_settings, exponential_rir,
+                      fresh_process_env, make_model, write_corpus_inputs,
+                      write_manifest_text, write_speech)
 from revtime import cli
 from revtime.cli import main
 from revtime.demo import HELDOUT_T60S
@@ -40,15 +39,6 @@ def audio_file(tmp_path_factory):
 @pytest.fixture(scope="module")
 def speech_dir(tmp_path_factory):
     return write_speech(tmp_path_factory.mktemp("speech"), [(1.6, 40), (1.6, 41)])
-
-
-def fresh_process_env(**extra) -> dict:
-    """The environment for a fresh Python process that imports this
-    checkout's revtime, plus the extra variables given."""
-    src = str(Path(revtime.__file__).resolve().parents[1])
-    env = {**os.environ, **extra}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def run_build_corpus(directory, rows=None) -> int:
@@ -823,29 +813,6 @@ def test_estimates_independent_of_blas_thread_count(tmp_path, demo_run):
 
 # A float in a text output: digits with a point, an exponent, or both.
 FLOAT = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][-+]?\d+)?")
-
-
-def cpu_settings() -> dict:
-    """The CPU settings README's reproducibility contract is tested under:
-    name -> (extra environment of a fresh process, None), or (None, why the
-    setting does not apply on this machine)."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:
-        __cpu_dispatch__, __cpu_features__ = (), {}
-    found = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
-    avx512 = [f for f in found if f == "X86_V4" or f.startswith("AVX512")]
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    dynamic_openblas = ("openblas" in blas.get("name", "")
-                        and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
-    return {
-        "avx512_off": ({"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}, None) if avx512
-        else (None, f"numpy found no AVX-512 group among {found}"),
-        "openblas_haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, None)
-        if dynamic_openblas and __cpu_features__.get("AVX2")
-        else (None, f"numpy's BLAS {blas.get('name')!r} has no Haswell kernel to force "
-                    "on this CPU"),
-    }
 
 
 @pytest.fixture(scope="module")

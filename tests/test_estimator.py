@@ -1,6 +1,7 @@
 import json
 import math
 import statistics
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SR, make_model
+from conftest import SR, cpu_settings, fresh_process_env, make_model
 from revtime import estimator
 from revtime.errors import EstimationError, RevtimeError
 from revtime.estimator import (
@@ -57,6 +58,35 @@ def naive_window_slopes(values, times, w):
     return out
 
 
+# Run in a fresh process: the SHA-256 of decay_gradients' slopes of a seeded
+# random spectrogram with one window per band, two windows per band, and one
+# band longer than a sum block.
+SLOPE_HASH_PROBE = """
+import hashlib
+import numpy as np
+from revtime.estimator import BandSpectrogram, decay_gradients
+for shape in [(257, 7), (257, 8), (3, 70000)]:
+    values = np.random.default_rng(shape[1]).uniform(-100.0, 0.0, size=shape)
+    slopes = decay_gradients(BandSpectrogram(values, 0.008), 7).slopes
+    print(shape, hashlib.sha256(slopes.tobytes()).hexdigest())
+"""
+
+
+def slope_hashes(**extra) -> str:
+    """SLOPE_HASH_PROBE's output in a fresh process with the extra
+    environment variables given."""
+    result = subprocess.run([sys.executable, "-c", SLOPE_HASH_PROBE],
+                            env=fresh_process_env(**extra), capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.fixture(scope="module")
+def as_is_slope_hashes():
+    return slope_hashes()
+
+
 class TestDecayGradients:
     def test_exact_line_recovery(self):
         times = np.arange(20) * 0.016
@@ -88,6 +118,9 @@ class TestDecayGradients:
         *[((9, 33), w) for w in range(2, 10)],
         ((257, 3000), 7),     # several blocks of whole bands
         ((3, 70000), 7),      # one band longer than a block
+        ((257, 7), 7),        # one window per band over full_band's 257 bins
+        ((4, 2), 2),
+        ((4, 9), 9),
     ])
     def test_equals_matrix_product_oracle(self, shape, w):
         rng = np.random.default_rng(shape[0] * 100 + shape[1] + w)
@@ -162,6 +195,17 @@ class TestDecayGradients:
         assert not spec.values.flags.c_contiguous
         assert np.array_equal(decay_gradients(spec, 7).slopes,
                               reference_slopes(spec, 7))
+
+    @pytest.mark.parametrize("setting", list(cpu_settings()))
+    def test_slopes_identical_across_cpu_settings(self, as_is_slope_hashes, setting):
+        """No slope depends on the CPU kernel numpy or OpenBLAS picks: under
+        every setting of README's cross-CPU contract the slopes hash to the
+        same bits as in a process run as is, at each of the probe's
+        lengths."""
+        extra, reason = cpu_settings()[setting]
+        if extra is None:
+            pytest.skip(reason)
+        assert slope_hashes(**extra) == as_is_slope_hashes
 
 
 class TestEstimateBandSnr:
