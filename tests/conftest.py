@@ -4,6 +4,7 @@ settings, rather than writing them by hand."""
 
 import os
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -73,6 +74,20 @@ def cpu_settings() -> dict:
         else (None, f"numpy's BLAS {blas.get('name')!r} has no Haswell kernel to force "
                     "on this CPU"),
     }
+
+
+def traced_peak(fn, *args):
+    """fn(*args) under tracemalloc: its result and the peak bytes traced
+    during the call above the level at its start."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
 
 
 def exponential_rir(t60: float, sample_rate: int = SR, length_factor: float = 1.25,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SR, cpu_settings, fresh_process_env, make_model
+from conftest import SR, cpu_settings, fresh_process_env, make_model, traced_peak
 from revtime import estimator
 from revtime.errors import EstimationError, RevtimeError
 from revtime.estimator import (
@@ -520,15 +520,8 @@ class TestCallsShareNoState:
 def excess_allocation(buf, cfg):
     """Peak bytes allocated by band_spectrogram in a fresh thread, beyond
     the values it returns."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        spec = in_new_thread(band_spectrogram, buf, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak - before - spec.values.nbytes
+    spec, peak = traced_peak(in_new_thread, band_spectrogram, buf, cfg)
+    return peak - spec.values.nbytes
 
 
 class TestStftBlocks:

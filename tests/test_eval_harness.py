@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SR, make_model, run_one, write_corpus_inputs, write_manifest_text
+from conftest import (SR, make_model, run_one, traced_peak, write_corpus_inputs,
+                      write_manifest_text)
 from revtime import eval_harness, signal_core
 from revtime.errors import RevtimeError
 from revtime.estimator import VARIANTS
@@ -387,6 +388,22 @@ class TestBuildCorpusReuse:
         # noisy row rather than measured again there.
         assert len(levels) == self.N_PAIR_RUNS
         assert remeasured == []
+
+    def test_peak_memory_holds_one_pair(self, assets):
+        """Beyond the noise files, the traced peak of a build stays within 5
+        reverberant lengths of float64 (the longest speech convolved with
+        the longest RIR): one pair's buffers at a time, convolve's and
+        save_wav's work copies included. Holding the last pair's buffers
+        while the next pair convolves peaks at about 6.4."""
+        manifest = assets / "m_peak.csv"
+        write_manifest(self.ROWS, manifest)
+        _, peak = traced_peak(build_corpus, manifest, assets / "built_peak")
+        lengths = {name: len(load_wav(assets / name)) for name in
+                   ("s0.wav", "s1.wav", "r0.wav", "r1.wav", "n0.wav", "n1.wav")}
+        reverberant = (max(lengths["s0.wav"], lengths["s1.wav"])
+                       + max(lengths["r0.wav"], lengths["r1.wav"]) - 1)
+        noises = 8 * (lengths["n0.wav"] + lengths["n1.wav"])
+        assert peak - noises <= 5 * 8 * reverberant
 
     def test_silent_clean_row_still_reported(self, assets):
         save_wav(AudioBuffer(np.zeros(SR), SR), assets / "silent.wav")
