@@ -56,9 +56,12 @@ def _make_assets(root: Path, seed: int, talkers: int, utterances: int,
             save_wav(synthetic_speech(seconds, SR, s), root / directory / name)
 
     (root / "noise").mkdir(exist_ok=True)
-    babble_source = synthetic_speech(noise_s, SR, babble_seed)
+    # The white noise is written before the babble source is made, and the
+    # source is freed before the babble is written, so no two noise-length
+    # transients overlap.
     save_wav(shaped_noise(noise_s, SR, white_seed), root / "noise" / "white.wav")
-    save_wav(babble_noise(babble_source, mix_seed), root / "noise" / "babble.wav")
+    save_wav(babble_noise(synthetic_speech(noise_s, SR, babble_seed), mix_seed),
+             root / "noise" / "babble.wav")
     noises = {"synthetic_white": "noise/white.wav",
               "synthetic_babble": "noise/babble.wav"}
 

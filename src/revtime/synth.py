@@ -3,6 +3,12 @@
 The "speech" here is amplitude-modulated noise bursts with pauses. It has
 the on/off structure the decay statistics need but it is not speech, so any
 accuracy numbers measured on it are qualitative only.
+
+Each generator works in place, keeping its output and at most one work
+array of that length alive, which bounds the demo's peak memory. Every
+value is still computed by the same operations in the same order as the
+allocating versions the tests keep as references, so outputs are
+bit-identical to theirs.
 """
 
 from __future__ import annotations
@@ -29,13 +35,17 @@ SPEECH_FLOOR_DB = -55.0
 def _tilted_noise(rng: np.random.Generator, n: int, sample_rate: int,
                   tilt_db_per_octave: float, corner_hz: float) -> np.ndarray:
     """White Gaussian noise with a spectral tilt above corner_hz."""
-    x = rng.standard_normal(n)
-    spectrum = np.fft.rfft(x)
-    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
-    ratio = np.maximum(freqs, corner_hz) / corner_hz
-    spectrum *= ratio ** (tilt_db_per_octave / 6.0206)
+    spectrum = np.fft.rfft(rng.standard_normal(n))
+    tilt = np.fft.rfftfreq(n, 1.0 / sample_rate)
+    np.maximum(tilt, corner_hz, out=tilt)
+    tilt /= corner_hz
+    np.power(tilt, tilt_db_per_octave / 6.0206, out=tilt)
+    spectrum *= tilt
+    del tilt
     shaped = np.fft.irfft(spectrum, n=n)
-    return shaped / (np.sqrt(np.mean(np.square(shaped))) + 1e-30)
+    del spectrum
+    shaped /= np.sqrt(np.mean(np.square(shaped))) + 1e-30
+    return shaped
 
 
 def synthetic_speech(duration_s: float, sample_rate: int, seed: int) -> AudioBuffer:
@@ -61,12 +71,16 @@ def synthetic_speech(duration_s: float, sample_rate: int, seed: int) -> AudioBuf
             env *= 1.0 + 0.4 * np.sin(2.0 * np.pi * am_hz * t + rng.uniform(0, 2 * np.pi))
             out[cursor:cursor + blen] = rng.uniform(0.5, 1.0) * burst * env
         cursor += blen + int(rng.uniform(*PAUSE_RANGE) * sample_rate)
-    floor = 10.0 ** (SPEECH_FLOOR_DB / 20.0)
-    out += floor * rng.standard_normal(n)
-    peak = np.max(np.abs(out))
+    noise = rng.standard_normal(n)
+    noise *= 10.0 ** (SPEECH_FLOOR_DB / 20.0)
+    out += noise
+    del noise
+    peak = max(out.max(), -out.min())
     if peak == 0.0:
         raise RevtimeError("generated signal is silent; duration too short?")
-    return AudioBuffer(0.5 * out / peak, sample_rate)
+    out *= 0.5
+    out /= peak
+    return AudioBuffer(out, sample_rate)
 
 
 def shaped_noise(duration_s: float, sample_rate: int, seed: int) -> AudioBuffer:
@@ -75,7 +89,8 @@ def shaped_noise(duration_s: float, sample_rate: int, seed: int) -> AudioBuffer:
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * sample_rate))
     x = _tilted_noise(rng, n, sample_rate, -6.0, 50.0)
-    return AudioBuffer(0.1 * x, sample_rate)
+    x *= 0.1
+    return AudioBuffer(x, sample_rate)
 
 
 def babble_noise(source: AudioBuffer, seed: int) -> AudioBuffer:
@@ -84,6 +99,11 @@ def babble_noise(source: AudioBuffer, seed: int) -> AudioBuffer:
     mix = np.zeros(len(source))
     for _ in range(8):
         shift = int(rng.integers(0, len(source)))
-        mix += rng.uniform(0.3, 1.0) * np.roll(source.samples, shift)
+        copy = np.roll(source.samples, shift)
+        copy *= rng.uniform(0.3, 1.0)
+        mix += copy
+        del copy
     rms = np.sqrt(np.mean(np.square(mix)))
-    return AudioBuffer(0.1 * mix / rms, source.sample_rate)
+    mix *= 0.1
+    mix /= rms
+    return AudioBuffer(mix, source.sample_rate)

@@ -29,7 +29,9 @@ from revtime.estimator import (
 from revtime.eval_harness import CorpusItem, EvalRecord
 from revtime.room_acoustics import RoomSpec, sabine_absorption
 from revtime.signal_core import (
+    _FINITE_BLOCK,
     AudioBuffer,
+    _all_finite,
     _next_fast_len,
     active_speech_level,
     convolve,
@@ -64,6 +66,32 @@ class TestAudioBuffer:
         buf = AudioBuffer([0.1, 0.2], SR)
         with pytest.raises(ValueError):
             buf.samples[0] = 1.0
+
+
+class TestAllFinite:
+    """_all_finite scans x's memory block by block: a bad value is found in
+    the first and last block and on either side of a block edge, whatever
+    the memory layout of x."""
+
+    @staticmethod
+    def make(layout):
+        base = np.random.default_rng(0).standard_normal((257, 1600))
+        return {"C": base, "F": np.asfortranarray(base), "strided": base[:, ::2]}[layout]
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_finds_a_bad_value_anywhere(self, layout, value):
+        clean = self.make(layout)
+        assert clean.size > 3 * _FINITE_BLOCK and _all_finite(clean)
+        for position in (0, _FINITE_BLOCK - 1, _FINITE_BLOCK, -1):
+            x = self.make(layout)
+            # position counts elements in memory order
+            x[np.unravel_index(position % x.size, x.shape,
+                               order="F" if layout == "F" else "C")] = value
+            assert not _all_finite(x), position
+
+    def test_empty_is_finite(self):
+        assert _all_finite(np.empty((0, 4)))
 
 
 class TestWavIo:
