@@ -51,6 +51,7 @@ from .trainer import (
     TrainingPair,
     build_training_set,
     default_t60_grid,
+    draw_rooms,
     fit_mapping,
 )
 
@@ -64,7 +65,7 @@ __all__ = [
     "StftConfig", "TrainingPair", "active_speech_level",
     "band_spectrogram", "box_stats", "build_corpus",
     "build_training_set", "convolve", "decay_gradients", "default_t60_grid",
-    "estimate_band_snr", "estimate_t60", "fit_mapping", "image_method_rir",
+    "draw_rooms", "estimate_band_snr", "estimate_t60", "fit_mapping", "image_method_rir",
     "load_items", "load_wav", "map_nsv_to_t60", "nsv",
     "nsv_from_audio", "rtf", "run_eval_paired",
     "sabine_absorption", "save_wav",

@@ -7,8 +7,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .demo import run_demo
 from .errors import EstimationError, RevtimeError
 from .estimator import (
@@ -29,18 +27,12 @@ from .eval_harness import (
     read_records,
     rtf_table,
 )
-# Unused: cli simulates through trainer.simulate_rooms. perfbench's holder
-# check still expects cli to hold the simulator (ROADMAP item 12).
+# Unused: cli simulates through trainer.save_rooms and trainer.train_model.
+# perfbench's holder check still expects cli to hold the simulator (ROADMAP
+# item 12).
 from .room_acoustics import image_method_rir  # noqa: F401
 from .signal_core import _from_fields, _is_finite, load_wav, read_lines
-from .trainer import (
-    check_targets,
-    default_t60_grid,
-    save_rooms,
-    simulate_rooms,
-    speech_files,
-    train_model,
-)
+from .trainer import default_t60_grid, draw_rooms, save_rooms, speech_files, train_model
 
 
 class _Parser(argparse.ArgumentParser):
@@ -229,8 +221,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate_rir(args) -> int:
-    rng = np.random.default_rng(0 if args.seed is None else args.seed)
-    rooms = simulate_rooms(rng, args.t60, args.rooms_per_t60, args.sample_rate, "--t60")
+    rooms = draw_rooms(0 if args.seed is None else args.seed, args.t60, args.rooms_per_t60,
+                       args.sample_rate, "--t60")
     for path, t60, measured in save_rooms(args.out, "rir", rooms):
         _say(args, f"{path.name}: target {t60:.3f} s, measured {measured:.3f} s")
     return 0
@@ -244,8 +236,6 @@ def cmd_build_corpus(args) -> int:
 
 def cmd_train(args) -> int:
     seed = 0 if args.seed is None else args.seed
-    grid = args.grid if args.grid else default_t60_grid(args.t60_max)
-    check_targets(grid, "--grid" if args.grid else "--t60-max")
     _, sample_rate = speech_files(args.speech_dir)
     # --variant, --n-mel-bands, --window-frames and --snr-margin set the
     # EstimatorConfig fields they are named after.
@@ -256,8 +246,11 @@ def cmd_train(args) -> int:
         raise RevtimeError(f"--hop-ms {args.hop_ms:g} is longer than --frame-ms "
                            f"{args.frame_ms:g} at {sample_rate} Hz ({exc})") from None
     cfg = _from_fields(EstimatorConfig, {**vars(args), "stft": stft}, "train options")
-    _, report = train_model(args.speech_dir, cfg, grid, args.rooms_per_t60, seed, args.out,
-                            order=args.order, target=args.target, pairs_csv=args.pairs_csv)
+    grid = args.grid if args.grid else default_t60_grid(args.t60_max)
+    rooms = draw_rooms(seed, grid, args.rooms_per_t60, sample_rate,
+                       "--grid" if args.grid else "--t60-max")
+    _, report = train_model(args.speech_dir, cfg, rooms, seed, args.out, order=args.order,
+                            target=args.target, pairs_csv=args.pairs_csv)
     _say(args, f"trained {args.variant} on {report['n_pairs']} pairs "
                f"({report['n_skipped']} skipped), rms residual "
                f"{report['rms_residual_s']:.3f} s, "

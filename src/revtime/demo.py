@@ -20,8 +20,8 @@ from .eval_harness import (
 )
 from .signal_core import save_wav
 from .synth import babble_noise, shaped_noise, synthetic_speech
-from .trainer import (RoomSampler, _check_pair_count, default_t60_grid, save_rooms,
-                      simulate_rooms, train_model, training_rooms)
+from .trainer import (RoomSampler, _check_pair_count, default_t60_grid, draw_rooms,
+                      save_rooms, train_model)
 
 SR = 16000
 HELDOUT_T60S = (0.3, 0.45, 0.6, 0.75, 0.9)
@@ -32,7 +32,7 @@ def _make_assets(root: Path, seed: int, talkers: int, utterances: int,
     """Draw every speech and noise seed, then every room, from the seed's
     generator; then say the first stage and write synthetic speech, noises,
     impulse responses and manifests under root. A --t60-list that
-    simulate_rooms rejects fails before anything is written."""
+    draw_rooms rejects fails before anything is written."""
     rng = np.random.default_rng(seed)
 
     def subseed() -> int:
@@ -44,8 +44,8 @@ def _make_assets(root: Path, seed: int, talkers: int, utterances: int,
              for t in range(talkers) for u in range(utterances)]
     heldout = [(f"heldout_u{u}.wav", 2.4 + 0.7 * u, subseed()) for u in range(2)]
     babble_seed, white_seed, mix_seed = subseed(), subseed(), subseed()
-    eval_rooms = simulate_rooms(rng, t60_list, 1, SR, "--t60-list")
-    heldout_rooms = simulate_rooms(rng, HELDOUT_T60S, 1, SR, "held-out T60")
+    eval_rooms = draw_rooms(rng, t60_list, 1, SR, "--t60-list")
+    heldout_rooms = draw_rooms(rng, HELDOUT_T60S, 1, SR, "held-out T60")
     # Noise covers the longest eval utterance convolved with the longest eval room.
     noise_s = max(9.0, max(s for _, s, _ in evals) + RoomSampler().rir_length(max(t60_list)))
 
@@ -91,16 +91,15 @@ def run_demo(out, *, seed: int, talkers: int, utterances: int, t60_list,
     heldout_corpus/ and results/ (records.csv, heldout_records.csv,
     report.csv, boxplot.dat). The same arguments give byte-identical files
     apart from the cpu_time column of the records. say receives the
-    progress lines. Too few possible training pairs, or a training grid or
-    --t60-list that simulate_rooms rejects, fails before anything is
-    written or simulated.
+    progress lines. Both variants train on one draw of the training rooms.
+    Too few possible training pairs, or a training grid or --t60-list that
+    draw_rooms rejects, fails before anything is written or simulated.
     """
     out = Path(out)
     results = out / "results"
     grid = default_t60_grid(train_t60_max)
     _check_pair_count(len(grid) * train_rooms * train_utterances, order)
-    # Draws, without simulating, the rooms train_model will simulate.
-    training_rooms(grid, train_rooms, seed, SR, "--train-t60-max")
+    rooms = draw_rooms(seed, grid, train_rooms, SR, "--train-t60-max")
     assets = _make_assets(out / "assets", seed, talkers, utterances, t60_list,
                           snr_list, train_utterances, say)
 
@@ -108,8 +107,8 @@ def run_demo(out, *, seed: int, talkers: int, utterances: int, t60_list,
     models = []
     for variant in VARIANTS:
         model, report = train_model(
-            assets["train_speech"], EstimatorConfig.default(variant, SR), grid,
-            train_rooms, seed, out / "models" / f"{variant}.json", order=order)
+            assets["train_speech"], EstimatorConfig.default(variant, SR), rooms, seed,
+            out / "models" / f"{variant}.json", order=order)
         models.append(model)
         say(f"  {variant}: {report['n_pairs']} pairs ({report['n_skipped']} "
             f"skipped), rms residual {report['rms_residual_s']:.3f} s")

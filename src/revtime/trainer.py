@@ -127,36 +127,29 @@ def check_targets(t60s, name: str) -> None:
                                f"as another {name}")
 
 
-def simulate_rooms(rng: np.random.Generator, t60s, rooms_per_t60: int, sample_rate: int,
-                   name: str = "t60_grid"):
-    """Run check_targets(t60s, name) and draw every RoomSpec from rng, then
-    return a generator of (t60, room_index, RoomSpec, Rir) per room, targets
-    outer, rooms inner, that simulates each room as it is reached. Targets
-    the rules or the sampler reject fail here, before any simulation work."""
+def draw_rooms(seed, t60s, rooms_per_t60: int, sample_rate: int, name: str = "t60_grid"):
+    """Run check_targets(t60s, name), then draw every RoomSpec from
+    default_rng(seed), where seed is an int or the Generator to draw from.
+    Returns the list of (t60, room_index, RoomSpec), targets outer, rooms
+    inner. Nothing is simulated: each consumer simulates a room as it
+    reaches it."""
     check_targets(t60s, name)
+    rng = np.random.default_rng(seed)
     sampler = RoomSampler()
-    specs = [(t60, r, sampler.sample(rng, t60, sample_rate))
-             for t60 in t60s for r in range(rooms_per_t60)]
-    return ((t60, r, spec, image_method_rir(spec)) for t60, r, spec in specs)
-
-
-def training_rooms(t60_grid, rooms_per_t60: int, seed: int, sample_rate: int,
-                   name: str = "t60_grid"):
-    """simulate_rooms(default_rng(seed), ...): the training rooms of a seed,
-    drawn when called and simulated as they are reached."""
-    return simulate_rooms(np.random.default_rng(seed), t60_grid, rooms_per_t60, sample_rate,
-                          name)
+    return [(t60, r, sampler.sample(rng, t60, sample_rate))
+            for t60 in t60s for r in range(rooms_per_t60)]
 
 
 def save_rooms(out, prefix: str, rooms):
-    """Write each room of a simulate_rooms generator to out as a float32 WAV
+    """Simulate each room of draw_rooms and write it to out as a float32 WAV
     (full range kept) named <prefix>_t60_<t60:.3f>_room<r>.wav, plus a JSON
     sidecar with the same stem holding its RoomSpec and its label: the
     Schroeder T60 of the stored float32 samples, which build-corpus also
     gives the WAV. Yields (path, t60, label); out is made when the first
     room is asked for."""
     Path(out).mkdir(parents=True, exist_ok=True)
-    for t60, r, spec, rir in rooms:
+    for t60, r, spec in rooms:
+        rir = image_method_rir(spec)
         path = Path(out) / f"{prefix}_{_room_name(t60, r)}.wav"
         stored = AudioBuffer(rir.buf.samples.astype(np.float32), rir.buf.sample_rate)
         label = measure_t60(stored)
@@ -175,10 +168,10 @@ def default_t60_grid(t60_max: float) -> list:
 
 
 def speech_files(speech_dir):
-    """(paths, sample_rate) of a training speech directory: its WAV files in
-    name order and their one sample rate, read from the headers. No file or
-    more than one rate raises RevtimeError."""
-    paths = sorted(Path(speech_dir).glob("*.wav"))
+    """(paths, sample_rate) of a training speech directory: its WAV files
+    (suffix in any case) in name order and their one sample rate, read from
+    the headers. No file or more than one rate raises RevtimeError."""
+    paths = sorted(p for p in Path(speech_dir).glob("*") if p.name.lower().endswith(".wav"))
     if not paths:
         raise RevtimeError(f"no WAV files found in {speech_dir}")
     rates = {wav_info(p)[0] for p in paths}
@@ -187,24 +180,26 @@ def speech_files(speech_dir):
     return paths, rates.pop()
 
 
-def build_training_set(speech_dir, t60_grid, rooms_per_t60: int,
-                       cfg: EstimatorConfig, seed: int):
-    """Simulate rooms over a T60 grid, convolve every utterance, and collect
-    (NSV, measured T60) pairs. No noise is added.
+def build_training_set(speech_dir, rooms, cfg: EstimatorConfig):
+    """Simulate each room of draw_rooms, convolve every utterance, and
+    collect (NSV, measured T60) pairs. No noise is added.
 
     Labels come from Schroeder measurement of each generated impulse
     response, not from the grid target. Returns (pairs, n_skipped) where
-    skipped items raised "insufficient decay evidence". A grid that
-    simulate_rooms rejects fails before any utterance is loaded.
+    skipped items raised "insufficient decay evidence". Rooms drawn at a
+    rate other than the speech's fail before any utterance is loaded.
     """
     paths, fs = speech_files(speech_dir)
     mel_weights(cfg, fs)  # too many bands for the FFT fails here, not per room
-    rooms = training_rooms(t60_grid, rooms_per_t60, seed, fs)
+    rates = sorted({spec.sample_rate for _, _, spec in rooms} - {fs})
+    if rates:
+        raise RevtimeError(f"rooms drawn at {rates[0]} Hz cannot train on {fs} Hz speech")
 
     utts = [load_wav(p) for p in paths]
     pairs = []
     skipped = 0
-    for t60, r, _, rir in rooms:
+    for t60, r, spec in rooms:
+        rir = image_method_rir(spec)
         t60_true = measure_t60(rir.buf)
         room_id = _room_name(t60, r)
         for path, utt in zip(paths, utts):
@@ -249,28 +244,28 @@ def fit_mapping(pairs, cfg: EstimatorConfig, t60_train_max: float, order: int = 
     return model, rms
 
 
-def train_model(speech_dir, cfg: EstimatorConfig, t60_grid, rooms_per_t60: int,
-                seed: int, path, order: int = 2, target: str = "t60", pairs_csv=None):
-    """build_training_set, then fit_mapping on its pairs, stamping the
-    grid's top as t60_train_max. Writes the model to path, its training
-    report beside it as <stem>.report.json and, if pairs_csv is given, the
-    pairs there. The parents of those files are made, and too few possible
-    pairs (grid points x rooms x utterances) for the fit fails, before any
-    room is simulated.
+def train_model(speech_dir, cfg: EstimatorConfig, rooms, seed: int, path, order: int = 2,
+                target: str = "t60", pairs_csv=None):
+    """build_training_set over the rooms of draw_rooms, then fit_mapping on
+    its pairs, stamping the top target as t60_train_max. Writes the model to
+    path, its training report beside it as <stem>.report.json (seed is
+    the draw's, recorded there) and, if pairs_csv is given, the pairs there.
+    The parents of those files are made, and too few possible pairs
+    (rooms x utterances) for the fit fails, before any room is simulated.
 
     Returns (model, report).
     """
     # A missing parent found after training would throw the run away.
     for file in filter(None, (path, pairs_csv)):
         Path(file).parent.mkdir(parents=True, exist_ok=True)
-    _check_pair_count(len(t60_grid) * rooms_per_t60 * len(speech_files(speech_dir)[0]),
-                      order)
-    pairs, skipped = build_training_set(speech_dir, t60_grid, rooms_per_t60, cfg, seed)
-    model, rms = fit_mapping(pairs, cfg, max(t60_grid), order=order, target=target)
+    _check_pair_count(len(rooms) * len(speech_files(speech_dir)[0]), order)
+    pairs, skipped = build_training_set(speech_dir, rooms, cfg)
+    grid = list(dict.fromkeys(t60 for t60, _, _ in rooms))
+    model, rms = fit_mapping(pairs, cfg, max(grid), order=order, target=target)
     report = {
         "variant": cfg.variant, "n_pairs": len(pairs), "n_skipped": skipped,
         "rms_residual_s": rms, "t60_train_max": model.t60_train_max,
-        "grid": list(t60_grid), "target": target, "order": order, "seed": seed,
+        "grid": grid, "target": target, "order": order, "seed": seed,
     }
     model.save(path)
     save_json(report, Path(path).with_suffix(".report.json"))

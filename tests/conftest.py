@@ -170,7 +170,8 @@ def write_manifest_text(path, rows):
 @pytest.fixture
 def no_rooms(monkeypatch):
     """Make every room simulation fail the test: train, simulate-rir and
-    demo all simulate through trainer.simulate_rooms."""
+    demo all simulate through trainer.build_training_set or
+    trainer.save_rooms."""
     def no_room(room):
         raise AssertionError("a room was simulated")
 

@@ -22,6 +22,7 @@ from revtime.eval_harness import read_manifest, read_records, write_manifest
 from revtime.room_acoustics import measure_t60
 from revtime.signal_core import AudioBuffer, load_wav, save_wav
 from revtime.synth import synthetic_speech
+from revtime.trainer import RoomSampler, default_t60_grid
 
 # Manifest rows over the files write_corpus_inputs names.
 CLEAN = ("s0.wav", "r0.wav", "", math.inf, "none")
@@ -241,6 +242,22 @@ def test_demo_train_t60_max_sharing_a_room_name_with_a_step_runs(tmp_path, capsy
                  "--quiet"]) == 0, capsys.readouterr().err
     report = json.loads((out / "models" / "mel_band.report.json").read_text())
     assert report["grid"] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9002]
+
+
+def test_demo_draws_each_room_once(tmp_path, monkeypatch):
+    """Criterion 11's small demo draws its 20 training rooms (10 grid points
+    x --train-rooms 2) once for both variants, then its 2 --t60-list rooms
+    and the 5 held-out rooms: one RoomSampler.sample call per room."""
+    sample = RoomSampler.sample
+    calls = []
+
+    def counting_sample(self, *args):
+        calls.append(args)
+        return sample(self, *args)
+
+    monkeypatch.setattr(RoomSampler, "sample", counting_sample)
+    assert main(["demo", "--out", str(tmp_path / "d"), *SMALL_DEMO_ARGS]) == 0
+    assert len(calls) == len(default_t60_grid(0.95)) * 2 + 2 + len(HELDOUT_T60S) == 27
 
 
 def test_demo_names_its_rirs_and_reports_as_simulate_rir_and_train_do(demo_run):

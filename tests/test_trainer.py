@@ -10,8 +10,8 @@ from conftest import SR, TRAINING_REPORT_KEYS, write_speech
 from revtime.errors import RevtimeError
 from revtime.estimator import EstimatorConfig, MappingModel, NsvStatistic, map_nsv_to_t60
 from revtime.room_acoustics import measure_t60
-from revtime.signal_core import _from_fields, _write_rows, load_wav
-from revtime import trainer
+from revtime.signal_core import _from_fields, _write_rows, load_wav, save_wav
+from revtime.synth import synthetic_speech
 from revtime.trainer import (
     MAX_TARGET_T60,
     RoomSampler,
@@ -19,9 +19,10 @@ from revtime.trainer import (
     build_training_set,
     check_targets,
     default_t60_grid,
+    draw_rooms,
     fit_mapping,
     save_rooms,
-    simulate_rooms,
+    speech_files,
     train_model,
 )
 
@@ -185,25 +186,25 @@ class TestBuildTrainingSet:
     GRID = [0.3, 0.6]
 
     def test_same_seed_identical_pairs(self, speech_dir):
-        a, _ = build_training_set(speech_dir, self.GRID, 1, CFG, seed=9)
-        b, _ = build_training_set(speech_dir, self.GRID, 1, CFG, seed=9)
+        a, _ = build_training_set(speech_dir, draw_rooms(9, self.GRID, 1, SR), CFG)
+        b, _ = build_training_set(speech_dir, draw_rooms(9, self.GRID, 1, SR), CFG)
         assert a == b
         assert len(a) == len(self.GRID) * 1 * 2
 
     def test_labels_are_measured_not_targets(self, speech_dir):
-        pairs, _ = build_training_set(speech_dir, self.GRID, 1, CFG, seed=9)
+        pairs, _ = build_training_set(speech_dir, draw_rooms(9, self.GRID, 1, SR), CFG)
         targets = set(self.GRID)
         assert all(p.t60_true not in targets for p in pairs)
         assert all(abs(p.t60_true - g) < 0.25 * g
                    for p, g in zip(pairs, [0.3, 0.3, 0.6, 0.6]))
 
     def test_grid_capped_at_095_stays_under_115(self, speech_dir):
-        pairs, _ = build_training_set(speech_dir, [0.95], 2, CFG, seed=10)
+        pairs, _ = build_training_set(speech_dir, draw_rooms(10, [0.95], 2, SR), CFG)
         assert max(p.t60_true for p in pairs) < 1.5
 
     def test_empty_dir(self, tmp_path):
         with pytest.raises(RevtimeError, match="no WAV"):
-            build_training_set(tmp_path, [0.5], 1, CFG, seed=0)
+            build_training_set(tmp_path, draw_rooms(0, [0.5], 1, SR), CFG)
 
     @pytest.mark.parametrize("grid, message", [
         ([], "t60_grid must not be empty"),
@@ -212,58 +213,48 @@ class TestBuildTrainingSet:
     ], ids=["empty", "above_limit", "repeated"])
     def test_bad_grid_fails_before_any_room(self, speech_dir, no_rooms, grid, message):
         with pytest.raises(RevtimeError, match=f"^{message}"):
-            build_training_set(speech_dir, grid, 1, CFG, seed=0)
+            build_training_set(speech_dir, draw_rooms(0, grid, 1, SR), CFG)
+
+    def test_rooms_at_another_rate_fail_before_any_room(self, speech_dir, no_rooms):
+        """The rooms come from the caller, so their rate is checked against
+        the speech's."""
+        with pytest.raises(RevtimeError,
+                           match="^rooms drawn at 8000 Hz cannot train on 16000 Hz speech"):
+            build_training_set(speech_dir, draw_rooms(0, [0.5], 1, 8000), CFG)
 
     def test_full_determinism_through_fit(self, speech_dir):
         grids = default_t60_grid(0.5)
         models = []
         for _ in range(2):
-            pairs, _ = build_training_set(speech_dir, grids, 1, CFG, seed=4)
+            pairs, _ = build_training_set(speech_dir, draw_rooms(4, grids, 1, SR), CFG)
             model, _ = fit_mapping(pairs, CFG, 0.5, order=0)
             models.append(model)
         assert np.array_equal(models[0].coefficients, models[1].coefficients)
 
 
-class TestSimulateRooms:
+class TestDrawRooms:
     GRID = (0.2, 0.5, 0.9)
 
-    def test_specs_match_interleaved_loop(self, monkeypatch):
-        received = []
-        monkeypatch.setattr(trainer, "image_method_rir", received.append)
-        got = list(simulate_rooms(np.random.default_rng(11), self.GRID, 3, SR))
+    def test_specs_match_interleaved_loop(self):
         rng = np.random.default_rng(11)
         expected = [(t60, r, RoomSampler().sample(rng, t60, SR))
                     for t60 in self.GRID for r in range(3)]
-        assert [(t60, r) for t60, r, _, _ in got] == [(t60, r) for t60, r, _ in expected]
-        for (_, _, a, _), (*_, b), sent in zip(got, expected, received, strict=True):
-            assert dataclasses.astuple(a) == dataclasses.astuple(b)
-            assert a is sent
+        assert draw_rooms(11, self.GRID, 3, SR) == expected
 
-    def test_every_room_drawn_before_the_first_is_simulated(self, monkeypatch):
-        drawn = []
-        draws_before_first_room = []
-        sample = RoomSampler.sample
+    def test_draws_every_room_and_simulates_none(self, no_rooms):
+        rooms = draw_rooms(11, self.GRID, 3, SR)
+        assert [(t60, r) for t60, r, _ in rooms] == [(t60, r) for t60 in self.GRID
+                                                     for r in range(3)]
 
-        def counting_sample(self, *args):
-            drawn.append(1)
-            return sample(self, *args)
-
-        def fake_rir(spec):
-            draws_before_first_room.append(len(drawn))
-            return spec
-
-        monkeypatch.setattr(RoomSampler, "sample", counting_sample)
-        monkeypatch.setattr(trainer, "image_method_rir", fake_rir)
-        rooms = simulate_rooms(np.random.default_rng(11), self.GRID, 3, SR)
-        assert len(list(rooms)) == 9
-        assert draws_before_first_room[0] == 9
+    def test_int_seed_draws_as_its_generator(self):
+        assert draw_rooms(11, self.GRID, 2, SR) == draw_rooms(
+            np.random.default_rng(11), self.GRID, 2, SR)
 
 
 def test_save_rooms_writes_each_room_and_its_sidecar(tmp_path):
-    t60s = (0.2, 0.3)
-    got = list(save_rooms(tmp_path, "x", simulate_rooms(np.random.default_rng(5), t60s, 2, 8000)))
-    rooms = simulate_rooms(np.random.default_rng(5), t60s, 2, 8000)
-    for (path, t60, label), (t60_drawn, r, spec, _) in zip(got, rooms, strict=True):
+    rooms = draw_rooms(5, (0.2, 0.3), 2, 8000)
+    got = list(save_rooms(tmp_path, "x", rooms))
+    for (path, t60, label), (t60_drawn, r, spec) in zip(got, rooms, strict=True):
         assert t60 == t60_drawn and path == tmp_path / f"x_t60_{t60:.3f}_room{r}.wav"
         # fmt chunk: format tag 3 (IEEE float), 32 bits per sample.
         tag, *_, bits = struct.unpack_from("<HHIIHH", path.read_bytes(), 20)
@@ -282,7 +273,7 @@ def test_save_rooms_writes_each_room_and_its_sidecar(tmp_path):
 def test_save_rooms_rejects_targets_before_making_out(tmp_path, no_rooms, t60s, message):
     out = tmp_path / "out"
     with pytest.raises(RevtimeError, match=f"^{message}"):
-        list(save_rooms(out, "x", simulate_rooms(np.random.default_rng(0), t60s, 1, SR, "--t60")))
+        list(save_rooms(out, "x", draw_rooms(0, t60s, 1, SR, "--t60")))
     assert not out.exists()
 
 
@@ -291,8 +282,8 @@ class TestTrainModel:
 
     def test_writes_model_report_and_pairs(self, tmp_path, speech_dir):
         model_path = tmp_path / "a" / "m.json"
-        model, report = train_model(speech_dir, CFG, self.GRID, 1, 3, model_path,
-                                    order=0, pairs_csv=tmp_path / "b" / "p.csv")
+        model, report = train_model(speech_dir, CFG, draw_rooms(3, self.GRID, 1, SR), 3,
+                                    model_path, order=0, pairs_csv=tmp_path / "b" / "p.csv")
         loaded = MappingModel.load(model_path)
         assert np.array_equal(loaded.coefficients, model.coefficients)
         assert loaded.t60_train_max == 0.95
@@ -303,8 +294,8 @@ class TestTrainModel:
 
     def test_parents_made_before_the_first_room(self, tmp_path, speech_dir, no_rooms):
         with pytest.raises(AssertionError, match="a room was simulated"):
-            train_model(speech_dir, CFG, self.GRID, 1, 3, tmp_path / "a" / "m.json",
-                        order=0, pairs_csv=tmp_path / "b" / "p.csv")
+            train_model(speech_dir, CFG, draw_rooms(3, self.GRID, 1, SR), 3,
+                        tmp_path / "a" / "m.json", order=0, pairs_csv=tmp_path / "b" / "p.csv")
         assert (tmp_path / "a").is_dir() and (tmp_path / "b").is_dir()
         assert not list(tmp_path.rglob("*.*"))
 
@@ -313,3 +304,10 @@ def test_targets_up_to_the_limit_pass():
     check_targets([0.1, MAX_TARGET_T60], "--t60")
     with pytest.raises(RevtimeError, match=r"^--t60 10\.001 is above 10 s"):
         check_targets([0.1, MAX_TARGET_T60 + 0.001], "--t60")
+
+
+def test_speech_files_match_the_suffix_in_any_case(tmp_path):
+    for name, seed in (("U0.WAV", 60), ("u1.wav", 61)):
+        save_wav(synthetic_speech(0.5, SR, seed=seed), tmp_path / name)
+    (tmp_path / "notes.txt").write_text("not audio")
+    assert speech_files(tmp_path) == ([tmp_path / "U0.WAV", tmp_path / "u1.wav"], SR)
