@@ -49,7 +49,7 @@ class RoomSampler:
     min_dim = 1.0
     max_dim = 10.0
     position_margin = 0.12
-    rir_length_factor = 1.3
+    rir_length_factor = 1.0
     rir_length_min = 0.25
 
     def sample(self, rng: np.random.Generator, target_t60: float,
@@ -85,7 +85,12 @@ class RoomSampler:
         )
 
     def rir_length(self, target_t60: float) -> float:
-        """Seconds of impulse response simulated for a room of this target."""
+        """Seconds of impulse response simulated for a room of this target:
+        the target itself, and at least rir_length_min. That is enough for
+        the T30 label, whose fit ends at -35 dB: a response cut at T60 has
+        decayed 60 dB, so the tail left out lies 25 dB below the fit's end
+        and lowers the Schroeder curve there by 10 log10(1 - 10^-2.5), about
+        0.014 dB."""
         return max(self.rir_length_min, self.rir_length_factor * target_t60)
 
 
@@ -97,9 +102,9 @@ def _check_pair_count(n: int, order: int) -> None:
 
 
 # A limit on run time, not on acoustics: image_method_rir reaches any
-# target, but one room takes about T60 cubed to simulate (0.4 s at 3 s,
-# 14 s at 10 s, 126 s at 20 s for a 16 kHz room on a 2-vCPU VM), so a
-# 100 s target would run for hours.
+# target, but one room takes about T60 cubed to simulate (0.1 s at 3 s and
+# 4 s at 10 s for a 16 kHz room on a 2-vCPU VM; by the cube law about 33 s
+# at 20 s), so a 100 s target would run for over an hour.
 MAX_TARGET_T60 = 10.0
 
 

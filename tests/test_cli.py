@@ -224,10 +224,10 @@ def test_rir_sidecars_hold_the_build_corpus_label(tmp_path, demo_run, capsys):
 
 def test_demo_noise_covers_its_longest_target(tmp_path):
     """A --t60-list target whose room outlasts the 9 s noise once convolved
-    with the longest eval utterance (3.5 s + 1.3 x 4.3 s) still builds."""
+    with the longest eval utterance (3.5 s + 1.0 x 5.6 s) still builds."""
     out = tmp_path / "d"
     assert main(["demo", "--out", str(out), "--talkers", "1", "--utterances", "4",
-                 "--t60-list", "0.5,4.3", "--snr-list", "12", "--train-t60-max", "0.5",
+                 "--t60-list", "0.5,5.6", "--snr-list", "12", "--train-t60-max", "0.5",
                  "--train-rooms", "2", "--order", "0", "--quiet"]) == 0
     assert len(load_wav(out / "assets" / "noise" / "white.wav")) > 9 * SR
 

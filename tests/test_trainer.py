@@ -9,7 +9,7 @@ import pytest
 from conftest import SR, TRAINING_REPORT_KEYS, write_speech
 from revtime.errors import RevtimeError
 from revtime.estimator import EstimatorConfig, MappingModel, NsvStatistic, map_nsv_to_t60
-from revtime.room_acoustics import measure_t60
+from revtime.room_acoustics import image_method_rir, measure_t60, schroeder_edc, t60_from_edc
 from revtime.signal_core import _from_fields, _write_rows, load_wav, save_wav
 from revtime.synth import synthetic_speech
 from revtime.trainer import (
@@ -99,6 +99,35 @@ class TestRoomSampler:
             assert all(0 < p < d for p, d in zip(spec.source, spec.dims))
             assert all(0 < p < d for p, d in zip(spec.mic, spec.dims))
             assert spec.rir_length >= t60
+
+
+class TestRirLength:
+    """The sampler simulates each room for its target T60 and no longer."""
+
+    TARGETS = np.round(np.linspace(0.1, 2.0, 20), 3)
+
+    @pytest.fixture(scope="class")
+    def specs(self):
+        rng = np.random.default_rng(37)
+        return [RoomSampler().sample(rng, t60, SR) for t60 in self.TARGETS]
+
+    def test_length_is_the_target(self, specs):
+        for t60, spec in zip(self.TARGETS, specs):
+            assert spec.rir_length == max(RoomSampler.rir_length_min, t60)
+
+    def test_label_matches_a_longer_simulation(self, specs):
+        """The label's fit stops at -35 dB, 25 dB above a response cut at
+        T60, where the tail left out lowers the Schroeder curve by
+        10 log10(1 - 10^-2.5), about 0.014 dB. Rooms whose decay runs past
+        their target keep less margin, so the bound is 1% of the label
+        measured from the same room simulated for 1.3 x its target (and at
+        least rir_length_min)."""
+        for spec in specs:
+            longer = dataclasses.replace(
+                spec, rir_length=max(spec.rir_length, 1.3 * spec.target_t60))
+            label, reference = (t60_from_edc(schroeder_edc(image_method_rir(s)), SR)
+                                for s in (spec, longer))
+            assert label == pytest.approx(reference, rel=0.01), spec
 
 
 class TestFitMapping:
