@@ -32,7 +32,14 @@ from .eval_harness import (
 # item 12).
 from .room_acoustics import image_method_rir  # noqa: F401
 from .signal_core import _from_fields, _is_finite, load_wav, read_lines
-from .trainer import default_t60_grid, draw_rooms, save_rooms, speech_files, train_model
+from .trainer import (
+    check_frame,
+    default_t60_grid,
+    draw_rooms,
+    save_rooms,
+    speech_files,
+    train_model,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,7 +243,7 @@ def cmd_build_corpus(args) -> int:
 
 def cmd_train(args) -> int:
     seed = 0 if args.seed is None else args.seed
-    _, sample_rate = speech_files(args.speech_dir)
+    paths, sample_rate = speech_files(args.speech_dir)
     # --variant, --n-mel-bands, --window-frames and --snr-margin set the
     # EstimatorConfig fields they are named after.
     try:
@@ -245,6 +252,10 @@ def cmd_train(args) -> int:
         # The one rule for_sample_rate can break: hop <= frame, in samples.
         raise RevtimeError(f"--hop-ms {args.hop_ms:g} is longer than --frame-ms "
                            f"{args.frame_ms:g} at {sample_rate} Hz ({exc})") from None
+    try:
+        check_frame(paths, stft.frame_len)
+    except RevtimeError as exc:
+        raise RevtimeError(f"--frame-ms {args.frame_ms:g} at {sample_rate} Hz: {exc}") from None
     cfg = _from_fields(EstimatorConfig, {**vars(args), "stft": stft}, "train options")
     grid = args.grid if args.grid else default_t60_grid(args.t60_max)
     rooms = draw_rooms(seed, grid, args.rooms_per_t60, sample_rate,
@@ -300,6 +311,9 @@ def main(argv=None) -> int:
         return 2
     except (RevtimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the allocation; a bare one is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

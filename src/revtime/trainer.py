@@ -185,16 +185,28 @@ def speech_files(speech_dir):
     return paths, rates.pop()
 
 
+def check_frame(paths, frame_len: int) -> None:
+    """Raise RevtimeError if an analysis frame of frame_len samples is longer
+    than every speech file, read from the headers: no utterance could give
+    a pair, and an FFT that size may not even fit in memory."""
+    longest = max(wav_info(p)[1] for p in paths)
+    if frame_len > longest:
+        raise RevtimeError(f"analysis frame of {frame_len} samples is longer than "
+                           f"the longest training utterance ({longest} samples)")
+
+
 def build_training_set(speech_dir, rooms, cfg: EstimatorConfig):
     """Simulate each room of draw_rooms, convolve every utterance, and
     collect (NSV, measured T60) pairs. No noise is added.
 
     Labels come from Schroeder measurement of each generated impulse
     response, not from the grid target. Returns (pairs, n_skipped) where
-    skipped items raised "insufficient decay evidence". Rooms drawn at a
-    rate other than the speech's fail before any utterance is loaded.
+    skipped items raised "insufficient decay evidence". A frame longer than
+    every utterance, or rooms drawn at a rate other than the speech's, fail
+    before any utterance is loaded.
     """
     paths, fs = speech_files(speech_dir)
+    check_frame(paths, cfg.stft.frame_len)
     mel_weights(cfg, fs)  # too many bands for the FFT fails here, not per room
     rates = sorted({spec.sample_rate for _, _, spec in rooms} - {fs})
     if rates:

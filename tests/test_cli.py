@@ -470,6 +470,11 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
      "error: --grid 0.5 gives the same room name (0.500) as another --grid"),
     (["train", "--grid", "0.3001,0.3004"],
      "error: --grid 0.3001 gives the same room name (0.300) as another --grid"),
+    (["train", "--frame-ms", "5000", "--hop-ms", "16"],
+     "error: --frame-ms 5000 at 16000 Hz: analysis frame of 80000 samples is longer than "
+     "the longest training utterance (25600 samples)"),
+    (["train", "--frame-ms", "1e9", "--hop-ms", "1e9"],
+     "error: --frame-ms 1e+09 at 16000 Hz: analysis frame of 16000000000 samples"),
 ], ids=["grid_nan", "grid_negative", "t60_max_inf", "t60_max_nan", "rir_t60_inf",
         "demo_t60_nan", "demo_train_t60_max_zero", "demo_snr_nan", "demo_snr_minus_inf",
         "snr_margin_nan", "frame_ms_zero", "hop_ms_negative", "hop_longer_than_frame",
@@ -478,11 +483,13 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
         "demo_t60_same_stem", "rir_t60_above_limit", "rir_t60_unreachable",
         "grid_above_limit", "t60_max_above_limit", "demo_t60_above_limit",
         "demo_train_t60_max_above_limit", "demo_t60_unreachable",
-        "demo_train_t60_unreachable", "grid_repeated", "grid_same_stem"])
+        "demo_train_t60_unreachable", "grid_repeated", "grid_same_stem",
+        "frame_longer_than_speech", "frame_too_large_for_memory"])
 def test_bad_value_fails_before_any_room(tmp_path, speech_dir, no_rooms, capsys,
                                          command, expected):
-    """A bad number on the command line, a hop longer than the frame, too few
-    possible training pairs, more Mel bands than FFT bins, a target T60
+    """A bad number on the command line, a hop longer than the frame, a frame
+    longer than every training utterance, too few possible training pairs,
+    more Mel bands than FFT bins, a target T60
     above MAX_TARGET_T60 or one the room sampler cannot reach, or two
     targets that share a room name exits 1 with one message and no
     traceback before any room is simulated (demo and simulate-rir: before
@@ -501,6 +508,20 @@ def test_bad_value_fails_before_any_room(tmp_path, speech_dir, no_rooms, capsys,
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.wav")) and not list(tmp_path.rglob("*.json"))
     assert command[0] == "train" or not out.exists()
+
+
+@pytest.mark.parametrize("exc, expected", [
+    (MemoryError("Unable to allocate 2.98 GiB for an array"),
+     "error: Unable to allocate 2.98 GiB for an array\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_memory_error_exits_1_without_traceback(tmp_path, monkeypatch, capsys, exc, expected):
+    def out_of_memory(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_simulate_rir", out_of_memory)
+    assert main(["simulate-rir", "--out", str(tmp_path / "r"), "--t60", "0.4"]) == 1
+    assert capsys.readouterr().err == expected
 
 
 @pytest.mark.parametrize("text", ["inf", "+inf", "clean"])

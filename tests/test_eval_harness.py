@@ -504,6 +504,23 @@ class TestPairedEval:
             assert timeless(par[tag][0]) == timeless(records)
             assert par[tag][1] == failures
 
+    def test_model_order_changes_no_result(self, corpus, tmp_path):
+        _, _, items = corpus
+        tiny = tmp_path / "tiny.wav"
+        save_wav(synthetic_speech(0.4, SR, seed=5), tiny)
+        broken = dataclasses.replace(items[0], item_id="broken", mix_path=str(tiny))
+        items = [*items[:2], broken, *items[2:]]
+        full, mel = (make_model([0.2, 0.05], v) for v in VARIANTS)
+        ref = run_eval_paired(items, [full, mel])
+        for models in ([full, mel], [mel, full]):
+            for jobs in (1, 2):
+                got = run_eval_paired(items, models, jobs=jobs)
+                assert list(got) == [m.variant_tag for m in models]
+                for tag, (records, failures) in ref.items():
+                    assert timeless(got[tag][0]) == timeless(records)
+                    assert got[tag][1] == failures
+                    assert [f[0] for f in failures] == ["broken"]
+
     def test_duplicate_variants_rejected(self, corpus, tmp_path):
         _, _, items = corpus
         with pytest.raises(RevtimeError, match="distinct variant tags"):

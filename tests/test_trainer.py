@@ -251,6 +251,15 @@ class TestBuildTrainingSet:
                            match="^rooms drawn at 8000 Hz cannot train on 16000 Hz speech"):
             build_training_set(speech_dir, draw_rooms(0, [0.5], 1, 8000), CFG)
 
+    def test_frame_longer_than_every_utterance_fails_before_any_room(self, speech_dir,
+                                                                     no_rooms):
+        """The longest utterance (2.2 s) holds 35200 samples."""
+        cfg = dataclasses.replace(CFG, stft=dataclasses.replace(CFG.stft, frame_len=35201,
+                                                                     fft_len=0))
+        with pytest.raises(RevtimeError, match=r"^analysis frame of 35201 samples is longer "
+                           r"than the longest training utterance \(35200 samples\)$"):
+            build_training_set(speech_dir, draw_rooms(0, [0.5], 1, SR), cfg)
+
     def test_full_determinism_through_fit(self, speech_dir):
         grids = default_t60_grid(0.5)
         models = []
