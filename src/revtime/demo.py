@@ -20,8 +20,7 @@ from .eval_harness import (
 )
 from .signal_core import save_wav
 from .synth import babble_noise, shaped_noise, synthetic_speech
-from .trainer import (RoomSampler, _check_pair_count, default_t60_grid, draw_rooms,
-                      save_rooms, train_model)
+from .trainer import _check_pair_count, default_t60_grid, draw_rooms, save_rooms, train_model
 
 SR = 16000
 HELDOUT_T60S = (0.3, 0.45, 0.6, 0.75, 0.9)
@@ -47,7 +46,8 @@ def _make_assets(root: Path, seed: int, talkers: int, utterances: int,
     eval_rooms = draw_rooms(rng, t60_list, 1, SR, "--t60-list")
     heldout_rooms = draw_rooms(rng, HELDOUT_T60S, 1, SR, "held-out T60")
     # Noise covers the longest eval utterance convolved with the longest eval room.
-    noise_s = max(9.0, max(s for _, s, _ in evals) + RoomSampler().rir_length(max(t60_list)))
+    noise_s = max(9.0, max(s for _, s, _ in evals)
+                  + max(spec.rir_length for _, _, spec in eval_rooms))
 
     say("[1/5] synthesizing speech, noise and impulse responses")
     for directory, utts in (("train_speech", train), ("speech", evals + heldout)):

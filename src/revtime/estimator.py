@@ -30,6 +30,8 @@ TARGETS = ("t60", "log_t60")  # a mapping fits T60 in seconds, or log10 of it
 # Fraction of frames assumed noise-dominated when estimating each band's
 # noise floor.
 NOISE_FLOOR_PERCENTILE = 10.0
+# The fewest frames that percentile is taken over.
+MIN_FLOOR_FRAMES = 10
 
 # Linear-magnitude floor applied before taking logs (-200 dB) so silence
 # stays finite.
@@ -317,8 +319,9 @@ def estimate_band_snr(spec: BandSpectrogram) -> np.ndarray:
     with a partial sort (cheaper than a full percentile call at this size).
     """
     n = spec.n_frames
-    if n < 10:
-        raise EstimationError("need at least 10 frames to estimate band noise floors")
+    if n < MIN_FLOOR_FRAMES:
+        raise EstimationError(
+            f"need at least {MIN_FLOOR_FRAMES} frames to estimate band noise floors")
     pos = NOISE_FLOOR_PERCENTILE / 100.0 * (n - 1)
     lo = int(pos)
     frac = pos - lo

@@ -8,6 +8,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -197,12 +198,12 @@ def write_manifest(rows, path) -> None:
 
 def _check_files(rows) -> dict:
     """Check the manifest's files from their WAV headers, each distinct path
-    read once. Every file must load; then, row by row, an RIR must be at
-    its speech's sample rate, and a noise mixed at a finite SNR at that rate
-    too and at least as long as the reverberant speech (speech + RIR - 1
-    frames). Last, each distinct RIR is loaded and its T60 label measured.
-    A failure raises RevtimeError naming the row; returns the labels by RIR
-    path."""
+    read once. First every file must load. Then, row by row, an RIR must be
+    at its speech's sample rate, and a noise mixed at a finite SNR at that
+    rate too and at least as long as the reverberant speech (speech + RIR -
+    1 frames); once a row keeps these rules, its RIR, if not yet seen, is
+    loaded and its T60 label measured. A failure raises RevtimeError naming
+    the row; returns the labels by RIR path."""
     headers = {}
     for idx, row in enumerate(rows):
         for path in filter(None, (row["speech"], row["rir"], row["noise"])):
@@ -214,23 +215,21 @@ def _check_files(rows) -> dict:
                 headers[path] = wav_info(path)
             except RevtimeError as exc:
                 raise RevtimeError(f"row {idx}: {exc}") from exc
+    labels = {}
     for idx, row in enumerate(rows):
         (rate, n_speech), (rir_rate, n_rir) = headers[row["speech"]], headers[row["rir"]]
         if rir_rate != rate:
             raise RevtimeError(f"row {idx}: sample-rate mismatch between {row['speech']} "
                                f"({rate} Hz) and {row['rir']} ({rir_rate} Hz)")
-        if not math.isfinite(row["snr_db"]):
-            continue
-        noise_rate, n_noise = headers[row["noise"]]
-        if noise_rate != rate:
-            raise RevtimeError(f"row {idx}: noise {row['noise']}: sample-rate mismatch: "
-                               f"speech {rate} Hz vs noise {noise_rate} Hz")
-        if n_noise < n_speech + n_rir - 1:
-            raise RevtimeError(f"row {idx}: noise {row['noise']}: noise ({n_noise} "
-                               f"samples) is shorter than speech convolved with its "
-                               f"RIR ({n_speech + n_rir - 1})")
-    labels = {}
-    for idx, row in enumerate(rows):
+        if math.isfinite(row["snr_db"]):
+            noise_rate, n_noise = headers[row["noise"]]
+            if noise_rate != rate:
+                raise RevtimeError(f"row {idx}: noise {row['noise']}: sample-rate mismatch: "
+                                   f"speech {rate} Hz vs noise {noise_rate} Hz")
+            if n_noise < n_speech + n_rir - 1:
+                raise RevtimeError(f"row {idx}: noise {row['noise']}: noise ({n_noise} "
+                                   f"samples) is shorter than speech convolved with its "
+                                   f"RIR ({n_speech + n_rir - 1})")
         if row["rir"] not in labels:
             try:
                 labels[row["rir"]] = measure_t60(load_wav(row["rir"]))
@@ -246,18 +245,19 @@ def build_corpus(manifest, out_dir) -> list:
     entry per item: its CorpusItem fields (with the Schroeder-measured true
     T60) plus the speech level, noise gain and output gain of the mix.
 
-    A (speech, RIR) pair is loaded, convolved and level-measured once and
-    reused while the following rows name the same pair; noise files are
-    loaded once per build. Beyond the noise files, one pair's buffers are
-    alive at a time: its speech and RIR until they are convolved, its
-    reverberant speech until the pair changes, and the current row's mix,
-    with the 16-bit copy save_wav writes, until the mix is written. With
-    convolve's and save_wav's work arrays, the traced peak is about 4.3
-    times the longest reverberant speech in float64. Rows grouped by
-    (speech, RIR) build fastest, but any row order gives the same files: a
-    pair that comes back after another is simply convolved again. Every
-    recorded path is absolute, so the corpus can be evaluated from any
-    working directory.
+    The rows are realized in runs of consecutive rows that name the same
+    (speech, RIR) pair: a run loads, convolves and level-measures its pair
+    once, then mixes and writes its rows in order; noise files are loaded
+    once per build. Beyond the noise files, one pair's buffers are alive at
+    a time: its speech and RIR until they are convolved, its reverberant
+    speech until its run of rows ends, and the current row's mix, with the
+    16-bit copy save_wav writes, until the mix is written. With convolve's
+    and save_wav's work arrays, the traced peak is about 4.3 times the
+    longest reverberant speech in float64. Rows grouped by (speech, RIR)
+    build fastest, but any row order gives the same files: a pair that
+    comes back after another starts a new run and is convolved again.
+    Every recorded path is absolute, so the corpus can be evaluated from
+    any working directory.
 
     Every file is checked from its header, and every RIR labeled, before
     out_dir is created; only silent speech, a silent mix, or a noise silent
@@ -268,63 +268,57 @@ def build_corpus(manifest, out_dir) -> list:
     out = Path(out_dir).absolute()
     out.mkdir(parents=True, exist_ok=True)
     noises = {}
-    pair = None
     items, entries = [], []
-    # One pair's buffers are alive at a time: the last pair's reverberant
-    # speech is dropped before the next pair loads, the speech and RIR once
-    # convolved, and each mix once written.
-    for idx, row in enumerate(rows):
-        if (row["speech"], row["rir"]) != pair:
-            reverberant = None
-            speech = load_wav(row["speech"])
-            rir = load_wav(row["rir"])
-            pair = (row["speech"], row["rir"])
-            reverberant = convolve(speech, rir)
-            del speech, rir
-            try:
-                level = active_speech_level(reverberant)
-            except RevtimeError as exc:
-                raise RevtimeError(f"row {idx}: speech {row['speech']}: {exc}") from exc
-        # The mix is built and scaled in place in one array; a clean row copies
-        # the reverberant speech, which later rows may reuse.
-        if math.isfinite(row["snr_db"]):
-            if row["noise"] not in noises:
-                noises[row["noise"]] = load_wav(row["noise"])
-            noise = noises[row["noise"]]
-            try:
-                gain = noise_gain_for_snr(reverberant, noise, row["snr_db"],
-                                          speech_level_db=level)
-            except RevtimeError as exc:
-                raise RevtimeError(f"row {idx}: noise {row['noise']}: {exc}") from exc
-            mix = noise.samples[:len(reverberant)] * gain
-            mix += reverberant.samples
-        else:
-            gain = 0.0
-            mix = reverberant.samples.copy()
-        peak = float(max(mix.max(), -mix.min()))
-        if peak == 0.0:
-            raise RevtimeError(f"row {idx}: mix is silent")
-        output_gain = PEAK_TARGET / peak
-        mix *= output_gain
-        mix_buf = AudioBuffer(mix, reverberant.sample_rate)
-
-        item_id = f"item{idx:04d}"
-        mix_path = out / f"{item_id}.wav"
-        save_wav(mix_buf, mix_path)
-        del mix, mix_buf
-        item = CorpusItem(
-            item_id=item_id,
-            speech_path=row["speech"],
-            rir_path=row["rir"],
-            noise_path=row["noise"],
-            snr_db=row["snr_db"],
-            noise_type=row["noise_type"],
-            t60_true=labels[row["rir"]],
-            mix_path=str(mix_path),
-        )
-        items.append(item)
-        entries.append({**item.to_dict(), "speech_level_db": level,
-                        "noise_gain": gain, "output_gain": output_gain})
+    for (speech_path, rir_path), run in groupby(
+            enumerate(rows), key=lambda numbered: (numbered[1]["speech"], numbered[1]["rir"])):
+        run = list(run)
+        reverberant = convolve(load_wav(speech_path), load_wav(rir_path))
+        try:
+            level = active_speech_level(reverberant)
+        except RevtimeError as exc:
+            raise RevtimeError(f"row {run[0][0]}: speech {speech_path}: {exc}") from exc
+        for idx, row in run:
+            # The mix is built and scaled in place in one array; a clean row
+            # copies the reverberant speech, which later rows of the run reuse.
+            if math.isfinite(row["snr_db"]):
+                if row["noise"] not in noises:
+                    noises[row["noise"]] = load_wav(row["noise"])
+                noise = noises[row["noise"]]
+                try:
+                    gain = noise_gain_for_snr(reverberant, noise, row["snr_db"],
+                                              speech_level_db=level)
+                except RevtimeError as exc:
+                    raise RevtimeError(f"row {idx}: noise {row['noise']}: {exc}") from exc
+                mix = noise.samples[:len(reverberant)] * gain
+                mix += reverberant.samples
+            else:
+                gain = 0.0
+                mix = reverberant.samples.copy()
+            peak = float(max(mix.max(), -mix.min()))
+            if peak == 0.0:
+                raise RevtimeError(f"row {idx}: mix is silent")
+            output_gain = PEAK_TARGET / peak
+            mix *= output_gain
+            item_id = f"item{idx:04d}"
+            item = CorpusItem(
+                item_id=item_id,
+                speech_path=speech_path,
+                rir_path=rir_path,
+                noise_path=row["noise"],
+                snr_db=row["snr_db"],
+                noise_type=row["noise_type"],
+                t60_true=labels[rir_path],
+                mix_path=str(out / f"{item_id}.wav"),
+            )
+            save_wav(AudioBuffer(mix, reverberant.sample_rate), item.mix_path)
+            del mix
+            items.append(item)
+            entries.append({**item.to_dict(), "speech_level_db": level,
+                            "noise_gain": gain, "output_gain": output_gain})
+        # Each mix is dropped once written and the reverberant speech once its
+        # run ends: rebinding either name would hold two while the next is made
+        # (two pairs while the next run's convolve runs).
+        del reverberant
     save_json(entries, out / "items.json")
     return items
 

@@ -4,6 +4,7 @@ rooms: each float32 WAV and its JSON sidecar."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EstimationError, RevtimeError
-from .estimator import EstimatorConfig, MappingModel, mel_weights, nsv_from_audio
+from .estimator import (MIN_FLOOR_FRAMES, EstimatorConfig, MappingModel, mel_weights,
+                        nsv_from_audio)
 from .room_acoustics import (SABINE_CONSTANT, RoomSpec, image_method_rir, measure_t60,
                              sabine_absorption)
 from .signal_core import (AudioBuffer, _check_finite, _write_rows, convolve, load_wav,
@@ -185,14 +187,33 @@ def speech_files(speech_dir):
     return paths, rates.pop()
 
 
-def check_frame(paths, frame_len: int) -> None:
+def check_frame(paths, frame_len: int) -> int:
     """Raise RevtimeError if an analysis frame of frame_len samples is longer
     than every speech file, read from the headers: no utterance could give
-    a pair, and an FFT that size may not even fit in memory."""
+    a pair, and an FFT that size may not even fit in memory. Returns the
+    longest file's length in samples."""
     longest = max(wav_info(p)[1] for p in paths)
     if frame_len > longest:
         raise RevtimeError(f"analysis frame of {frame_len} samples is longer than "
                            f"the longest training utterance ({longest} samples)")
+    return longest
+
+
+def _check_window(longest: int, rooms, cfg: EstimatorConfig, fs: int) -> None:
+    """Raise RevtimeError if even the longest utterance (longest samples)
+    convolved with the longest room gives fewer frames than the slope window
+    needs, or, for mel_band, than MIN_FLOOR_FRAMES: no room could give a
+    pair. The room's length is rounded up, so a run that could give a pair
+    is never rejected."""
+    n = longest + math.ceil(max((spec.rir_length for _, _, spec in rooms), default=0) * fs) - 1
+    frames = (n - cfg.stft.frame_len) // cfg.stft.hop + 1
+    floor = MIN_FLOOR_FRAMES if cfg.variant == "mel_band" else 0
+    need = max(cfg.window_frames, floor)
+    if frames < need:
+        floor_text = f", mel_band noise floor {floor}" if floor else ""
+        raise RevtimeError(f"training needs {need} frames (window_frames {cfg.window_frames}"
+                           f"{floor_text}), but the longest utterance convolved with the "
+                           f"longest room gives {frames}")
 
 
 def build_training_set(speech_dir, rooms, cfg: EstimatorConfig):
@@ -202,15 +223,18 @@ def build_training_set(speech_dir, rooms, cfg: EstimatorConfig):
     Labels come from Schroeder measurement of each generated impulse
     response, not from the grid target. Returns (pairs, n_skipped) where
     skipped items raised "insufficient decay evidence". A frame longer than
-    every utterance, or rooms drawn at a rate other than the speech's, fail
-    before any utterance is loaded.
+    every utterance, rooms drawn at a rate other than the speech's, or too
+    few frames for the slope window (or mel_band's noise floor) even from
+    the longest utterance in the longest room, fail before any utterance is
+    loaded.
     """
     paths, fs = speech_files(speech_dir)
-    check_frame(paths, cfg.stft.frame_len)
+    longest = check_frame(paths, cfg.stft.frame_len)
     mel_weights(cfg, fs)  # too many bands for the FFT fails here, not per room
     rates = sorted({spec.sample_rate for _, _, spec in rooms} - {fs})
     if rates:
         raise RevtimeError(f"rooms drawn at {rates[0]} Hz cannot train on {fs} Hz speech")
+    _check_window(longest, rooms, cfg, fs)
 
     utts = [load_wav(p) for p in paths]
     pairs = []

@@ -475,6 +475,12 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
      "the longest training utterance (25600 samples)"),
     (["train", "--frame-ms", "1e9", "--hop-ms", "1e9"],
      "error: --frame-ms 1e+09 at 16000 Hz: analysis frame of 16000000000 samples"),
+    (["train", "--window-frames", "400"],
+     "error: training needs 400 frames (window_frames 400, mel_band noise floor 10), but "
+     "the longest utterance convolved with the longest room gives 158"),
+    (["train", "--frame-ms", "300", "--hop-ms", "300"],
+     "error: training needs 10 frames (window_frames 7, mel_band noise floor 10), but "
+     "the longest utterance convolved with the longest room gives 8"),
 ], ids=["grid_nan", "grid_negative", "t60_max_inf", "t60_max_nan", "rir_t60_inf",
         "demo_t60_nan", "demo_train_t60_max_zero", "demo_snr_nan", "demo_snr_minus_inf",
         "snr_margin_nan", "frame_ms_zero", "hop_ms_negative", "hop_longer_than_frame",
@@ -484,7 +490,8 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
         "grid_above_limit", "t60_max_above_limit", "demo_t60_above_limit",
         "demo_train_t60_max_above_limit", "demo_t60_unreachable",
         "demo_train_t60_unreachable", "grid_repeated", "grid_same_stem",
-        "frame_longer_than_speech", "frame_too_large_for_memory"])
+        "frame_longer_than_speech", "frame_too_large_for_memory", "window_longer_than_speech",
+        "too_few_frames_for_noise_floor"])
 def test_bad_value_fails_before_any_room(tmp_path, speech_dir, no_rooms, capsys,
                                          command, expected):
     """A bad number on the command line, a hop longer than the frame, a frame

@@ -421,6 +421,19 @@ class TestBuildCorpusReuse:
                            match=r"row 1: speech .*silent\.wav: no active frames"):
             build_corpus(manifest, assets / "built_silent_noisy")
 
+    def test_noise_silent_over_speech_on_later_row_of_run(self, assets):
+        """A noise that is zero over the reverberant span passes the header
+        checks and fails when its row, the second of its run, is mixed: the
+        first row's item is kept and no items.json is written."""
+        save_wav(AudioBuffer(np.zeros(4 * SR), SR), assets / "quiet.wav")
+        manifest = assets / "m_quiet.csv"
+        write_manifest([self.ROWS[0], ("s0.wav", "r0.wav", "quiet.wav", 12, "fan")], manifest)
+        out = assets / "built_quiet"
+        with pytest.raises(RevtimeError, match=r"^row 1: noise .*quiet\.wav: "
+                           r"noise is silent over the speech span$"):
+            build_corpus(manifest, out)
+        assert sorted(p.name for p in out.iterdir()) == ["item0000.wav"]
+
     def test_unlabelable_rir_fails_before_output(self, assets):
         impulse = AudioBuffer(np.concatenate([[1.0], np.zeros(50)]), SR)
         save_wav(impulse, assets / "impulse.wav", fmt="float32")

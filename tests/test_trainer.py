@@ -260,6 +260,17 @@ class TestBuildTrainingSet:
                            r"than the longest training utterance \(35200 samples\)$"):
             build_training_set(speech_dir, draw_rooms(0, [0.5], 1, SR), cfg)
 
+    def test_window_no_room_can_fill_fails_before_any_room(self, speech_dir, no_rooms):
+        """The longest utterance (35200 samples) in a 0.5 s room (8000
+        samples) gives 43199 samples: 167 frames of 512 samples at a hop of
+        256, one short of window_frames 168."""
+        assert CFG.stft.frame_len == 512 and CFG.stft.hop == 256
+        cfg = dataclasses.replace(CFG, window_frames=168)
+        with pytest.raises(RevtimeError, match=r"^training needs 168 frames \(window_frames "
+                           r"168.*\), but the longest utterance convolved with the longest "
+                           r"room gives 167$"):
+            build_training_set(speech_dir, draw_rooms(0, [0.5], 1, SR), cfg)
+
     def test_full_determinism_through_fit(self, speech_dir):
         grids = default_t60_grid(0.5)
         models = []
