@@ -33,7 +33,6 @@ from .eval_harness import (
 from .room_acoustics import image_method_rir  # noqa: F401
 from .signal_core import _from_fields, _is_finite, load_wav, read_lines
 from .trainer import (
-    check_frame,
     default_t60_grid,
     draw_rooms,
     save_rooms,
@@ -243,7 +242,7 @@ def cmd_build_corpus(args) -> int:
 
 def cmd_train(args) -> int:
     seed = 0 if args.seed is None else args.seed
-    paths, sample_rate = speech_files(args.speech_dir)
+    _, sample_rate = speech_files(args.speech_dir)
     # --variant, --n-mel-bands, --window-frames and --snr-margin set the
     # EstimatorConfig fields they are named after.
     try:
@@ -252,10 +251,6 @@ def cmd_train(args) -> int:
         # The one rule for_sample_rate can break: hop <= frame, in samples.
         raise RevtimeError(f"--hop-ms {args.hop_ms:g} is longer than --frame-ms "
                            f"{args.frame_ms:g} at {sample_rate} Hz ({exc})") from None
-    try:
-        check_frame(paths, stft.frame_len)
-    except RevtimeError as exc:
-        raise RevtimeError(f"--frame-ms {args.frame_ms:g} at {sample_rate} Hz: {exc}") from None
     cfg = _from_fields(EstimatorConfig, {**vars(args), "stft": stft}, "train options")
     grid = args.grid if args.grid else default_t60_grid(args.t60_max)
     rooms = draw_rooms(seed, grid, args.rooms_per_t60, sample_rate,

@@ -3,11 +3,13 @@ slopes in a log-magnitude spectrogram.
 
 The module owns the whole estimator, front-end included: the STFT settings
 (StftConfig), the Mel filterbank (mel_weights) and the peak-normalized dB
-spectrogram (band_spectrogram, a BandSpectrogram). Two front-end variants
-exist: full_band fits a decay slope in every FFT bin and pools them all,
-while mel_band first averages bins into Mel bands and gates time-frequency
-points on a per-band SNR estimate before pooling. The pooled negative-slope
-variance is mapped to a T60 through a trained polynomial in log10(NSV).
+spectrogram (band_spectrogram, a BandSpectrogram). Both front-end variants
+share one band-major STFT magnitude path and differ only in their bands:
+full_band fits a decay slope in every FFT bin and pools them all, while
+mel_band first averages the bins' power into Mel bands and gates
+time-frequency points on a per-band SNR estimate before pooling. The
+pooled negative-slope variance is mapped to a T60 through a trained
+polynomial in log10(NSV).
 """
 
 from __future__ import annotations
@@ -449,17 +451,18 @@ def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:
     averaging in ``tests/stft_reference.py`` to within rounding while
     avoiding the full-resolution log.
 
-    The STFT walks the signal in blocks of _STFT_BLOCK frames, reusing one
-    set of block-sized buffers for a block's scaled samples, windowed
-    frames, spectrum and (full_band) magnitudes, about 1.6 MB at 16 kHz.
-    Every step is elementwise or per frame, so the values do not depend on
-    the block size. full_band writes each block's dB values straight into
-    the band-major output. mel_band writes each block's squared magnitudes
-    into the rows of one power matrix (about 8 bytes per input sample) and
-    bands it with a single matrix product, because BLAS over shorter row
-    blocks sums in another order. The peak and the clamp are taken over the
-    whole input. Every buffer belongs to the call and is released when it
-    returns; the returned values are a fresh array.
+    Both variants share one path. The STFT walks the signal in blocks of
+    _STFT_BLOCK frames, reusing one set of block-sized buffers for a block's
+    scaled samples, windowed frames, spectrum and magnitudes, about 1.6 MB
+    at 16 kHz, and writes each block's magnitudes transposed into one
+    band-major (bins, frames) matrix, about 8 bytes per input sample. Every
+    step is elementwise or per frame, so the values do not depend on the
+    block size. The only variant step follows: mel_band squares that matrix
+    and bands it with a single matrix product, because BLAS over shorter
+    column blocks sums in another order. One log10 and the dB scaling then
+    serve both, and the peak and the clamp are taken over the whole input.
+    Every buffer belongs to the call and is released when it returns; the
+    returned values are a fresh array.
     """
     if buf.duration < cfg.min_duration_s:
         raise EstimationError(
@@ -481,38 +484,27 @@ def band_spectrogram(buf: AudioBuffer, cfg: EstimatorConfig) -> BandSpectrogram:
     # which read only the samples scaled for that block.
     scaled = np.empty((block - 1) * stft.hop + stft.frame_len)
     frames = sliding_window_view(scaled, stft.frame_len)[::stft.hop]
-    # Frame-major keeps abs and the Mel banding on contiguous arrays.
+    # Frame-major keeps the FFT and abs on contiguous arrays.
     windowed = np.empty(frames.shape)
     spectrum = np.empty((block, n_bins), np.complex128)
+    mag = np.empty((block, n_bins))
     window = _window(stft)
-    weights = mel_weights(cfg, buf.sample_rate)
-    if weights is None:
-        mag = np.empty((block, n_bins))
-        values = np.empty((n_bins, n_frames))
-    else:
-        power = np.empty((n_frames, n_bins))
+    values = np.empty((n_bins, n_frames))
     for f0 in range(0, n_frames, block):
         nf = min(block, n_frames - f0)
         span = (nf - 1) * stft.hop + stft.frame_len
         np.divide(buf.samples[f0 * stft.hop:][:span], peak, out=scaled[:span])
         np.multiply(frames[:nf], window, out=windowed[:nf])
         np.fft.rfft(windowed[:nf], n=stft.fft_len, axis=1, out=spectrum[:nf])
-        rows = mag[:nf] if weights is None else power[f0:f0 + nf]
-        np.abs(spectrum[:nf], out=rows)
-        rows += LOG_FLOOR
-        if weights is None:
-            np.log10(rows, out=rows)
-            # Scaling the block in cache and then copying it transposed is
-            # faster than one multiply that writes transposed.
-            rows *= 20.0
-            values[:, f0:f0 + nf] = rows.T
-        else:
-            np.square(rows, out=rows)
+        np.abs(spectrum[:nf], out=mag[:nf])
+        mag[:nf] += LOG_FLOOR
+        values[:, f0:f0 + nf] = mag[:nf].T
+    weights, db = mel_weights(cfg, buf.sample_rate), 20.0
     if weights is not None:
-        banded = power @ weights.T
-        np.log10(banded, out=banded)
-        banded *= 10.0
-        values = np.ascontiguousarray(banded.T)
+        np.square(values, out=values)
+        values, db = weights @ values, 10.0
+    np.log10(values, out=values)
+    values *= db
     np.maximum(values, values.max() - cfg.dynamic_range_db, out=values)
     return BandSpectrogram(values, stft.hop / buf.sample_rate)
 

@@ -187,25 +187,19 @@ def speech_files(speech_dir):
     return paths, rates.pop()
 
 
-def check_frame(paths, frame_len: int) -> int:
-    """Raise RevtimeError if an analysis frame of frame_len samples is longer
-    than every speech file, read from the headers: no utterance could give
-    a pair, and an FFT that size may not even fit in memory. Returns the
-    longest file's length in samples."""
+def _check_window(paths, rooms, cfg: EstimatorConfig, fs: int) -> None:
+    """Raise RevtimeError if the longest utterance, read from the WAV
+    headers and convolved with the longest room, is shorter than one
+    analysis frame (an FFT of that frame may not even fit in memory), or
+    gives fewer frames than the slope window needs, or, for mel_band, than
+    MIN_FLOOR_FRAMES: no room could give a pair. The room's length is
+    rounded up, so a run that could give a pair is never rejected."""
     longest = max(wav_info(p)[1] for p in paths)
-    if frame_len > longest:
-        raise RevtimeError(f"analysis frame of {frame_len} samples is longer than "
-                           f"the longest training utterance ({longest} samples)")
-    return longest
-
-
-def _check_window(longest: int, rooms, cfg: EstimatorConfig, fs: int) -> None:
-    """Raise RevtimeError if even the longest utterance (longest samples)
-    convolved with the longest room gives fewer frames than the slope window
-    needs, or, for mel_band, than MIN_FLOOR_FRAMES: no room could give a
-    pair. The room's length is rounded up, so a run that could give a pair
-    is never rejected."""
     n = longest + math.ceil(max((spec.rir_length for _, _, spec in rooms), default=0) * fs) - 1
+    if cfg.stft.frame_len > n:
+        raise RevtimeError(f"analysis frame of {cfg.stft.frame_len} samples is longer than "
+                           f"the longest utterance convolved with the longest room "
+                           f"({n} samples)")
     frames = (n - cfg.stft.frame_len) // cfg.stft.hop + 1
     floor = MIN_FLOOR_FRAMES if cfg.variant == "mel_band" else 0
     need = max(cfg.window_frames, floor)
@@ -222,19 +216,18 @@ def build_training_set(speech_dir, rooms, cfg: EstimatorConfig):
 
     Labels come from Schroeder measurement of each generated impulse
     response, not from the grid target. Returns (pairs, n_skipped) where
-    skipped items raised "insufficient decay evidence". A frame longer than
-    every utterance, rooms drawn at a rate other than the speech's, or too
-    few frames for the slope window (or mel_band's noise floor) even from
-    the longest utterance in the longest room, fail before any utterance is
-    loaded.
+    skipped items raised "insufficient decay evidence". Rooms drawn at a
+    rate other than the speech's, a frame longer than the longest utterance
+    in the longest room, too few frames for the slope window (or mel_band's
+    noise floor) even there, or too many Mel bands for the FFT, fail before
+    any utterance is loaded.
     """
     paths, fs = speech_files(speech_dir)
-    longest = check_frame(paths, cfg.stft.frame_len)
-    mel_weights(cfg, fs)  # too many bands for the FFT fails here, not per room
     rates = sorted({spec.sample_rate for _, _, spec in rooms} - {fs})
     if rates:
         raise RevtimeError(f"rooms drawn at {rates[0]} Hz cannot train on {fs} Hz speech")
-    _check_window(longest, rooms, cfg, fs)
+    _check_window(paths, rooms, cfg, fs)  # before mel_weights sizes the FFT
+    mel_weights(cfg, fs)  # too many bands for the FFT fails here, not per room
 
     utts = [load_wav(p) for p in paths]
     pairs = []

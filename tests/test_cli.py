@@ -317,6 +317,19 @@ class TestTrainCli:
         report = json.loads(model_path.with_suffix(".report.json").read_text())
         assert report["grid"] == [0.1, 0.2, 0.30001]
 
+    def test_frame_longer_than_dry_speech_trains(self, tmp_path, speech_dir, capsys):
+        """A 1.7 s frame (27200 samples) is longer than both 1.6 s utterances
+        (25600 samples) but not than either in a 0.9 s room, which gives
+        each full_band utterance enough frames for a pair: 5 rooms x 2
+        utterances, the 10 pairs order 0 needs."""
+        model_path = tmp_path / "model.json"
+        code = main(["train", "--speech-dir", str(speech_dir), "--out", str(model_path),
+                     "--frame-ms", "1700", "--variant", "full_band", "--grid", "0.9",
+                     "--rooms-per-t60", "5", "--order", "0", "--quiet"])
+        assert code == 0, capsys.readouterr().err
+        report = json.loads(model_path.with_suffix(".report.json").read_text())
+        assert (report["n_pairs"], report["n_skipped"]) == (10, 0)
+
     def test_t60_max_with_grid_fails_before_any_room(self, tmp_path, speech_dir, no_rooms,
                                                      capsys):
         with pytest.raises(SystemExit) as exc:
@@ -471,10 +484,11 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
     (["train", "--grid", "0.3001,0.3004"],
      "error: --grid 0.3001 gives the same room name (0.300) as another --grid"),
     (["train", "--frame-ms", "5000", "--hop-ms", "16"],
-     "error: --frame-ms 5000 at 16000 Hz: analysis frame of 80000 samples is longer than "
-     "the longest training utterance (25600 samples)"),
+     "error: analysis frame of 80000 samples is longer than the longest utterance "
+     "convolved with the longest room (40799 samples)"),
     (["train", "--frame-ms", "1e9", "--hop-ms", "1e9"],
-     "error: --frame-ms 1e+09 at 16000 Hz: analysis frame of 16000000000 samples"),
+     "error: analysis frame of 16000000000 samples is longer than the longest utterance "
+     "convolved with the longest room (40799 samples)"),
     (["train", "--window-frames", "400"],
      "error: training needs 400 frames (window_frames 400, mel_band noise floor 10), but "
      "the longest utterance convolved with the longest room gives 158"),
@@ -495,7 +509,9 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
 def test_bad_value_fails_before_any_room(tmp_path, speech_dir, no_rooms, capsys,
                                          command, expected):
     """A bad number on the command line, a hop longer than the frame, a frame
-    longer than every training utterance, too few possible training pairs,
+    longer than the longest training utterance in the longest room (25600
+    samples plus 15200 for the 0.95 s default grid top), too few possible
+    training pairs,
     more Mel bands than FFT bins, a target T60
     above MAX_TARGET_T60 or one the room sampler cannot reach, or two
     targets that share a room name exits 1 with one message and no

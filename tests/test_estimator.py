@@ -554,8 +554,9 @@ class TestStftBlocks:
                                                            ("mel_band", 10.0)])
     def test_work_memory_does_not_grow_with_input(self, variant, bytes_per_sample):
         """Per added input sample, a call allocates beyond its result about
-        0 bytes for full_band and 9 for mel_band (the power matrix and the
-        banded product, both released when the call returns); whole-signal
+        0 bytes for full_band, whose band-major matrix is its result, and 8
+        for mel_band, which squares that matrix and bands it into a smaller
+        result (the matrix is released when the call returns); whole-signal
         STFT temporaries took about 49."""
         cfg = EstimatorConfig.default(variant)
         excess = {seconds: excess_allocation(synthetic_speech(seconds, SR, seed=5), cfg)

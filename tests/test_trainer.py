@@ -253,12 +253,25 @@ class TestBuildTrainingSet:
 
     def test_frame_longer_than_every_utterance_fails_before_any_room(self, speech_dir,
                                                                      no_rooms):
-        """The longest utterance (2.2 s) holds 35200 samples."""
-        cfg = dataclasses.replace(CFG, stft=dataclasses.replace(CFG.stft, frame_len=35201,
+        """The longest utterance (35200 samples) in a 0.5 s room (8000
+        samples) gives 43199 samples."""
+        cfg = dataclasses.replace(CFG, stft=dataclasses.replace(CFG.stft, frame_len=43200,
                                                                      fft_len=0))
-        with pytest.raises(RevtimeError, match=r"^analysis frame of 35201 samples is longer "
-                           r"than the longest training utterance \(35200 samples\)$"):
+        with pytest.raises(RevtimeError, match=r"^analysis frame of 43200 samples is longer "
+                           r"than the longest utterance convolved with the longest room "
+                           r"\(43199 samples\)$"):
             build_training_set(speech_dir, draw_rooms(0, [0.5], 1, SR), cfg)
+
+    def test_frame_longer_than_dry_speech_trains(self, speech_dir):
+        """A 35201-sample frame is one sample longer than the longest
+        utterance (35200 samples), but that utterance in a 0.5 s room gives
+        43199 samples: 32 frames at a hop of 256. The 1.8 s utterance gives
+        36799 samples, 7 frames: one full_band slope window."""
+        cfg = dataclasses.replace(CFG, variant="full_band", stft=dataclasses.replace(
+            CFG.stft, frame_len=35201, fft_len=0))
+        assert (43199 - 35201) // cfg.stft.hop + 1 == 32
+        pairs, skipped = build_training_set(speech_dir, draw_rooms(0, [0.5], 1, SR), cfg)
+        assert ([p.utt_id for p in pairs], skipped) == (["u0", "u1"], 0)
 
     def test_window_no_room_can_fill_fails_before_any_room(self, speech_dir, no_rooms):
         """The longest utterance (35200 samples) in a 0.5 s room (8000
