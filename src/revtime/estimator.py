@@ -134,7 +134,7 @@ class EstimatorConfig:
     maximum. Without it the ungated full-band variant pools slopes from
     bins at the bottom of the representable range (deep nulls of the room
     response), where 16-bit quantization of stored audio rewrites the
-    statistics entirely.
+    statistics entirely. min_samples gives the shortest input they accept.
     """
 
     variant: str
@@ -159,6 +159,17 @@ class EstimatorConfig:
     @classmethod
     def default(cls, variant: str, sample_rate: int = 16000) -> "EstimatorConfig":
         return cls(variant=variant, stft=StftConfig.for_sample_rate(sample_rate))
+
+    def min_samples(self, sample_rate: int) -> int:
+        """The fewest samples at this rate that nsv_from_audio accepts
+        without a length error: min_duration_s of audio, by
+        band_spectrogram's own comparison, and enough frames for the slope
+        window and, for mel_band, the MIN_FLOOR_FRAMES noise floor."""
+        n = math.floor(self.min_duration_s * sample_rate)  # rounded: up to 2 short
+        while n / sample_rate < self.min_duration_s:
+            n += 1
+        frames = max(self.window_frames, MIN_FLOOR_FRAMES if self.variant == "mel_band" else 0)
+        return max(n, self.stft.frame_len + (frames - 1) * self.stft.hop)
 
 
 @dataclass(frozen=True, eq=False)

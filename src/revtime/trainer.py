@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EstimationError, RevtimeError
-from .estimator import (MIN_FLOOR_FRAMES, EstimatorConfig, MappingModel, mel_weights,
-                        nsv_from_audio)
+from .estimator import EstimatorConfig, MappingModel, mel_weights, nsv_from_audio
 from .room_acoustics import (SABINE_CONSTANT, RoomSpec, image_method_rir, measure_t60,
                              sabine_absorption)
 from .signal_core import (AudioBuffer, _check_finite, _write_rows, convolve, load_wav,
@@ -187,46 +186,30 @@ def speech_files(speech_dir):
     return paths, rates.pop()
 
 
-def _check_window(paths, rooms, cfg: EstimatorConfig, fs: int) -> None:
-    """Raise RevtimeError if the longest utterance, read from the WAV
-    headers and convolved with the longest room, is shorter than one
-    analysis frame (an FFT of that frame may not even fit in memory), or
-    gives fewer frames than the slope window needs, or, for mel_band, than
-    MIN_FLOOR_FRAMES: no room could give a pair. The room's length is
-    rounded up, so a run that could give a pair is never rejected."""
-    longest = max(wav_info(p)[1] for p in paths)
-    n = longest + math.ceil(max((spec.rir_length for _, _, spec in rooms), default=0) * fs) - 1
-    if cfg.stft.frame_len > n:
-        raise RevtimeError(f"analysis frame of {cfg.stft.frame_len} samples is longer than "
-                           f"the longest utterance convolved with the longest room "
-                           f"({n} samples)")
-    frames = (n - cfg.stft.frame_len) // cfg.stft.hop + 1
-    floor = MIN_FLOOR_FRAMES if cfg.variant == "mel_band" else 0
-    need = max(cfg.window_frames, floor)
-    if frames < need:
-        floor_text = f", mel_band noise floor {floor}" if floor else ""
-        raise RevtimeError(f"training needs {need} frames (window_frames {cfg.window_frames}"
-                           f"{floor_text}), but the longest utterance convolved with the "
-                           f"longest room gives {frames}")
-
-
 def build_training_set(speech_dir, rooms, cfg: EstimatorConfig):
     """Simulate each room of draw_rooms, convolve every utterance, and
     collect (NSV, measured T60) pairs. No noise is added.
 
     Labels come from Schroeder measurement of each generated impulse
     response, not from the grid target. Returns (pairs, n_skipped) where
-    skipped items raised "insufficient decay evidence". Rooms drawn at a
-    rate other than the speech's, a frame longer than the longest utterance
-    in the longest room, too few frames for the slope window (or mel_band's
-    noise floor) even there, or too many Mel bands for the FFT, fail before
-    any utterance is loaded.
+    skipped items raised "insufficient decay evidence" (or, shorter than
+    the longest, fell short of cfg.min_samples). Rooms drawn at a rate
+    other than the speech's, a longest utterance that even convolved with
+    the longest room is shorter than cfg.min_samples, or too many Mel bands
+    for the FFT, fail before any utterance is loaded.
     """
     paths, fs = speech_files(speech_dir)
     rates = sorted({spec.sample_rate for _, _, spec in rooms} - {fs})
     if rates:
         raise RevtimeError(f"rooms drawn at {rates[0]} Hz cannot train on {fs} Hz speech")
-    _check_window(paths, rooms, cfg, fs)  # before mel_weights sizes the FFT
+    # Rounding the room up never rejects a run that could give a pair. This
+    # runs before mel_weights sizes an FFT that may not fit in memory.
+    longest = max(wav_info(p)[1] for p in paths)
+    n = longest + math.ceil(max((spec.rir_length for _, _, spec in rooms), default=0) * fs) - 1
+    need = cfg.min_samples(fs)
+    if n < need:
+        raise RevtimeError(f"training needs {need} samples of reverberant speech, but the "
+                           f"longest utterance convolved with the longest room gives {n}")
     mel_weights(cfg, fs)  # too many bands for the FFT fails here, not per room
 
     utts = [load_wav(p) for p in paths]
@@ -284,14 +267,25 @@ def train_model(speech_dir, cfg: EstimatorConfig, rooms, seed: int, path, order:
     its pairs, stamping the top target as t60_train_max. Writes the model to
     path, its training report beside it as <stem>.report.json (seed is
     the draw's, recorded there) and, if pairs_csv is given, the pairs there.
-    The parents of those files are made, and too few possible pairs
-    (rooms x utterances) for the fit fails, before any room is simulated.
+    Before any room is simulated, two of those files at one path or one at
+    an existing directory raise RevtimeError, their parents are made, and
+    too few possible pairs (rooms x utterances) for the fit fails.
 
     Returns (model, report).
     """
-    # A missing parent found after training would throw the run away.
-    for file in filter(None, (path, pairs_csv)):
-        Path(file).parent.mkdir(parents=True, exist_ok=True)
+    # An output found unwritable after training would throw the run away.
+    files = {"model": Path(path), "report": Path(path).with_suffix(".report.json")}
+    if pairs_csv:
+        files["pairs CSV"] = Path(pairs_csv)
+    seen = {}
+    for name, file in files.items():
+        if file.is_dir():
+            raise RevtimeError(f"the {name} path {file} is a directory")
+        other = seen.setdefault(file.resolve(), name)
+        if other != name:
+            raise RevtimeError(f"the {other} and the {name} would both be written to {file}")
+    for file in files.values():
+        file.parent.mkdir(parents=True, exist_ok=True)
     _check_pair_count(len(rooms) * len(speech_files(speech_dir)[0]), order)
     pairs, skipped = build_training_set(speech_dir, rooms, cfg)
     grid = list(dict.fromkeys(t60 for t60, _, _ in rooms))

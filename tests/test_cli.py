@@ -42,6 +42,11 @@ def speech_dir(tmp_path_factory):
     return write_speech(tmp_path_factory.mktemp("speech"), [(1.6, 40), (1.6, 41)])
 
 
+@pytest.fixture(scope="module")
+def short_speech_dir(tmp_path_factory):
+    return write_speech(tmp_path_factory.mktemp("short_speech"), [(0.45, 40), (0.45, 41)])
+
+
 def run_build_corpus(directory, rows=None) -> int:
     """build-corpus of directory/m.csv into directory/corpus, the manifest
     written from rows first if they are given."""
@@ -484,17 +489,25 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
     (["train", "--grid", "0.3001,0.3004"],
      "error: --grid 0.3001 gives the same room name (0.300) as another --grid"),
     (["train", "--frame-ms", "5000", "--hop-ms", "16"],
-     "error: analysis frame of 80000 samples is longer than the longest utterance "
-     "convolved with the longest room (40799 samples)"),
+     "error: training needs 82304 samples of reverberant speech, but the longest utterance "
+     "convolved with the longest room gives 40799\n"),
     (["train", "--frame-ms", "1e9", "--hop-ms", "1e9"],
-     "error: analysis frame of 16000000000 samples is longer than the longest utterance "
-     "convolved with the longest room (40799 samples)"),
+     "error: training needs 160000000000 samples of reverberant speech, but the longest "
+     "utterance convolved with the longest room gives 40799\n"),
     (["train", "--window-frames", "400"],
-     "error: training needs 400 frames (window_frames 400, mel_band noise floor 10), but "
-     "the longest utterance convolved with the longest room gives 158"),
+     "error: training needs 102656 samples of reverberant speech, but the longest "
+     "utterance convolved with the longest room gives 40799\n"),
     (["train", "--frame-ms", "300", "--hop-ms", "300"],
-     "error: training needs 10 frames (window_frames 7, mel_band noise floor 10), but "
-     "the longest utterance convolved with the longest room gives 8"),
+     "error: training needs 48000 samples of reverberant speech, but the longest "
+     "utterance convolved with the longest room gives 40799\n"),
+    (["train", "--speech-dir", "{short}", "--grid", "0.2,0.3,0.4", "--rooms-per-t60", "5",
+      "--order", "0"],
+     "error: training needs 16000 samples of reverberant speech, but the longest "
+     "utterance convolved with the longest room gives 13599\n"),
+    (["train", "--out", "{tmp}"], "error: the model path {tmp} is a directory\n"),
+    (["train", "--pairs-csv", "{tmp}"], "error: the pairs CSV path {tmp} is a directory\n"),
+    (["train", "--pairs-csv", "{out}/m.json"],
+     "error: the model and the pairs CSV would both be written to {out}/m.json\n"),
 ], ids=["grid_nan", "grid_negative", "t60_max_inf", "t60_max_nan", "rir_t60_inf",
         "demo_t60_nan", "demo_train_t60_max_zero", "demo_snr_nan", "demo_snr_minus_inf",
         "snr_margin_nan", "frame_ms_zero", "hop_ms_negative", "hop_longer_than_frame",
@@ -505,24 +518,30 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
         "demo_train_t60_max_above_limit", "demo_t60_unreachable",
         "demo_train_t60_unreachable", "grid_repeated", "grid_same_stem",
         "frame_longer_than_speech", "frame_too_large_for_memory", "window_longer_than_speech",
-        "too_few_frames_for_noise_floor"])
-def test_bad_value_fails_before_any_room(tmp_path, speech_dir, no_rooms, capsys,
-                                         command, expected):
-    """A bad number on the command line, a hop longer than the frame, a frame
-    longer than the longest training utterance in the longest room (25600
-    samples plus 15200 for the 0.95 s default grid top), too few possible
-    training pairs,
-    more Mel bands than FFT bins, a target T60
-    above MAX_TARGET_T60 or one the room sampler cannot reach, or two
-    targets that share a room name exits 1 with one message and no
-    traceback before any room is simulated (demo and simulate-rir: before
-    the output directory is made)."""
+        "too_few_frames_for_noise_floor", "speech_shorter_than_min_duration",
+        "model_path_is_directory", "pairs_csv_is_directory", "pairs_csv_is_model"])
+def test_bad_value_fails_before_any_room(tmp_path, speech_dir, short_speech_dir, no_rooms,
+                                         capsys, command, expected):
+    """A bad number on the command line, a hop longer than the frame, the
+    longest training utterance in the longest room (25600 samples plus
+    15200 for the 0.95 s default grid top) shorter than the estimator's
+    min_samples, too few possible training pairs, more Mel bands than FFT
+    bins, a target T60 above MAX_TARGET_T60 or one the room sampler cannot
+    reach, two targets that share a room name, or train outputs at one path
+    or at a directory exits 1 with one message and no traceback before any
+    room is simulated (demo and simulate-rir: before the output directory
+    is made). {tmp}, {out} and {short} in a case stand for tmp_path, the
+    output directory and two 0.45 s utterances. A case's own flags follow
+    the required ones, so they win."""
     out = tmp_path / "out"
+    paths = {"tmp": tmp_path, "out": out, "short": short_speech_dir}
+    command = [token.format(**paths) for token in command]
+    expected = expected.format(**paths)
     required = {"simulate-rir": ["--out", str(out)],
                 "train": ["--speech-dir", str(speech_dir), "--out", str(out / "m.json")],
                 "demo": ["--out", str(out)]}[command[0]]
     try:
-        code = main([*command, *required, "--quiet"])
+        code = main([command[0], *required, *command[1:], "--quiet"])
     except SystemExit as exc:
         code = exc.code
     assert code == 1

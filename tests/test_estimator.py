@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SR, cpu_settings, fresh_process_env, make_model, traced_peak
@@ -412,6 +412,59 @@ class TestFrontEnd:
         cfg = EstimatorConfig.default("mel_band")
         with pytest.raises(EstimationError, match="silence"):
             band_spectrogram(AudioBuffer(np.zeros(2 * SR), SR), cfg)
+
+
+def length_stages(buf, cfg):
+    """The stages of nsv_from_audio that check the input's length."""
+    spec = band_spectrogram(buf, cfg)
+    decay_gradients(spec, cfg.window_frames)
+    if cfg.variant == "mel_band":
+        estimate_band_snr(spec)
+
+
+@st.composite
+def length_configs(draw):
+    """(rate, EstimatorConfig) at a drawn rate. min_duration_s is often a
+    whole number of samples, n / rate, where the rounding of its product
+    with the rate decides the edge; the frames outweigh it about as often
+    as not. Hops of at least an eighth of a frame keep the spectrogram
+    small."""
+    rate = draw(st.sampled_from([8000, 11025, 16000, 22050, 44100, 48000]))
+    frame = draw(st.integers(256, 1024))
+    hop = draw(st.integers(frame // 8, frame))
+    min_duration = draw(st.one_of(st.floats(0.0, 0.5),
+                                  st.integers(0, rate // 2).map(lambda n: n / rate)))
+    cfg = EstimatorConfig(variant=draw(st.sampled_from(estimator.VARIANTS)),
+                          stft=StftConfig(frame_len=frame, hop=hop),
+                          window_frames=draw(st.integers(2, 16)),
+                          min_duration_s=min_duration)
+    return rate, cfg
+
+
+# 2007 / 8000 times 8000 rounds up to just above 2007, whose ceiling is
+# one sample too many.
+EDGE_CFG = EstimatorConfig("full_band", StftConfig(frame_len=256, hop=256),
+                           min_duration_s=2007 / 8000)
+
+
+class TestMinSamples:
+    @settings(max_examples=80, deadline=None)
+    @given(drawn=length_configs(), seed=st.integers(0, 2**16))
+    @example(drawn=(8000, EDGE_CFG), seed=0)
+    def test_is_the_shortest_input_accepted(self, drawn, seed):
+        """Noise of exactly min_samples samples passes every stage that
+        checks length; one sample fewer fails one of them."""
+        rate, cfg = drawn
+        n = cfg.min_samples(rate)
+        noise = 0.1 * np.random.default_rng(seed).standard_normal(n)
+        length_stages(AudioBuffer(noise, rate), cfg)
+        with pytest.raises(EstimationError):
+            length_stages(AudioBuffer(noise[:-1], rate), cfg)
+
+    def test_default_is_one_second(self):
+        """At the defaults the one-second minimum outweighs the frames."""
+        assert EstimatorConfig.default("mel_band").min_samples(SR) == SR
+        assert EstimatorConfig.default("full_band", 48000).min_samples(48000) == 48000
 
 
 def in_new_thread(fn, *args):

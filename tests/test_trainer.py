@@ -254,12 +254,14 @@ class TestBuildTrainingSet:
     def test_frame_longer_than_every_utterance_fails_before_any_room(self, speech_dir,
                                                                      no_rooms):
         """The longest utterance (35200 samples) in a 0.5 s room (8000
-        samples) gives 43199 samples."""
+        samples) gives 43199 samples; mel_band needs a 43200-sample frame and
+        9 hops of 256 more for its noise floor."""
         cfg = dataclasses.replace(CFG, stft=dataclasses.replace(CFG.stft, frame_len=43200,
                                                                      fft_len=0))
-        with pytest.raises(RevtimeError, match=r"^analysis frame of 43200 samples is longer "
-                           r"than the longest utterance convolved with the longest room "
-                           r"\(43199 samples\)$"):
+        assert cfg.variant == "mel_band" and cfg.min_samples(SR) == 43200 + 9 * 256
+        with pytest.raises(RevtimeError, match=r"^training needs 45504 samples of reverberant "
+                           r"speech, but the longest utterance convolved with the longest "
+                           r"room gives 43199$"):
             build_training_set(speech_dir, draw_rooms(0, [0.5], 1, SR), cfg)
 
     def test_frame_longer_than_dry_speech_trains(self, speech_dir):
@@ -279,9 +281,10 @@ class TestBuildTrainingSet:
         256, one short of window_frames 168."""
         assert CFG.stft.frame_len == 512 and CFG.stft.hop == 256
         cfg = dataclasses.replace(CFG, window_frames=168)
-        with pytest.raises(RevtimeError, match=r"^training needs 168 frames \(window_frames "
-                           r"168.*\), but the longest utterance convolved with the longest "
-                           r"room gives 167$"):
+        assert cfg.min_samples(SR) == 512 + 167 * 256
+        with pytest.raises(RevtimeError, match=r"^training needs 43264 samples of reverberant "
+                           r"speech, but the longest utterance convolved with the longest "
+                           r"room gives 43199$"):
             build_training_set(speech_dir, draw_rooms(0, [0.5], 1, SR), cfg)
 
     def test_full_determinism_through_fit(self, speech_dir):
