@@ -242,7 +242,7 @@ def cmd_build_corpus(args) -> int:
 
 def cmd_train(args) -> int:
     seed = 0 if args.seed is None else args.seed
-    _, sample_rate = speech_files(args.speech_dir)
+    _, sample_rate, _ = speech_files(args.speech_dir)
     # --variant, --n-mel-bands, --window-frames and --snr-margin set the
     # EstimatorConfig fields they are named after.
     try:

@@ -174,16 +174,37 @@ def default_t60_grid(t60_max: float) -> list:
 
 
 def speech_files(speech_dir):
-    """(paths, sample_rate) of a training speech directory: its WAV files
-    (suffix in any case) in name order and their one sample rate, read from
-    the headers. No file or more than one rate raises RevtimeError."""
+    """(paths, sample_rate, lengths) of a training speech directory, from one
+    header pass: its WAV files (suffix in any case) in name order, their one
+    rate and their frame counts. No file or mixed rates raise RevtimeError."""
     paths = sorted(p for p in Path(speech_dir).glob("*") if p.name.lower().endswith(".wav"))
     if not paths:
         raise RevtimeError(f"no WAV files found in {speech_dir}")
-    rates = {wav_info(p)[0] for p in paths}
-    if len(rates) != 1:
-        raise RevtimeError(f"speech files have mixed sample rates: {sorted(rates)}")
-    return paths, rates.pop()
+    rates, lengths = zip(*(wav_info(p) for p in paths))
+    if len(set(rates)) != 1:
+        raise RevtimeError(f"speech files have mixed sample rates: {sorted(set(rates))}")
+    return paths, rates[0], list(lengths)
+
+
+def _usable_pairs(speech_dir, rooms, cfg: EstimatorConfig):
+    """The checks of a training run that need no room: speech_files, the
+    rooms' rate, the longest utterance in the longest room against
+    cfg.min_samples, then mel_weights. Returns (paths, the number of
+    utterance-room pairs whose reverberant length reaches cfg.min_samples)."""
+    paths, fs, lengths = speech_files(speech_dir)
+    rates = sorted({spec.sample_rate for _, _, spec in rooms} - {fs})
+    if rates:
+        raise RevtimeError(f"rooms drawn at {rates[0]} Hz cannot train on {fs} Hz speech")
+    # Rounding each room up never rejects a pair that could be made. This
+    # runs before mel_weights sizes an FFT that may not fit in memory.
+    room_lengths = [math.ceil(spec.rir_length * fs) for _, _, spec in rooms]
+    need = cfg.min_samples(fs)
+    n = max(lengths) + max(room_lengths, default=0) - 1
+    if n < need:
+        raise RevtimeError(f"training needs {need} samples of reverberant speech, but the "
+                           f"longest utterance convolved with the longest room gives {n}")
+    mel_weights(cfg, fs)  # too many bands for the FFT fails here, not per room
+    return paths, sum(u + r > need for u in lengths for r in room_lengths)
 
 
 def build_training_set(speech_dir, rooms, cfg: EstimatorConfig):
@@ -192,26 +213,11 @@ def build_training_set(speech_dir, rooms, cfg: EstimatorConfig):
 
     Labels come from Schroeder measurement of each generated impulse
     response, not from the grid target. Returns (pairs, n_skipped) where
-    skipped items raised "insufficient decay evidence" (or, shorter than
-    the longest, fell short of cfg.min_samples). Rooms drawn at a rate
-    other than the speech's, a longest utterance that even convolved with
-    the longest room is shorter than cfg.min_samples, or too many Mel bands
-    for the FFT, fail before any utterance is loaded.
+    skipped items raised "insufficient decay evidence" or fell short of
+    cfg.min_samples. _usable_pairs' checks fail before any utterance is
+    loaded.
     """
-    paths, fs = speech_files(speech_dir)
-    rates = sorted({spec.sample_rate for _, _, spec in rooms} - {fs})
-    if rates:
-        raise RevtimeError(f"rooms drawn at {rates[0]} Hz cannot train on {fs} Hz speech")
-    # Rounding the room up never rejects a run that could give a pair. This
-    # runs before mel_weights sizes an FFT that may not fit in memory.
-    longest = max(wav_info(p)[1] for p in paths)
-    n = longest + math.ceil(max((spec.rir_length for _, _, spec in rooms), default=0) * fs) - 1
-    need = cfg.min_samples(fs)
-    if n < need:
-        raise RevtimeError(f"training needs {need} samples of reverberant speech, but the "
-                           f"longest utterance convolved with the longest room gives {n}")
-    mel_weights(cfg, fs)  # too many bands for the FFT fails here, not per room
-
+    paths, _ = _usable_pairs(speech_dir, rooms, cfg)
     utts = [load_wav(p) for p in paths]
     pairs = []
     skipped = 0
@@ -268,8 +274,9 @@ def train_model(speech_dir, cfg: EstimatorConfig, rooms, seed: int, path, order:
     path, its training report beside it as <stem>.report.json (seed is
     the draw's, recorded there) and, if pairs_csv is given, the pairs there.
     Before any room is simulated, two of those files at one path or one at
-    an existing directory raise RevtimeError, their parents are made, and
-    too few possible pairs (rooms x utterances) for the fit fails.
+    an existing directory raise RevtimeError, _usable_pairs' checks run,
+    too few utterance-room pairs reaching cfg.min_samples for the fit
+    fails, and only then are the files' parents made.
 
     Returns (model, report).
     """
@@ -284,9 +291,9 @@ def train_model(speech_dir, cfg: EstimatorConfig, rooms, seed: int, path, order:
         other = seen.setdefault(file.resolve(), name)
         if other != name:
             raise RevtimeError(f"the {other} and the {name} would both be written to {file}")
+    _check_pair_count(_usable_pairs(speech_dir, rooms, cfg)[1], order)
     for file in files.values():
         file.parent.mkdir(parents=True, exist_ok=True)
-    _check_pair_count(len(rooms) * len(speech_files(speech_dir)[0]), order)
     pairs, skipped = build_training_set(speech_dir, rooms, cfg)
     grid = list(dict.fromkeys(t60 for t60, _, _ in rooms))
     model, rms = fit_mapping(pairs, cfg, max(grid), order=order, target=target)

@@ -47,6 +47,11 @@ def short_speech_dir(tmp_path_factory):
     return write_speech(tmp_path_factory.mktemp("short_speech"), [(0.45, 40), (0.45, 41)])
 
 
+@pytest.fixture(scope="module")
+def mixed_speech_dir(tmp_path_factory):
+    return write_speech(tmp_path_factory.mktemp("mixed_speech"), [(0.45, 40), (1.6, 41)])
+
+
 def run_build_corpus(directory, rows=None) -> int:
     """build-corpus of directory/m.csv into directory/corpus, the manifest
     written from rows first if they are given."""
@@ -504,6 +509,9 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
       "--order", "0"],
      "error: training needs 16000 samples of reverberant speech, but the longest "
      "utterance convolved with the longest room gives 13599\n"),
+    (["train", "--speech-dir", "{mixed}", "--grid", "0.3,0.5", "--rooms-per-t60", "8",
+      "--variant", "full_band"],
+     "error: need at least 30 pairs to fit order 2, got 16\n"),
     (["train", "--out", "{tmp}"], "error: the model path {tmp} is a directory\n"),
     (["train", "--pairs-csv", "{tmp}"], "error: the pairs CSV path {tmp} is a directory\n"),
     (["train", "--pairs-csv", "{out}/m.json"],
@@ -519,22 +527,26 @@ def test_bad_count_or_empty_list_is_usage_error(tmp_path, speech_dir, model_file
         "demo_train_t60_unreachable", "grid_repeated", "grid_same_stem",
         "frame_longer_than_speech", "frame_too_large_for_memory", "window_longer_than_speech",
         "too_few_frames_for_noise_floor", "speech_shorter_than_min_duration",
+        "too_few_pairs_reach_min_samples",
         "model_path_is_directory", "pairs_csv_is_directory", "pairs_csv_is_model"])
-def test_bad_value_fails_before_any_room(tmp_path, speech_dir, short_speech_dir, no_rooms,
-                                         capsys, command, expected):
+def test_bad_value_fails_before_any_room(tmp_path, speech_dir, short_speech_dir,
+                                         mixed_speech_dir, no_rooms, capsys, command,
+                                         expected):
     """A bad number on the command line, a hop longer than the frame, the
     longest training utterance in the longest room (25600 samples plus
     15200 for the 0.95 s default grid top) shorter than the estimator's
-    min_samples, too few possible training pairs, more Mel bands than FFT
-    bins, a target T60 above MAX_TARGET_T60 or one the room sampler cannot
-    reach, two targets that share a room name, or train outputs at one path
-    or at a directory exits 1 with one message and no traceback before any
-    room is simulated (demo and simulate-rir: before the output directory
-    is made). {tmp}, {out} and {short} in a case stand for tmp_path, the
-    output directory and two 0.45 s utterances. A case's own flags follow
-    the required ones, so they win."""
+    min_samples, too few training pairs (for train: utterance-room pairs
+    that reach min_samples), more Mel bands than FFT bins, a target T60
+    above MAX_TARGET_T60 or one the room sampler cannot reach, two targets
+    that share a room name, or train outputs at one path or at a directory
+    exits 1 with one message and no traceback before any room is simulated
+    or the output directory is made. {tmp}, {out}, {short} and {mixed} in a
+    case stand for tmp_path, the output directory, two 0.45 s utterances
+    and one 0.45 s and one 1.6 s utterance. A case's own flags follow the
+    required ones, so they win."""
     out = tmp_path / "out"
-    paths = {"tmp": tmp_path, "out": out, "short": short_speech_dir}
+    paths = {"tmp": tmp_path, "out": out, "short": short_speech_dir,
+             "mixed": mixed_speech_dir}
     command = [token.format(**paths) for token in command]
     expected = expected.format(**paths)
     required = {"simulate-rir": ["--out", str(out)],
@@ -549,7 +561,7 @@ def test_bad_value_fails_before_any_room(tmp_path, speech_dir, short_speech_dir,
     assert expected in err
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.wav")) and not list(tmp_path.rglob("*.json"))
-    assert command[0] == "train" or not out.exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("exc, expected", [

@@ -364,6 +364,27 @@ class TestTrainModel:
         assert (tmp_path / "a").is_dir() and (tmp_path / "b").is_dir()
         assert not list(tmp_path.rglob("*.*"))
 
+    @pytest.mark.parametrize("rooms_per_t60, error, message", [
+        (10, AssertionError, "a room was simulated"),
+        (9, RevtimeError, "^need at least 10 pairs to fit order 0, got 9$"),
+    ])
+    def test_pair_count_is_of_pairs_that_reach_min_samples(self, tmp_path, no_rooms,
+                                                           rooms_per_t60, error, message):
+        """full_band needs 16000 samples. A 0.45 s utterance (7200 samples)
+        in a 0.5 s room (8000) gives 15199 and reaches no room; a 1.6 s one
+        reaches every room. Order 0 needs 10 pairs: 10 rooms give exactly
+        10 and pass the pre-check (the parents are made and the first room
+        is simulated), 9 rooms give 9 (of 18 utterance-room pairs) and fail
+        before any room or output directory is made."""
+        speech = write_speech(tmp_path / "speech", [(0.45, 40), (1.6, 41)])
+        cfg = EstimatorConfig.default("full_band")
+        assert cfg.min_samples(SR) == 16000
+        with pytest.raises(error, match=message):
+            train_model(speech, cfg, draw_rooms(3, [0.5], rooms_per_t60, SR), 3,
+                        tmp_path / "a" / "m.json", order=0, pairs_csv=tmp_path / "b" / "p.csv")
+        passed = error is AssertionError
+        assert (tmp_path / "a").is_dir() == (tmp_path / "b").is_dir() == passed
+
 
 def test_targets_up_to_the_limit_pass():
     check_targets([0.1, MAX_TARGET_T60], "--t60")
@@ -375,4 +396,5 @@ def test_speech_files_match_the_suffix_in_any_case(tmp_path):
     for name, seed in (("U0.WAV", 60), ("u1.wav", 61)):
         save_wav(synthetic_speech(0.5, SR, seed=seed), tmp_path / name)
     (tmp_path / "notes.txt").write_text("not audio")
-    assert speech_files(tmp_path) == ([tmp_path / "U0.WAV", tmp_path / "u1.wav"], SR)
+    assert speech_files(tmp_path) == ([tmp_path / "U0.WAV", tmp_path / "u1.wav"], SR,
+                                      [8000, 8000])
