@@ -258,8 +258,8 @@ def _slope_row(window_frames: int, dt: float) -> np.ndarray:
     return row
 
 
-# Elements per block of decay_gradients' shifted sum (about 512 KB of
-# float64): the block and its running sum stay in cache.
+# Elements per block of decay_gradients' paired sum (about 512 KB of
+# float64): the block, its running sum and the term buffer stay in cache.
 _SLOPE_BLOCK = 1 << 16
 
 # Frames per block of band_spectrogram's STFT: the block's scaled samples,
@@ -272,23 +272,22 @@ def decay_gradients(spec: BandSpectrogram, window_frames: int) -> GradientMatrix
     """Least-squares decay slope of every length-window_frames sliding window.
 
     The slope of a window is the dot product of its values with the
-    closed-form slope row of _slope_row, computed once. The products are
-    summed as shifted copies of the flattened band-major spectrogram,
-    ``acc = v[0:m] * row[0]`` then ``acc += v[k:k+m] * row[k]`` for k = 1
-    .. w - 1, in blocks of whole bands held in two buffers of the call
-    (about 1 MB in all). That one path serves every length, one window per
-    band included, and calls no BLAS or LAPACK kernel, so the slopes of a
-    given spectrogram are the same bits on every CPU. For two or more
-    windows the sum is that of numpy's matmul loop for strided operands:
-    the slopes equal ``sliding_window_view(values, w, axis=1) @ row`` bit
-    for bit (up to the sign of an exactly zero slope).
+    closed-form slope row of _slope_row, computed once. That row is exactly
+    antisymmetric (its centre weight is 0 for odd w), so the dot product is
+    summed over mirrored pairs of frames, ``acc = row[w-1] * (v[w-1] -
+    v[0])`` then ``acc += row[w-1-k] * (v[w-1-k] - v[k])`` for k = 1 ..
+    w//2 - 1, as shifted copies of the flattened band-major spectrogram in
+    blocks of whole bands held in two buffers of the call (about 1 MB in
+    all). That one path serves every length, one window per band included,
+    and calls no BLAS or LAPACK kernel, so the slopes of a given
+    spectrogram are the same bits on every CPU.
 
-    A constant window (all values equal, as in the dynamic-range clamp
-    floor or exactly repeated frames) has slope exactly 0.0, decided from
-    its values: the sum would leave rounding of about 1e-13 dB/s whose sign
-    follows the value and the CPU. Such windows still count as selected
-    slopes, but never as negative ones. Slopes are in dB per second; the
-    returned matrix is a fresh array.
+    The difference of two dB values within a factor of two of each other is
+    exact, so a window's level cancels before anything is rounded. A window
+    equal to its mirror image (a constant one included, as in the
+    dynamic-range clamp floor) has slope exactly +0.0: it counts as a
+    selected slope, never as a negative one. Slopes are in dB per second;
+    the returned matrix is a fresh array.
     """
     w = int(window_frames)
     if w < 2:
@@ -311,16 +310,12 @@ def decay_gradients(spec: BandSpectrogram, window_frames: int) -> GradientMatrix
         # band, only column 0 is kept).
         m = block.size - w + 1
         acc, term = acc_buf[:m], term_buf[:m]
-        np.multiply(block[:m], row[0], out=acc)
-        for k in range(1, w):
-            np.multiply(block[k:k + m], row[k], out=term)
+        np.subtract(block[w - 1:w - 1 + m], block[:m], out=acc)
+        acc *= row[w - 1]
+        for k in range(1, w // 2):
+            np.subtract(block[w - 1 - k:w - 1 - k + m], block[k:k + m], out=term)
+            term *= row[w - 1 - k]
             acc += term
-        # Window i is constant when steps i .. i + w - 2 all repeat the
-        # value before them: w - 1 consecutive entries of the sorted
-        # repeat positions.
-        repeats = np.flatnonzero(block[1:] == block[:-1])
-        starts = repeats[:max(0, repeats.size - (w - 2))]
-        acc[starts[repeats[w - 2:] - starts == w - 2]] = 0.0
         slopes[b0:b1] = acc_buf[:block.size].reshape(b1 - b0, n_frames)[:, :n_windows]
     return GradientMatrix(slopes)
 

@@ -36,17 +36,17 @@ def reference_mel(spec, weights):
 
 
 def reference_slopes(spec, w):
-    """Decay slope of every length-w window as the sequential sum of the
-    sliding windows' values times the least-squares slope row in closed
-    form: each frame's offset from the window's centre over frame_step
-    times the sum of the squared offsets. The offsets are exact
-    half-integers. No matrix product, so no BLAS kernel decides the
-    summation order; for two or more windows this is the order of numpy's
-    matmul loop for strided operands."""
+    """Decay slope of every length-w window from the least-squares slope row
+    in closed form: each frame's offset from the window's centre over
+    frame_step times the sum of the squared offsets. The offsets are exact
+    half-integers, so the row is antisymmetric and the slope is the
+    sequential sum over the mirrored frame pairs, outermost first, of the
+    later frame's weight times the later value minus the earlier one. No
+    matrix product, so no BLAS kernel decides the summation order."""
     offsets = np.arange(w) - (w - 1) / 2.0
     row = offsets / (spec.frame_step * np.sum(offsets * offsets))
     v = sliding_window_view(spec.values, w, axis=1)
-    acc = v[..., 0] * row[0]
-    for k in range(1, w):
-        acc = acc + v[..., k] * row[k]
+    acc = row[w - 1] * (v[..., w - 1] - v[..., 0])
+    for k in range(1, w // 2):
+        acc = acc + row[w - 1 - k] * (v[..., w - 1 - k] - v[..., k])
     return acc

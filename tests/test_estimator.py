@@ -160,6 +160,39 @@ class TestDecayGradients:
         others = np.arange(4) != band
         assert np.array_equal(slopes[others], reference_slopes(spec, w)[others])
 
+    @settings(max_examples=200, deadline=None)
+    @given(w=st.integers(2, 9), extra_frames=st.integers(0, 30), band=st.integers(0, 3),
+           frame_step=st.sampled_from([0.008, 0.010667, 0.016]),
+           seed=st.integers(0, 2**16))
+    def test_mirror_image_window_slope_is_exactly_zero(self, w, extra_frames, band,
+                                                       frame_step, seed):
+        """A window equal to its mirror image, at any place in any band, has
+        slope exactly +0.0, and every slope keeps the oracle's bits."""
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-100, 0, size=(4, w + extra_frames))
+        start = int(rng.integers(0, extra_frames + 1))
+        half = rng.uniform(-100, 0, size=(w + 1) // 2)
+        values[band, start:start + w] = np.concatenate([half, half[:w // 2][::-1]])
+        spec = make_spec(values, frame_step)
+        slopes = decay_gradients(spec, w).slopes
+        assert slopes[band, start] == 0.0 and not np.signbit(slopes[band, start])
+        assert np.array_equal(slopes, reference_slopes(spec, w))
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=st.integers(2, 9), n_frames=st.integers(9, 40),
+           level=st.integers(-80 * 64, 80 * 64),
+           frame_step=st.sampled_from([0.008, 0.010667, 0.016]),
+           seed=st.integers(0, 2**16))
+    def test_level_cancels_exactly(self, w, n_frames, level, frame_step, seed):
+        """With dB values on a 1/64 grid, adding a constant level on the same
+        grid leaves every slope's bits unchanged: the level cancels in the
+        frame differences before anything is rounded."""
+        rng = np.random.default_rng(seed)
+        values = np.round(rng.uniform(-100, 0, size=(4, n_frames)) * 64) / 64
+        shifted = values + level / 64
+        assert np.array_equal(decay_gradients(make_spec(shifted, frame_step), w).slopes,
+                              decay_gradients(make_spec(values, frame_step), w).slopes)
+
     @pytest.mark.parametrize("run", range(1, 10))
     def test_repeated_values_zero_only_whole_windows(self, run):
         """A run of equal values zeroes exactly the windows that lie wholly
@@ -180,7 +213,9 @@ class TestDecayGradients:
         n_bands, active, floor, w = 257, 150, 300, 7
         values = np.empty((n_bands, active + floor))
         values[:, :active] = rng.uniform(-60.0, 0.0, size=(n_bands, active))
-        # Floor levels at which the shifted sum rounds to either sign.
+        # A floor level per band, spread so that a sum of products taken in
+        # frame order would round the floor windows' slopes to either sign;
+        # their paired frame differences are exactly 0.
         values[:, active:] = (-80.0 + 0.037 * np.arange(n_bands))[:, None]
         whole = nsv(decay_gradients(make_spec(values), w).slopes)
         cut = nsv(decay_gradients(make_spec(values[:, :active + w - 1]), w).slopes)
